@@ -25,7 +25,7 @@ from .congruence import Element, MonoidContext, ResourceLimitExceeded
 from .reports import VerificationReport
 from .structure import _coerce_set, covers, enumerate_simples
 from .normal import NormalSequence, left_mult_update, normalize_all
-from .delta import GarsideStructure, _strip
+from .delta import GarsideStructure, _strip, mul_letter
 
 __all__ = [
     "DELTA_INV",
@@ -187,6 +187,25 @@ class GrowthSeries:
         }
 
 
+def charpoly(matrix) -> list:
+    """Coefficients [1, a_1, ..., a_n] of det(t I - A) for a square
+    integer matrix A, by the Faddeev-LeVerrier recursion
+    M_k = A M_(k-1) + a_(k-1) I, a_k = -tr(A M_k) / k, with M_0 = 0;
+    tr(A M_k) is always divisible by k, so the arithmetic is exact."""
+    n = len(matrix)
+    coeffs = [1]
+    am = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [row[:] for row in am]
+        for i in range(n):
+            m[i][i] += coeffs[-1]
+        cols = list(zip(*m))
+        am = [[sum(a * b for a, b in zip(row, col)) for col in cols]
+              for row in matrix]
+        coeffs.append(-sum(am[i][i] for i in range(n)) // k)
+    return coeffs
+
+
 def growth(ctx: MonoidContext, gs: GarsideStructure, n_max: int,
            mode: str = "monoid",
            unique_forms: bool | None = None) -> GrowthSeries:
@@ -218,11 +237,9 @@ def growth(ctx: MonoidContext, gs: GarsideStructure, n_max: int,
                for j in range(size)]
         coeffs.append(sum(vec))
 
-    from sympy import Matrix
-    char = Matrix(matrix).charpoly().all_coeffs()
     # monic lambda^d + a_1 lambda^(d-1) + ... + a_d gives
     # c(n) = -a_1 c(n-1) - ... - a_d c(n-d)
-    recurrence = tuple(-int(a) for a in char[1:])
+    recurrence = tuple(-a for a in charpoly(matrix)[1:])
     return GrowthSeries(tuple(coeffs), recurrence, mode, unique_forms)
 
 
@@ -241,26 +258,12 @@ def _letter_value(gs, letter):
 
 def _append(gs, key, letter, sign=1):
     """Right-multiply the fraction key (k, x) by letter^sign."""
-    ctx = gs.ctx
+    if letter is not DELTA_INV:
+        return mul_letter(gs, key, letter, sign)
+    if sign < 0:
+        return mul_letter(gs, key, gs.delta, 1)
     k, x = key
-    if letter is DELTA_INV:
-        if sign > 0:
-            return _strip(gs, k + 1, gs.phi(x, -1))
-        return _strip(gs, k, ctx.mul(x, gs.delta))
-    if sign > 0:
-        return _strip(gs, k, ctx.mul(x, letter))
-    m = gs.embedding_exponent(letter)
-    comp = ctx.left_divides(letter, gs.delta_power(m))
-    return _strip(gs, k + m, gs.phi(ctx.mul(x, comp), -m))
-
-
-def _word_key(gs, word):
-    key = (0, gs.ctx.one)
-    for letter in word:
-        if letter is not DELTA_INV:
-            _letter_value(gs, letter)
-        key = _append(gs, key, letter)
-    return key
+    return _strip(gs, k + 1, gs.phi(x, -1))
 
 
 def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
@@ -274,12 +277,16 @@ def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
     got = cache.get(pair)
     if got is not None:
         return got
-    auto = build_automaton(ctx, gs)
+    # the monoid letters go straight to mul_letter: this is the hot loop
+    plain = [l for l in build_automaton(ctx, gs).letters
+             if l is not DELTA_INV]
 
     def neighbors(key):
-        for letter in auto.letters:
-            yield _append(gs, key, letter, 1)
-            yield _append(gs, key, letter, -1)
+        for letter in plain:
+            yield mul_letter(gs, key, letter, 1)
+            yield mul_letter(gs, key, letter, -1)
+        yield _append(gs, key, DELTA_INV, 1)
+        yield _append(gs, key, DELTA_INV, -1)
 
     # level-synchronized bidirectional search; after fully expanding
     # levels (da, db) every path of length <= da + db + 1 has been seen
@@ -320,15 +327,6 @@ def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
     return dist
 
 
-def _prefix_keys(gs, word):
-    keys = []
-    key = (0, gs.ctx.one)
-    for letter in word:
-        key = _append(gs, key, letter)
-        keys.append(key)
-    return keys
-
-
 def synchronous_distance(ctx: MonoidContext, gs: GarsideStructure, u, v,
                          max_dist: int = 16,
                          node_cap: int = 200_000) -> int:
@@ -339,33 +337,23 @@ def synchronous_distance(ctx: MonoidContext, gs: GarsideStructure, u, v,
     for letter in u + v:
         if letter is not DELTA_INV:
             _letter_value(gs, letter)
-    if not u and not v:
-        return 0
-    pu = _prefix_keys(gs, u)
-    pv = _prefix_keys(gs, v)
-    best = 0
-    for i in range(1, max(len(u), len(v)) + 1):
-        k1 = pu[min(i, len(u)) - 1] if u else (0, ctx.one)
-        k2 = pv[min(i, len(v)) - 1] if v else (0, ctx.one)
-        best = max(best, cayley_distance(ctx, gs, k1, k2,
-                                         max_dist=max_dist,
-                                         node_cap=node_cap))
-    return best
+    return _translated_distance(ctx, gs, (0, ctx.one), u, v, max_dist,
+                                node_cap)
 
 
 def _translated_distance(ctx, gs, y_key, p, q, max_dist, node_cap):
-    """Supremum over positions of dist(y * p-prefix, q-prefix)."""
-    pk = []
-    key = y_key
+    """Supremum over positions i of dist(y * p[:i], q[:i]), clamping
+    each word at its own length."""
+    pk = [y_key]
     for letter in p:
-        key = _append(gs, key, letter)
-        pk.append(key)
-    qk = _prefix_keys(gs, q)
+        pk.append(_append(gs, pk[-1], letter))
+    qk = [(0, ctx.one)]
+    for letter in q:
+        qk.append(_append(gs, qk[-1], letter))
     best = 0
     for i in range(1, max(len(p), len(q), 1) + 1):
-        k1 = pk[min(i, len(p)) - 1] if p else y_key
-        k2 = qk[min(i, len(q)) - 1] if q else (0, ctx.one)
-        best = max(best, cayley_distance(ctx, gs, k1, k2,
+        best = max(best, cayley_distance(ctx, gs, pk[min(i, len(p))],
+                                         qk[min(i, len(q))],
                                          max_dist=max_dist,
                                          node_cap=node_cap))
     return best

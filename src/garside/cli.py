@@ -26,7 +26,7 @@ from .normal import (GridError, grid_prove_equality, normalize,
                      normalize_all, prove_group_identity)
 from .delta import (build_structure, check_normal_uniqueness_criterion,
                     check_uniform_length, find_minimal_garside,
-                    fraction_of_signed, group_equal)
+                    fraction_of_signed)
 from .automaton import (DELTA_INV, build_automaton, growth,
                         synchronous_distance)
 
@@ -156,8 +156,7 @@ def cmd_analyze(args) -> int:
     report = AnalysisReport(ctx.presentation.name or "(unnamed)")
     stages = report.stages
 
-    cancel = ctx.check_cancellative_bounded(args.radius
-                                            or DEFAULT_CANCEL_RADIUS)
+    cancel = ctx.check_cancellative_bounded(args.radius)
     stages["cancellativity"] = {"status": cancel.status,
                                 "radius": cancel.details["radius"]}
     if not cancel.passed:
@@ -240,7 +239,6 @@ def cmd_word_problem(args) -> int:
     f1 = fraction_of_signed(ctx, gs, w1)
     f2 = fraction_of_signed(ctx, gs, w2)
     equal = f1.key == f2.key
-    assert equal == group_equal(ctx, gs, w1, w2)
     text = (f"{'equal' if equal else 'different'}\n"
             f"left:  {f1.describe(ctx)}\n"
             f"right: {f2.describe(ctx)}")
@@ -340,74 +338,80 @@ def build_parser() -> _Parser:
                                  "fractions")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, delta=False, span=False, radius=None):
+    def common(p, *options, radius=None):
+        """Presentation source and caps, plus the named options that the
+        subcommand reads."""
         src = p.add_mutually_exclusive_group()
         src.add_argument("--fixture", metavar="NAME",
                          help="built-in presentation (M1, M2, M3, B3, "
                               "free(n), free_comm(n))")
         src.add_argument("--file", help="presentation file")
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output")
-        p.add_argument("--bound", type=int, default=None,
-                       help="override search bound for mcm computations")
-        p.add_argument("--radius", type=int, default=radius,
-                       help="ball radius for verification checks")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized probes (reserved)")
+        if "json" in options:
+            p.add_argument("--json", action="store_true",
+                           help="machine-readable output")
+        if "bound" in options:
+            p.add_argument("--bound", type=int, default=None,
+                           help="override search bound for mcm "
+                                "computations")
+        if "radius" in options:
+            p.add_argument("--radius", type=int, default=radius,
+                           help="ball radius for verification checks")
         p.add_argument("--cache-cap", type=int, default=1_000_000,
                        dest="cache_cap", help="max cached words")
         p.add_argument("--ball-cap", type=int, default=DEFAULT_BALL_CAP,
                        dest="ball_cap", help="max enumerated elements")
-        p.add_argument("--garside-norm", type=int,
-                       default=DEFAULT_GARSIDE_NORM, dest="garside_norm",
-                       help="norm budget for the Garside search")
-        if delta:
+        if "garside-norm" in options:
+            p.add_argument("--garside-norm", type=int,
+                           default=DEFAULT_GARSIDE_NORM, dest="garside_norm",
+                           help="norm budget for the Garside search")
+        if "delta" in options:
             p.add_argument("--delta", help="Garside element (word)")
-        if span:
+        if "span" in options:
             p.add_argument("--span", help="comma-separated spanning set; "
                                           "defaults to the primitive "
                                           "closure")
 
     p = sub.add_parser("analyze", help="full pipeline report")
-    common(p, radius=DEFAULT_CANCEL_RADIUS)
+    common(p, "json", "bound", "radius", "garside-norm",
+           radius=DEFAULT_CANCEL_RADIUS)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("normalize", help="greedy normal form")
-    common(p, delta=True, span=True)
+    common(p, "json", "delta", "span")
     p.add_argument("element")
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("all-normal-forms", help="every normal form")
-    common(p, delta=True, span=True)
+    common(p, "json", "delta", "span")
     p.add_argument("element")
     p.set_defaults(func=cmd_all_normal_forms)
 
     p = sub.add_parser("word-problem",
                        help="compare two signed words in the group")
-    common(p, delta=True)
+    common(p, "json", "delta", "garside-norm")
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(func=cmd_word_problem)
 
     p = sub.add_parser("automaton", help="normal-form automaton (DOT/JSON)")
-    common(p, delta=True)
+    common(p, "json", "delta", "garside-norm")
     p.add_argument("--full", action="store_true",
                    help="include the failure state")
     p.set_defaults(func=cmd_automaton)
 
     p = sub.add_parser("growth", help="growth series (CSV/JSON)")
-    common(p, delta=True)
+    common(p, "json", "delta", "garside-norm", "radius")
     p.add_argument("-n", type=int, default=8, help="largest length")
     p.add_argument("--mode", choices=("monoid", "group"), default="monoid")
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("graph", help="characteristic graph (DOT)")
-    common(p, delta=True, span=True)
+    common(p, "delta", "span", "bound")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("distance",
                        help="synchronous distance of two letter words")
-    common(p, delta=True)
+    common(p, "json", "delta", "garside-norm")
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(func=cmd_distance)
@@ -415,7 +419,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("prove",
                        help="derive one word from an equal one, or a "
                             "signed identity word from nothing")
-    common(p, delta=True, span=True)
+    common(p, "json", "delta", "span")
     p.add_argument("left")
     p.add_argument("right", nargs="?")
     p.add_argument("--identity", action="store_true",

@@ -138,8 +138,10 @@ class MonoidContext:
             frontier = new
             if self._cached_words + len(seen) > cap:
                 raise ResourceLimitExceeded(
-                    f"congruence class of a norm-{len(word)} word exceeds "
-                    f"the word cache cap ({cap})")
+                    f"word cache cap ({cap}) exceeded: "
+                    f"{self._cached_words} words cached, and the class "
+                    f"of a norm-{len(word)} word has at least "
+                    f"{len(seen)} more")
         cls = frozenset(seen)
         self._cached_words += len(cls)
         for w in cls:

@@ -318,49 +318,51 @@ def _strip(gs: GarsideStructure, k: int, x: Element):
 
 
 def _form(gs: GarsideStructure, k: int, x: Element) -> FractionForm:
-    k, x = _strip(gs, k, x)
+    """The fraction form of an already stripped key (k, x)."""
     return FractionForm(k, gs.normalize(x), x)
+
+
+def mul_letter(gs: GarsideStructure, key, g: Element, sign: int):
+    """Right-multiply the fraction key (k, x), i.e. delta^(-k) x, by
+    g^sign and strip the result.  An inverse g^(-1) is eliminated as
+    c delta^(-m) where g c = delta^m, and delta^(-m) is commuted
+    leftward through phi^(-m)."""
+    ctx = gs.ctx
+    k, x = key
+    if sign == 1:
+        x = ctx.mul(x, g)
+    elif sign == -1:
+        m = gs.embedding_exponent(g)
+        comp = ctx.left_divides(g, gs.delta_power(m))
+        x = gs.phi(ctx.mul(x, comp), -m)
+        k += m
+    else:
+        raise ValueError(f"bad sign {sign!r}")
+    return _strip(gs, k, x)
 
 
 def to_fraction(ctx: MonoidContext, gs: GarsideStructure, numerator,
                 denominator) -> FractionForm:
     """The group element numerator * denominator^(-1) as a fraction
-    form: with denominator * c = delta^m, the value is
-    delta^(-m) * phi^(-m)(numerator * c), then k is minimized."""
-    num = ctx.canonical(numerator)
-    den = ctx.canonical(denominator)
-    m = gs.embedding_exponent(den)
-    comp = ctx.left_divides(den, gs.delta_power(m))
-    return _form(gs, m, gs.phi(ctx.mul(num, comp), -m))
+    form with k minimal."""
+    key = (0, ctx.canonical(numerator))
+    return _form(gs, *mul_letter(gs, key, ctx.canonical(denominator), -1))
 
 
 def fraction_of_signed(ctx: MonoidContext, gs: GarsideStructure,
                        letters) -> FractionForm:
-    """Fold a signed word (pairs (element, +-1)) into a fraction form,
-    eliminating each inverse letter g^(-1) as c * delta^(-m) where
-    g c = delta^m, and commuting delta^(-m) leftward through phi."""
-    k, x = 0, ctx.one
-    for item in letters:
-        g, sign = item
-        g = ctx.canonical(g)
-        if sign == 1:
-            x = ctx.mul(x, g)
-        elif sign == -1:
-            m = gs.embedding_exponent(g)
-            comp = ctx.left_divides(g, gs.delta_power(m))
-            x = gs.phi(ctx.mul(x, comp), -m)
-            k += m
-        else:
-            raise ValueError(f"bad sign {sign!r}")
-        k, x = _strip(gs, k, x)
-    return _form(gs, k, x)
+    """Fold a signed word (pairs (element, +-1)) into a fraction form."""
+    key = (0, ctx.one)
+    for g, sign in letters:
+        key = mul_letter(gs, key, ctx.canonical(g), sign)
+    return _form(gs, *key)
 
 
 def combine(ctx: MonoidContext, gs: GarsideStructure, f1: FractionForm,
             f2: FractionForm) -> FractionForm:
     """Product of two fraction forms."""
     x = ctx.mul(gs.phi(f1.product, -f2.k), f2.product)
-    return _form(gs, f1.k + f2.k, x)
+    return _form(gs, *_strip(gs, f1.k + f2.k, x))
 
 
 def group_equal(ctx: MonoidContext, gs: GarsideStructure, w1, w2) -> bool:

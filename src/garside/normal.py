@@ -80,6 +80,16 @@ def _lex_simples(ctx, S):
     return got
 
 
+def _heads(ctx, S, simples, x):
+    """Lazily yield the pairs (h, rest) with h rest = x, where h runs
+    through ``simples`` (those of ``_lex_simples``, in that tie-break
+    order) and has the same S-divisor set as x."""
+    dset = divisors_in(ctx, S, x)
+    for h in simples:
+        if divisors_in(ctx, S, h) == dset and ctx.divides(h, x):
+            yield h, ctx.left_divides(h, x)
+
+
 def normalize(ctx: MonoidContext, S, x) -> NormalSequence:
     """Greedy normal form: each head is the lex-least simple divisor
     whose S-divisor set equals that of the remainder."""
@@ -88,15 +98,12 @@ def normalize(ctx: MonoidContext, S, x) -> NormalSequence:
     heads = _lex_simples(ctx, S)
     factors = []
     while x.norm:
-        dset = divisors_in(ctx, S, x)
-        for h in heads:
-            if divisors_in(ctx, S, h) == dset and ctx.divides(h, x):
-                break
-        else:
+        head = next(_heads(ctx, S, heads, x), None)
+        if head is None:
             raise ValueError(
                 f"no simple head divides {ctx.show(x)}; is the set spanning?")
+        h, x = head
         factors.append(h)
-        x = ctx.left_divides(h, x)
     return NormalSequence(tuple(factors), S.label)
 
 
@@ -113,17 +120,14 @@ def normalize_all(ctx: MonoidContext, S, x, cap=10_000) -> frozenset:
         got = memo.get(e)
         if got is not None:
             return got
-        dset = divisors_in(ctx, S, e)
         out = set()
-        for h in heads:
-            if divisors_in(ctx, S, h) == dset and ctx.divides(h, e):
-                rest = ctx.left_divides(h, e)
-                for tail in rec(rest):
-                    out.add((h,) + tail)
-                    if len(out) > cap:
-                        raise ResourceLimitExceeded(
-                            f"more than {cap} normal decompositions for "
-                            f"{ctx.show(x)}")
+        for h, rest in _heads(ctx, S, heads, e):
+            for tail in rec(rest):
+                out.add((h,) + tail)
+                if len(out) > cap:
+                    raise ResourceLimitExceeded(
+                        f"more than {cap} normal decompositions for "
+                        f"{ctx.show(x)}")
         res = frozenset(out)
         memo[e] = res
         return res
@@ -163,19 +167,13 @@ def left_mult_update(ctx: MonoidContext, S, y, seq) -> NormalSequence:
     out = []
     for f in factors:
         z = ctx.mul(cur, f)
-        dset = divisors_in(ctx, S, z)
+        # the first head that leaves a simple carry, else the greedy head
         chosen = None
-        fallback = None
-        for h in heads:
-            if divisors_in(ctx, S, h) == dset and ctx.divides(h, z):
-                rest = ctx.left_divides(h, z)
-                if not rest.norm or rest in simples:
-                    chosen = (h, rest)
-                    break
-                if fallback is None:
-                    fallback = (h, rest)
-        if chosen is None:
-            chosen = fallback
+        for h, rest in _heads(ctx, S, heads, z):
+            chosen = chosen or (h, rest)
+            if not rest.norm or rest in simples:
+                chosen = (h, rest)
+                break
         if chosen is None:
             raise ValueError(
                 f"no simple head divides {ctx.show(z)}; is the set "

@@ -5,7 +5,7 @@ import pytest
 from garside import (DELTA_INV, MonoidContext, build_automaton,
                      build_structure, fixture, ftp_probe, growth, is_normal,
                      primitive_closure, synchronous_distance)
-from garside.automaton import cayley_distance
+from garside.automaton import cayley_distance, charpoly
 
 
 def structure(ctx, word):
@@ -117,6 +117,18 @@ def test_growth_group_mode(m1):
     assert g.check_recurrence()
     with pytest.raises(ValueError, match="unknown growth mode"):
         growth(m1, structure(m1, "aa"), 3, mode="ring")
+
+
+@pytest.mark.parametrize("matrix, coeffs", [
+    ([[5]], [1, -5]),
+    ([[0, 0, 0]] * 3, [1, 0, 0, 0]),
+    ([[2, 1], [1, 3]], [1, -5, 5]),
+    ([[0, -1], [1, 0]], [1, 0, 1]),
+    ([[0, 0, -6], [1, 0, 5], [0, 1, 2]], [1, -2, -5, 6]),
+    ([[2, 7, 1], [0, 3, 4], [0, 0, -1]], [1, -4, 1, 6]),
+])
+def test_charpoly(matrix, coeffs):
+    assert charpoly(matrix) == coeffs
 
 
 def test_growth_serialization(m1):

@@ -167,6 +167,24 @@ def test_exit_code_usage_errors(capsys):
     assert code == 1 and "spanning" in err
 
 
+def test_analyze_radius_zero(capsys):
+    code, out, _ = run(capsys, ["analyze", "--fixture", "M1", "--json",
+                                "--radius", "0"])
+    assert code == 0
+    assert json.loads(out)["cancellativity"] == {"status": "pass",
+                                                 "radius": 0}
+
+
+def test_options_only_where_read(capsys):
+    for argv in (["analyze", "--fixture", "M1", "--seed", "1"],
+                 ["normalize", "--fixture", "M1", "--radius", "3", "aaa"],
+                 ["prove", "--fixture", "M1", "--bound", "3", "a", "a"],
+                 ["graph", "--fixture", "M1", "--garside-norm", "3"],
+                 ["graph", "--fixture", "M1", "--json"]):
+        code, _, err = run(capsys, argv)
+        assert code == 1 and "unrecognized arguments" in err, argv
+
+
 def test_exit_code_resource_cap(capsys):
     code, _, err = run(capsys, ["analyze", "--fixture", "M3",
                                 "--cache-cap", "100"])

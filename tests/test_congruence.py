@@ -129,6 +129,16 @@ def test_word_cache_cap():
         ctx.class_of("abababab")
 
 
+def test_word_cache_cap_message_counts_cached_words():
+    ctx = MonoidContext(fixture("M1"), max_cached_words=2)
+    ctx.element("aa")  # the class {aa, bb} fills the cache
+    with pytest.raises(ResourceLimitExceeded) as exc:
+        ctx.element("a")  # a one-word class
+    assert str(exc.value) == ("word cache cap (2) exceeded: 2 words cached, "
+                              "and the class of a norm-1 word has at "
+                              "least 1 more")
+
+
 def test_ball_cap():
     ctx = MonoidContext(fixture("free(3)"), max_ball_elements=10)
     with pytest.raises(ResourceLimitExceeded) as exc:
