@@ -24,9 +24,19 @@ from .delta import (FractionForm, GarsideSearchResult, GarsideStructure,
 from .automaton import (DELTA_INV, GrowthSeries, NormalFormAutomaton,
                         build_automaton, cayley_distance, ftp_probe,
                         growth, synchronous_distance)
-from .cli import export_characteristic_graph, main
 
 __version__ = "0.1.0"
+
+# The CLI loads on first use (PEP 562), so that `python -m garside.cli`
+# does not find its module already imported by the package.
+_CLI_NAMES = ("export_characteristic_graph", "main")
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "FIXTURE_NAMES", "Presentation", "PresentationError", "fixture",

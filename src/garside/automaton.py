@@ -277,16 +277,23 @@ def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
     got = cache.get(pair)
     if got is not None:
         return got
-    # the monoid letters go straight to mul_letter: this is the hot loop
+    # key -> tuple of its neighbour keys, shared by all searches
+    adjacency = ctx.caches[("adjacency", gs.delta)]
     plain = [l for l in build_automaton(ctx, gs).letters
              if l is not DELTA_INV]
 
     def neighbors(key):
-        for letter in plain:
-            yield mul_letter(gs, key, letter, 1)
-            yield mul_letter(gs, key, letter, -1)
-        yield _append(gs, key, DELTA_INV, 1)
-        yield _append(gs, key, DELTA_INV, -1)
+        got = adjacency.get(key)
+        if got is None:
+            # the monoid letters go straight to mul_letter
+            got = []
+            for letter in plain:
+                got.append(mul_letter(gs, key, letter, 1))
+                got.append(mul_letter(gs, key, letter, -1))
+            got.append(_append(gs, key, DELTA_INV, 1))
+            got.append(_append(gs, key, DELTA_INV, -1))
+            got = adjacency[key] = tuple(got)
+        return got
 
     # level-synchronized bidirectional search; after fully expanding
     # levels (da, db) every path of length <= da + db + 1 has been seen

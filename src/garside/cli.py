@@ -6,8 +6,9 @@ automaton, growth, graph, distance, prove.  Presentations come from
 README for word syntaxes.
 
 Exit codes: 0 for completed runs (including runs whose mathematical
-checks report failures; those are findings), 1 for usage or parse
-errors, 2 when a resource cap is hit.
+checks report failures; those are findings), 1 for usage, parse and
+other errors (reported as one line, never a traceback), 2 when a
+resource cap is hit.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .automaton import (DELTA_INV, build_automaton, growth,
 
 DEFAULT_CANCEL_RADIUS = 6
 DEFAULT_GARSIDE_NORM = 4
+DEFAULT_UNIFORM_RADIUS = 4
 DEFAULT_BALL_CAP = 100_000
 
 
@@ -42,6 +44,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _nonnegative_int(text) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _load_presentation(args) -> Presentation:
@@ -198,7 +211,7 @@ def cmd_analyze(args) -> int:
     deltas = []
     for d in search.minimal:
         try:
-            deltas.append(_delta_summary(ctx, d, radius=4))
+            deltas.append(_delta_summary(ctx, d, DEFAULT_UNIFORM_RADIUS))
         except ResourceLimitExceeded as exc:
             report.notes.append(f"structure for {ctx.show(d)} capped: {exc}")
     stages["garside_structures"] = deltas
@@ -264,7 +277,7 @@ def cmd_automaton(args) -> int:
 def cmd_growth(args) -> int:
     ctx = _context(args)
     gs = _resolve_structure(ctx, args)
-    uniform = check_uniform_length(ctx, gs, min(args.radius or 4, 4))
+    uniform = check_uniform_length(ctx, gs, args.radius)
     series = growth(ctx, gs, args.n, mode=args.mode,
                     unique_forms=uniform.details.get("unique_forms"))
     if args.json:
@@ -350,11 +363,11 @@ def build_parser() -> _Parser:
             p.add_argument("--json", action="store_true",
                            help="machine-readable output")
         if "bound" in options:
-            p.add_argument("--bound", type=int, default=None,
+            p.add_argument("--bound", type=_nonnegative_int, default=None,
                            help="override search bound for mcm "
                                 "computations")
         if "radius" in options:
-            p.add_argument("--radius", type=int, default=radius,
+            p.add_argument("--radius", type=_nonnegative_int, default=radius,
                            help="ball radius for verification checks")
         p.add_argument("--cache-cap", type=int, default=1_000_000,
                        dest="cache_cap", help="max cached words")
@@ -400,7 +413,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_automaton)
 
     p = sub.add_parser("growth", help="growth series (CSV/JSON)")
-    common(p, "json", "delta", "garside-norm", "radius")
+    common(p, "json", "delta", "garside-norm", "radius",
+           radius=DEFAULT_UNIFORM_RADIUS)
     p.add_argument("-n", type=int, default=8, help="largest length")
     p.add_argument("--mode", choices=("monoid", "group"), default="monoid")
     p.set_defaults(func=cmd_growth)
@@ -438,7 +452,8 @@ def main(argv=None) -> int:
     except ResourceLimitExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 2
-    except (PresentationError, GridError, ValueError, OSError) as exc:
+    except (PresentationError, GridError, ValueError, OSError,
+            RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,7 +38,7 @@ class ResourceLimitExceeded(RuntimeError):
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
     """A monoid element, identified by the least word of its class.
 
@@ -63,9 +63,15 @@ class Element:
 class MonoidContext:
     """All word-problem state for one presentation.
 
-    Congruence classes, prefix/suffix sets and ball levels are memoized
-    here; ``caches`` is a scratch area for the higher layers (divisor
-    sets, simple elements, normal forms) keyed per spanning set.
+    Congruence classes, prefix/suffix sets, left complements (the
+    results of ``left_divides``) and ball levels are memoized here;
+    ``caches`` is a scratch area for the higher layers keyed per
+    spanning set or Garside element: divisor sets, simple elements,
+    normal forms, the automaton, and for ``cayley_distance`` the pair
+    distances (``("cayley", delta)``) and each fraction key's tuple of
+    neighbour keys (``("adjacency", delta)``).  Every class counts
+    against ``max_cached_words``, whether it was enumerated by
+    ``class_of`` or transported by ``image``.
     """
 
     def __init__(self, presentation: Presentation,
@@ -84,6 +90,7 @@ class MonoidContext:
         self._levels: list[frozenset[Element]] = []
         self._prefix_sets: dict[tuple[str, int], frozenset[str]] = {}
         self._suffix_sets: dict[tuple[str, int], frozenset[str]] = {}
+        self._left_complements: dict[tuple[str, str], Element | None] = {}
         self.caches: dict = defaultdict(dict)
         self.cancellative_radius = -1
         self.one = Element("")
@@ -120,7 +127,10 @@ class MonoidContext:
         cached = self._classes.get(word)
         if cached is not None:
             return cached
-        cap = self.max_cached_words
+        # the cap is checked on every insertion, the seed word included
+        room = self.max_cached_words - self._cached_words
+        if room < 1:
+            raise self._cache_full(word, 1)
         seen = {word}
         frontier = [word]
         rules = self._rules
@@ -133,21 +143,47 @@ class MonoidContext:
                         w2 = w[:start] + rhs + w[start + len(lhs):]
                         if w2 not in seen:
                             seen.add(w2)
+                            if len(seen) > room:
+                                raise self._cache_full(word, len(seen))
                             new.append(w2)
                         start = w.find(lhs, start + 1)
             frontier = new
-            if self._cached_words + len(seen) > cap:
-                raise ResourceLimitExceeded(
-                    f"word cache cap ({cap}) exceeded: "
-                    f"{self._cached_words} words cached, and the class "
-                    f"of a norm-{len(word)} word has at least "
-                    f"{len(seen)} more")
         cls = frozenset(seen)
+        self._store(cls)
+        return cls
+
+    def image(self, x, table) -> Element:
+        """Canonical element of the word of ``x`` translated by ``table``
+        (a ``str.maketrans`` table), for an alphabet permutation that
+        maps every relation into the congruence.  Such a permutation
+        maps each class onto a class, so when the class of ``x`` is
+        cached the image class is its translation, and no BFS runs."""
+        x = self.canonical(x)
+        word = x.canon.translate(table)
+        cls = self._classes.get(word)
+        if cls is None:
+            source = self._classes.get(x.canon)
+            if source is None:
+                return self.canonical(word)
+            cls = frozenset(w.translate(table) for w in source)
+            room = self.max_cached_words - self._cached_words
+            if len(cls) > room:
+                # what class_of would report for the same class
+                raise self._cache_full(word, room + 1)
+            self._store(cls)
+        return Element(self._canon_of_class[cls])
+
+    def _store(self, cls):
         self._cached_words += len(cls)
         for w in cls:
             self._classes[w] = cls
         self._canon_of_class[cls] = min(cls)
-        return cls
+
+    def _cache_full(self, word, count) -> ResourceLimitExceeded:
+        return ResourceLimitExceeded(
+            f"word cache cap ({self.max_cached_words}) exceeded: "
+            f"{self._cached_words} words cached, and the class of a "
+            f"norm-{len(word)} word has at least {count} more")
 
     def canonical(self, word) -> Element:
         if isinstance(word, Element):
@@ -209,6 +245,10 @@ class MonoidContext:
         ell = x.norm
         if ell == 0:
             return y
+        key = (x.canon, y.canon)
+        memo = self._left_complements
+        if key in memo:
+            return memo[key]
         xcls = self.class_of(x.canon)
         best = None
         for w in self.class_of(y.canon):
@@ -216,7 +256,9 @@ class MonoidContext:
                 s = w[ell:]
                 if best is None or s < best:
                     best = s
-        return None if best is None else Element(best)
+        z = None if best is None else Element(best)
+        memo[key] = z
+        return z
 
     def right_divides(self, x, y):
         """Complement z with z x = y, or None."""

@@ -119,7 +119,13 @@ class GarsideStructure:
     phi_atoms: tuple           # phi_atoms[m][a] = phi^m(atom a), m in 0..e-1
     order: int                 # e with phi^e = identity
     central_radius: int        # ball radius on which delta^e was checked central
+    # phi maps each class letterwise onto a class: every letter is an
+    # atom and phi maps every relation into the congruence
+    transports_classes: bool = False
     _delta_powers: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self._translations = tuple(str.maketrans(t) for t in self.phi_atoms)
 
     @property
     def span(self):
@@ -136,10 +142,14 @@ class GarsideStructure:
         return got
 
     def phi(self, x, power: int = 1) -> Element:
-        """phi^power(x), computed letterwise on the canonical word."""
+        """phi^power(x), computed letterwise on the canonical word.  With
+        transports_classes the image class is the translated class of x
+        rather than a new enumeration."""
+        table = self._translations[power % self.order]
+        if self.transports_classes:
+            return self.ctx.image(x, table)
         x = self.ctx.canonical(x)
-        table = self.phi_atoms[power % self.order]
-        return self.ctx.canonical("".join(table[c] for c in x.canon))
+        return self.ctx.canonical(x.canon.translate(table))
 
     def phi_inv(self, x, power: int = 1) -> Element:
         return self.phi(x, -power)
@@ -218,6 +228,17 @@ def _atom_permutation_order(table: dict) -> int:
     return order
 
 
+def _check_preserves_relations(ctx: MonoidContext, letter_map: dict):
+    """Raise ValueError unless the letter map sends both sides of every
+    relation to congruent words."""
+    table = str.maketrans(letter_map)
+    for lhs, rhs in ctx.presentation.relations:
+        if not ctx.equal(lhs.translate(table), rhs.translate(table)):
+            raise ValueError(
+                f"phi does not preserve the relation "
+                f"{ctx.show(lhs)} = {ctx.show(rhs)}")
+
+
 def build_structure(ctx: MonoidContext, delta,
                     verify_radius: int = 3) -> GarsideStructure:
     """Compute the star map, phi and its order, enumerate the simple
@@ -250,13 +271,18 @@ def build_structure(ctx: MonoidContext, delta,
                 f"star^2 does not permute the atoms: {ctx.show(a)} maps "
                 f"to {ctx.show(img)}")
         base[a.canon] = img.canon
+    # with a relation of length 1 some letters are not atoms, and phi
+    # is letterwise on canonical words only
+    transports = len(base) == len(ctx.presentation.chars)
+    if transports:
+        _check_preserves_relations(ctx, base)
     order = _atom_permutation_order(base)
     tables = [{c: c for c in base}]
     for _ in range(1, order):
         prev = tables[-1]
         tables.append({c: base[prev[c]] for c in prev})
     gs = GarsideStructure(ctx, delta, div, simples, star, tuple(tables),
-                          order, verify_radius)
+                          order, verify_radius, transports)
 
     # star^2 must agree with the letterwise map on every divisor
     for x in div:

@@ -5,7 +5,8 @@ import pytest
 from garside import (DELTA_INV, MonoidContext, build_automaton,
                      build_structure, fixture, ftp_probe, growth, is_normal,
                      primitive_closure, synchronous_distance)
-from garside.automaton import cayley_distance, charpoly
+from garside.automaton import _append, cayley_distance, charpoly
+from garside.delta import _strip
 
 
 def structure(ctx, word):
@@ -192,3 +193,41 @@ def test_ftp_probe_m3_sliding_observation(m3):
     assert rep.details["max_sliding_simple"] == 2
     assert rep.details["max_leftmult"] == 2
     assert rep.details["bound_leftmult"] == 15
+
+
+WARM_CASES = (("B3", "s1s2s1", 3), ("M2", "aa", 3), ("M3", "ac", 2),
+              ("free_comm(3)", "abc", 3))
+
+
+@pytest.mark.parametrize("name,delta,radius", WARM_CASES)
+def test_warm_caches_give_the_same_answers(name, delta, radius):
+    warm = MonoidContext(fixture(name))
+    wgs = structure(warm, delta)
+    assert ftp_probe(warm, wgs, radius).passed
+
+    def plain(key):
+        return key[0], key[1].canon
+
+    letters = build_automaton(warm, wgs).letters
+    for x in sorted(warm.enumerate_ball(2)):
+        for k in (0, 1):
+            # a fresh context per key, queried before anything warms it
+            fresh = MonoidContext(fixture(name))
+            fgs = structure(fresh, delta)
+            wkey = _strip(wgs, k, x)
+            fkey = _strip(fgs, k, fresh.canonical(x.canon))
+            assert plain(wkey) == plain(fkey)
+            assert (cayley_distance(fresh, fgs, (0, fresh.one), fkey)
+                    == cayley_distance(warm, wgs, (0, warm.one), wkey))
+            for letter, sign in itertools.product(letters, (1, -1)):
+                fletter = (letter if letter is DELTA_INV
+                           else fresh.canonical(letter.canon))
+                fnext = _append(fgs, fkey, fletter, sign)
+                wnext = _append(wgs, wkey, letter, sign)
+                assert plain(wnext) == plain(fnext), (x, k, letter, sign)
+                assert (cayley_distance(fresh, fgs, fkey, fnext)
+                        == cayley_distance(warm, wgs, wkey, wnext))
+    # every cached class, transported or enumerated, is the BFS class
+    bfs = MonoidContext(fixture(name))
+    for cls in set(warm._classes.values()):
+        assert bfs.class_of(min(cls)) == cls

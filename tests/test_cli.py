@@ -1,8 +1,13 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import garside
+from garside import GarsideStructure
 from garside.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -190,3 +195,47 @@ def test_exit_code_resource_cap(capsys):
                                 "--cache-cap", "100"])
     assert code == 2
     assert "resource cap exceeded" in err
+
+
+def test_growth_checks_uniform_length_at_the_given_radius(capsys):
+    # the M1 ball has 7 elements up to norm 3, 9 up to norm 4, 11 up to 5
+    base = ["growth", "--fixture", "M1", "--delta", "aa", "-n", "2"]
+    code, out, _ = run(capsys, base + ["--ball-cap", "7", "--radius", "0"])
+    assert code == 0 and out.splitlines()[0] == "n,count"
+    code, _, err = run(capsys, base + ["--ball-cap", "7"])
+    assert code == 2 and "at norm 4" in err
+    code, _, err = run(capsys, base + ["--ball-cap", "10", "--radius", "5"])
+    assert code == 2 and "at norm 5" in err
+
+
+def test_negative_radius_and_bound_are_rejected(capsys):
+    for argv in (["analyze", "--fixture", "M1", "--radius", "-3"],
+                 ["growth", "--fixture", "M1", "--radius", "-1"],
+                 ["graph", "--fixture", "M1", "--bound", "-2"]):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "", argv
+        assert "expected a non-negative integer" in err, argv
+
+
+def test_other_runtime_errors_exit_1(capsys, monkeypatch):
+    def fail(self, x):
+        raise RuntimeError("no power of the Garside element")
+
+    monkeypatch.setattr(GarsideStructure, "embedding_exponent", fail)
+    code, out, err = run(capsys, ["word-problem", "--fixture", "M1",
+                                  "--delta", "aa", "b' a", "a"])
+    assert code == 1 and out == ""
+    assert err == "error: no power of the Garside element\n"
+
+
+def test_python_m_garside_cli_runs_without_warnings():
+    src = pathlib.Path(garside.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "garside.cli", "normalize", "--fixture", "M1",
+         "aaa"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == "aa a\n"

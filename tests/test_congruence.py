@@ -144,3 +144,22 @@ def test_ball_cap():
     with pytest.raises(ResourceLimitExceeded) as exc:
         ctx.enumerate_ball(4)
     assert exc.value.level is not None
+
+
+def test_word_cache_cap_fires_on_the_insertion_that_overshoots():
+    ctx = MonoidContext(fixture("M2"), max_cached_words=100)
+    with pytest.raises(ResourceLimitExceeded) as exc:
+        ctx.class_of("a" * 8)
+    assert str(exc.value) == ("word cache cap (100) exceeded: 0 words "
+                              "cached, and the class of a norm-8 word has "
+                              "at least 101 more")
+    assert ctx._cached_words == 0
+
+
+def test_left_divides_memo_matches_a_fresh_context(b3):
+    ball = sorted(b3.enumerate_ball(3))
+    first = {(x, y): b3.left_divides(x, y) for x in ball for y in ball}
+    fresh = MonoidContext(fixture("B3"))
+    for (x, y), z in first.items():
+        assert b3.left_divides(x, y) == z
+        assert fresh.left_divides(x.canon, y.canon) == z

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
-from garside import (MonoidContext, build_structure, check_uniform_length,
+from garside import (MonoidContext, Presentation, ResourceLimitExceeded,
+                     build_structure, check_uniform_length,
                      check_normal_uniqueness_criterion, combine, divisors,
                      enumerate_simples, find_minimal_garside, fixture,
                      fraction_of_signed, group_equal, is_garside,
                      parse_presentation, primitive_closure, right_divisors,
                      to_fraction)
+from garside.delta import _check_preserves_relations
 
 
 def star_table(ctx, gs):
@@ -294,3 +296,72 @@ def test_delta_normalize_helpers(b3):
         == {("s1s2",)}
     with pytest.raises(ValueError, match="negative power"):
         gs.delta_power(-1)
+
+
+def test_phi_transports_the_cached_class(monkeypatch):
+    ctx = MonoidContext(fixture("B3"))
+    gs = build_structure(ctx, ctx.element("s1s2s1"))
+    x = ctx.element("s1s1s1s1s2s1s1s1")  # a class of 7 words
+    image_word = x.canon.translate(str.maketrans(gs.phi_atoms[1]))
+    assert image_word not in ctx._classes
+    built = []
+    class_of = ctx.class_of
+
+    def spy(word):
+        if word not in ctx._classes:
+            built.append(word)
+        return class_of(word)
+
+    monkeypatch.setattr(ctx, "class_of", spy)
+    before = ctx._cached_words
+    y = gs.phi(x)
+    assert built == []
+    bfs = MonoidContext(fixture("B3")).class_of(image_word)
+    assert ctx._classes[image_word] == bfs
+    assert y.canon == min(bfs)
+    assert ctx._cached_words == before + len(bfs)
+
+
+def test_phi_transport_reports_the_cap_like_bfs():
+    ctx = MonoidContext(fixture("B3"))
+    gs = build_structure(ctx, ctx.element("s1s2s1"))
+    x = ctx.element("s1s1s1s1s2s1s1s1")  # a class of 7 words
+    image_word = x.canon.translate(str.maketrans(gs.phi_atoms[1]))
+    ctx.max_cached_words = ctx._cached_words + 3
+    with pytest.raises(ResourceLimitExceeded) as transported:
+        gs.phi(x)
+    with pytest.raises(ResourceLimitExceeded) as enumerated:
+        ctx.class_of(image_word)
+    assert str(transported.value) == str(enumerated.value)
+    assert "has at least 4 more" in str(transported.value)
+
+
+def test_phi_preserves_the_relations_of_every_fixture():
+    for name, deltas in (("M1", ("aa", "ab")), ("M2", ("aa", "ab", "ac")),
+                         ("M3", ("ac",)), ("B3", ("s1s2s1",)),
+                         ("free_comm(3)", ("abc",))):
+        ctx = MonoidContext(fixture(name))
+        for d in deltas:
+            gs = build_structure(ctx, ctx.element(d))
+            assert gs.transports_classes
+            for table in gs.phi_atoms:
+                _check_preserves_relations(ctx, table)
+    m3 = MonoidContext(fixture("M3"))
+    # swapping a and b sends ac = ca to bc = cb, and bc is not cb
+    with pytest.raises(ValueError, match="does not preserve the relation"):
+        _check_preserves_relations(m3, {"a": "b", "b": "a", "c": "c"})
+
+
+def test_phi_with_a_relation_of_length_one():
+    # s3 = s1 makes s3 a letter that is not an atom, so classes are not
+    # mapped letterwise; phi still agrees with BFS on the image word
+    pres = Presentation(["s1", "s2", "s3"],
+                        [("s1s2s1", "s2s1s2"), ("s3", "s1")])
+    ctx = MonoidContext(pres)
+    gs = build_structure(ctx, ctx.element("s1s2s1"))
+    assert not gs.transports_classes
+    bfs = MonoidContext(pres)
+    for x in ctx.enumerate_ball(5):
+        for m in range(gs.order):
+            word = x.canon.translate(str.maketrans(gs.phi_atoms[m]))
+            assert gs.phi(x, m) == bfs.canonical(word)
