@@ -369,12 +369,14 @@ def build_parser() -> _Parser:
         if "radius" in options:
             p.add_argument("--radius", type=_nonnegative_int, default=radius,
                            help="ball radius for verification checks")
-        p.add_argument("--cache-cap", type=int, default=1_000_000,
-                       dest="cache_cap", help="max cached words")
-        p.add_argument("--ball-cap", type=int, default=DEFAULT_BALL_CAP,
-                       dest="ball_cap", help="max enumerated elements")
+        p.add_argument("--cache-cap", type=_nonnegative_int,
+                       default=1_000_000, dest="cache_cap",
+                       help="max cached words")
+        p.add_argument("--ball-cap", type=_nonnegative_int,
+                       default=DEFAULT_BALL_CAP, dest="ball_cap",
+                       help="max enumerated elements")
         if "garside-norm" in options:
-            p.add_argument("--garside-norm", type=int,
+            p.add_argument("--garside-norm", type=_nonnegative_int,
                            default=DEFAULT_GARSIDE_NORM, dest="garside_norm",
                            help="norm budget for the Garside search")
         if "delta" in options:
@@ -415,7 +417,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("growth", help="growth series (CSV/JSON)")
     common(p, "json", "delta", "garside-norm", "radius",
            radius=DEFAULT_UNIFORM_RADIUS)
-    p.add_argument("-n", type=int, default=8, help="largest length")
+    p.add_argument("-n", type=_nonnegative_int, default=8,
+                   help="largest length")
     p.add_argument("--mode", choices=("monoid", "group"), default="monoid")
     p.set_defaults(func=cmd_growth)
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .congruence import Element, MonoidContext, ResourceLimitExceeded
-from .structure import (ElementSet, _coerce_set, _span_key, divisors_in,
-                        enumerate_simples, covers, mcms)
+from .structure import (_coerce_set, covers, divisors_in,
+                        enumerate_simples, mcms)
 
 __all__ = [
     "NormalSequence",
@@ -69,14 +69,13 @@ def is_normal(ctx: MonoidContext, S, seq) -> bool:
 def _lex_simples(ctx, S):
     """Non-identity simple elements in plain lexicographic order of
     their canonical words (the tie-break order for greedy heads)."""
-    key = _span_key(S)
     cache = ctx.caches["lex_simples"]
-    got = cache.get(key)
+    got = cache.get(S.members)
     if got is None:
         got = tuple(sorted(
             (s for s in enumerate_simples(ctx, S).members if s.norm),
             key=lambda e: e.canon))
-        cache[key] = got
+        cache[S.members] = got
     return got
 
 
@@ -112,7 +111,7 @@ def normalize_all(ctx: MonoidContext, S, x, cap=10_000) -> frozenset:
     S = _coerce_set(ctx, S)
     x = ctx.canonical(x)
     heads = _lex_simples(ctx, S)
-    memo = ctx.caches[("normalize_all", _span_key(S))]
+    memo = ctx.caches[("normalize_all", S.members)]
 
     def rec(e) -> frozenset:
         if not e.norm:

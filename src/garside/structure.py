@@ -30,7 +30,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ElementSet:
-    """A finite set of elements with a label for reports and exports."""
+    """A finite set of elements with a label for reports and exports.
+    ``members`` keys the per-span caches; a frozenset caches its hash."""
 
     members: frozenset
     label: str = ""
@@ -51,11 +52,6 @@ class ElementSet:
 
     def to_json(self, ctx):
         return [ctx.show(e) for e in sorted(self.members)]
-
-
-def _span_key(S):
-    members = S.members if isinstance(S, ElementSet) else frozenset(S)
-    return frozenset(e.canon for e in members)
 
 
 def _coerce_set(ctx, S, label=""):
@@ -274,7 +270,7 @@ def divisors_in(ctx: MonoidContext, S, x) -> frozenset:
     """The left divisors of x that lie in S, memoized per spanning set."""
     S = _coerce_set(ctx, S)
     x = ctx.canonical(x)
-    cache = ctx.caches[("div_in", _span_key(S))]
+    cache = ctx.caches[("div_in", S.members)]
     got = cache.get(x)
     if got is None:
         got = frozenset(s for s in S.members if ctx.divides(s, x))
@@ -308,9 +304,8 @@ def enumerate_simples(ctx: MonoidContext, S) -> ElementSet:
     the search stops at the first empty level.  Requires S to span.
     """
     S = _coerce_set(ctx, S)
-    key = _span_key(S)
     cache = ctx.caches["simples"]
-    got = cache.get(key)
+    got = cache.get(S.members)
     if got is not None:
         return got
     atom_list = sorted(ctx.ball_level(1))
@@ -338,5 +333,5 @@ def enumerate_simples(ctx: MonoidContext, S) -> ElementSet:
         level = nxt
     result = ElementSet(frozenset(simple),
                         f"simples({S.label or len(S)})")
-    cache[key] = result
+    cache[S.members] = result
     return result

@@ -211,7 +211,11 @@ def test_growth_checks_uniform_length_at_the_given_radius(capsys):
 def test_negative_radius_and_bound_are_rejected(capsys):
     for argv in (["analyze", "--fixture", "M1", "--radius", "-3"],
                  ["growth", "--fixture", "M1", "--radius", "-1"],
-                 ["graph", "--fixture", "M1", "--bound", "-2"]):
+                 ["graph", "--fixture", "M1", "--bound", "-2"],
+                 ["growth", "--fixture", "M1", "--delta", "aa", "-n", "-2"],
+                 ["analyze", "--fixture", "M1", "--garside-norm", "-1"],
+                 ["normalize", "--fixture", "M1", "--cache-cap", "-5", "aaa"],
+                 ["normalize", "--fixture", "M1", "--ball-cap", "-1", "aaa"]):
         code, out, err = run(capsys, argv)
         assert code == 1 and out == "", argv
         assert "expected a non-negative integer" in err, argv

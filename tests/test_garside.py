@@ -10,6 +10,7 @@ from garside import (MonoidContext, Presentation, ResourceLimitExceeded,
                      fraction_of_signed, group_equal, is_garside,
                      parse_presentation, primitive_closure, right_divisors,
                      to_fraction)
+from garside import delta
 from garside.delta import _check_preserves_relations
 
 
@@ -118,13 +119,32 @@ def test_phi_cycles_on_m2(m2):
     assert gs_ab.phi(gs_ac.phi(a)) == a
 
 
-def test_phi_conjugation_and_centrality(m2, b3):
-    for ctx, d in ((m2, "ab"), (b3, "s1s2s1")):
+LENGTH_ONE = Presentation(["s1", "s2", "s3"],
+                          [("s1s2s1", "s2s1s2"), ("s3", "s1")])
+
+
+def test_phi_conjugation_and_centrality(m1, m2, m3, b3):
+    # build_structure certifies both identities from the atoms; the ball
+    # checks are the reference
+    fc = MonoidContext(fixture("free_comm(3)"))
+    cases = ((m2, "ab"), (b3, "s1s2s1"), (m1, "aa"), (m2, "aa"), (m3, "ac"),
+             (fc, "abc"), (MonoidContext(LENGTH_ONE), "s1s2s1"))
+    for ctx, d in cases:
         gs = build_structure(ctx, ctx.element(d))
         assert gs.check_conjugation(4).passed
         rep = gs.check_centrality(4)
         assert rep.passed
         assert rep.details["power"] == gs.order
+
+
+def test_build_structure_enumerates_no_ball_past_the_atoms():
+    for name, d in (("free_comm(3)", "abc"), ("B3", "s1s2s1"), ("M2", "ab")):
+        pres = fixture(name)
+        ctx = MonoidContext(pres, max_ball_elements=len(pres.chars) + 2)
+        gs = build_structure(ctx, ctx.element(d))
+        assert gs.delta == ctx.element(d)
+        with pytest.raises(ResourceLimitExceeded, match="at norm 2"):
+            ctx.ball_level(2)
 
 
 def test_phi_preserves_structure_sets(m2):
@@ -352,15 +372,26 @@ def test_phi_preserves_the_relations_of_every_fixture():
         _check_preserves_relations(m3, {"a": "b", "b": "a", "c": "c"})
 
 
+def test_relations_are_checked_without_transport(monkeypatch):
+    # the relation check also runs when a letter is not an atom, on the
+    # letter map extended to every letter
+    maps = []
+    monkeypatch.setattr(delta, "_check_preserves_relations",
+                        lambda ctx, letter_map: maps.append(letter_map))
+    ctx = MonoidContext(LENGTH_ONE)
+    gs = build_structure(ctx, ctx.element("s1s2s1"))
+    assert not gs.transports_classes
+    s1, s2, s3 = (ctx.presentation.encode_word(g) for g in ("s1", "s2", "s3"))
+    assert maps == [{s1: s2, s2: s1, s3: s2}]
+
+
 def test_phi_with_a_relation_of_length_one():
     # s3 = s1 makes s3 a letter that is not an atom, so classes are not
     # mapped letterwise; phi still agrees with BFS on the image word
-    pres = Presentation(["s1", "s2", "s3"],
-                        [("s1s2s1", "s2s1s2"), ("s3", "s1")])
-    ctx = MonoidContext(pres)
+    ctx = MonoidContext(LENGTH_ONE)
     gs = build_structure(ctx, ctx.element("s1s2s1"))
     assert not gs.transports_classes
-    bfs = MonoidContext(pres)
+    bfs = MonoidContext(LENGTH_ONE)
     for x in ctx.enumerate_ball(5):
         for m in range(gs.order):
             word = x.canon.translate(str.maketrans(gs.phi_atoms[m]))
