@@ -69,7 +69,9 @@ class MonoidContext:
     spanning set or Garside element: divisor sets, simple elements,
     normal forms, the automaton, and for ``cayley_distance`` the pair
     distances (``("cayley", delta)``) and each fraction key's tuple of
-    neighbour keys (``("adjacency", delta)``).  Every class counts
+    neighbour keys (``("adjacency", delta)``), and for ``mcms`` the
+    right multiples of an element by norm (``"multiples"``) and each
+    word's letter successors (``"successors"``).  Every class counts
     against ``max_cached_words``, whether it was enumerated by
     ``class_of`` or transported by ``image``.
     """

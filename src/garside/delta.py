@@ -196,19 +196,6 @@ class GarsideStructure:
             "centrality", "pass", bound=radius,
             details={"power": self.order})
 
-    def to_json(self):
-        ctx = self.ctx
-        return {
-            "delta": ctx.show(self.delta),
-            "div": self.div_delta.to_json(ctx),
-            "simples": self.simples.to_json(ctx),
-            "star": [[ctx.show(x), ctx.show(y)]
-                     for x, y in sorted(self.star.items())],
-            "phi": [[ctx.show(x), ctx.show(self.phi_on_divs(x))]
-                    for x in sorted(self.star)],
-            "e": self.order,
-        }
-
 
 def _atom_permutation_order(table: dict) -> int:
     order = 1
@@ -376,12 +363,29 @@ def to_fraction(ctx: MonoidContext, gs: GarsideStructure, numerator,
     return _form(gs, *mul_letter(gs, key, ctx.canonical(denominator), -1))
 
 
+def _reduced(ctx: MonoidContext, letters) -> list:
+    """The signed word with canonical elements and every adjacent
+    g g^-1 or g^-1 g cancelled.  Each sign is checked before its letter
+    takes part in a cancellation."""
+    out = []
+    for g, sign in letters:
+        if sign != 1 and sign != -1:
+            raise ValueError(f"bad sign {sign!r}")
+        g = ctx.canonical(g)
+        if out and out[-1] == (g, -sign):
+            out.pop()
+        else:
+            out.append((g, sign))
+    return out
+
+
 def fraction_of_signed(ctx: MonoidContext, gs: GarsideStructure,
                        letters) -> FractionForm:
-    """Fold a signed word (pairs (element, +-1)) into a fraction form."""
+    """Fold a signed word (pairs (element, +-1)) into a fraction form,
+    after free reduction."""
     key = (0, ctx.one)
-    for g, sign in letters:
-        key = mul_letter(gs, key, ctx.canonical(g), sign)
+    for g, sign in _reduced(ctx, letters):
+        key = mul_letter(gs, key, g, sign)
     return _form(gs, *key)
 
 
@@ -393,7 +397,16 @@ def combine(ctx: MonoidContext, gs: GarsideStructure, f1: FractionForm,
 
 
 def group_equal(ctx: MonoidContext, gs: GarsideStructure, w1, w2) -> bool:
-    """Word problem for the group of fractions on signed words."""
+    """Word problem for the group of fractions on signed words.
+
+    Relations preserve length, so the degree sum(sign * norm(g)) is a
+    homomorphism onto the integers: words of different degree are
+    unequal, and no fraction is folded for them."""
+    w1 = _reduced(ctx, w1)
+    w2 = _reduced(ctx, w2)
+    if (sum(s * g.norm for g, s in w1)
+            != sum(s * g.norm for g, s in w2)):
+        return False
     return (fraction_of_signed(ctx, gs, w1).key
             == fraction_of_signed(ctx, gs, w2).key)
 

@@ -50,9 +50,6 @@ class ElementSet:
     def max_norm(self):
         return max((e.norm for e in self.members), default=0)
 
-    def to_json(self, ctx):
-        return [ctx.show(e) for e in sorted(self.members)]
-
 
 def _coerce_set(ctx, S, label=""):
     if isinstance(S, ElementSet):
@@ -83,6 +80,26 @@ class McmResult:
     complete: bool
 
 
+def _multiples(ctx: MonoidContext, x: Element, norm: int) -> frozenset:
+    """Canonical words of the right multiples of x at the given norm,
+    memoized per x level by level; each level is the union of the
+    letter successors (per-word tuples, memoized too) of the one below."""
+    levels = ctx.caches["multiples"].setdefault(x.canon,
+                                                [frozenset([x.canon])])
+    successors = ctx.caches["successors"]
+    chars = ctx.presentation.chars
+    while x.norm + len(levels) <= norm:
+        nxt = set()
+        for c in levels[-1]:
+            succ = successors.get(c)
+            if succ is None:
+                succ = successors[c] = tuple(ctx.canonical(c + ch).canon
+                                             for ch in chars)
+            nxt.update(succ)
+        levels.append(frozenset(nxt))
+    return levels[norm - x.norm]
+
+
 def mcms(ctx: MonoidContext, x, y, bound=None) -> McmResult:
     x = ctx.canonical(x)
     y = ctx.canonical(y)
@@ -97,25 +114,12 @@ def mcms(ctx: MonoidContext, x, y, bound=None) -> McmResult:
                          {x: ctx.one}, {x: ctx.left_divides(y, x)},
                          bound, True)
 
-    chars = ctx.presentation.chars
-
-    def extend(canons):
-        return {ctx.mul(Element(c), Element(ch)).canon
-                for c in canons for ch in chars}
-
-    cur_x = {x.canon}
-    cur_y = {y.canon}
-    level = max(x.norm, y.norm) + 1
-    for _ in range(level - x.norm):
-        cur_x = extend(cur_x)
-    for _ in range(level - y.norm):
-        cur_y = extend(cur_y)
-
     found: list[Element] = []
     complete = False
     prev_cm_words: set[str] = set()
+    level = max(x.norm, y.norm) + 1
     while level <= bound:
-        cm = cur_x & cur_y
+        cm = _multiples(ctx, x, level) & _multiples(ctx, y, level)
         new = []
         for zc in sorted(cm):
             cls = ctx.class_of(zc)
@@ -132,8 +136,6 @@ def mcms(ctx: MonoidContext, x, y, bound=None) -> McmResult:
         prev_cm_words = set()
         for zc in cm:
             prev_cm_words.update(ctx.class_of(zc))
-        cur_x = extend(cur_x)
-        cur_y = extend(cur_y)
         level += 1
     comp_l = {m: ctx.left_divides(x, m) for m in found}
     comp_r = {m: ctx.left_divides(y, m) for m in found}

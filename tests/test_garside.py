@@ -227,6 +227,11 @@ def test_fraction_of_signed_frozen(m1):
     assert prod.k == 0 and not prod.tail.factors
     with pytest.raises(ValueError, match="bad sign"):
         fraction_of_signed(m1, gs, [(a, 2)])
+    # signs are checked before free reduction and the degree test
+    with pytest.raises(ValueError, match="bad sign"):
+        fraction_of_signed(m1, gs, [(a, 2), (a, -2)])
+    with pytest.raises(ValueError, match="bad sign"):
+        group_equal(m1, gs, [(a, 2)], [])
 
 
 def test_fraction_normal_form_reduced(m1, m3):

@@ -1,0 +1,147 @@
+"""The group word problem on reduced words: ``group_equal`` answers
+False for words of different degree without folding, and folds freely
+reduced words otherwise.  Checked against an unreduced fold and against
+oracles that share no code with the congruence engine."""
+
+import random
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
+
+from garside import build_structure, group_equal
+from garside.delta import mul_letter
+
+# fixture -> its minimal Garside element
+MINIMAL = {"M1": "aa", "M2": "aa", "M3": "ac", "B3": "s1s2s1",
+           "free_comm(3)": "abc"}
+
+
+def unreduced_key(ctx, gs, word):
+    """The fraction key of a signed word folded letter by letter, with
+    no free reduction and no degree test."""
+    key = (0, ctx.one)
+    for g, sign in word:
+        key = mul_letter(gs, key, ctx.canonical(g), sign)
+    return key
+
+
+def expand(ctx, g, sign):
+    """The letter g^sign written over the atoms of g's canonical word."""
+    atoms = [ctx.canonical(c) for c in g.canon]
+    if sign == 1:
+        return [(a, 1) for a in atoms]
+    return [(a, -1) for a in reversed(atoms)]
+
+
+def variant(rng, ctx, letters, w1):
+    """A second word for w1: unrelated, w1 with an inserted g g^-1 pair,
+    w1 with a letter written over the atoms (same element, another raw
+    length), w1 with one letter replaced by another of the same norm, or w1 with one letter more
+    (another degree)."""
+    choice = rng.randrange(5)
+    w = list(w1)
+    i = rng.randrange(len(w) + 1)
+    g = rng.choice(letters)
+    if choice == 0:
+        return [(rng.choice(letters), rng.choice((1, -1)))
+                for _ in range(rng.randrange(1, 7))]
+    if choice == 1:
+        s = rng.choice((1, -1))
+        return w[:i] + [(g, s), (g, -s)] + w[i:]
+    if choice == 2 and w:
+        j = rng.randrange(len(w))
+        return w[:j] + expand(ctx, *w[j]) + w[j + 1:]
+    if choice == 3 and w:
+        j = rng.randrange(len(w))
+        h, s = w[j]
+        others = [x for x in letters if x != h and x.norm == h.norm]
+        if others:
+            return w[:j] + [(rng.choice(others), s)] + w[j + 1:]
+    return w[:i] + [(g, rng.choice((1, -1)))] + w[i:]
+
+
+def test_group_equal_matches_an_unreduced_fold(ctx_factory):
+    rng = random.Random(20011)
+    for name, d in MINIMAL.items():
+        ctx = ctx_factory(name)
+        gs = build_structure(ctx, ctx.element(d))
+        # the Garside element is a letter too, so raw length and degree
+        # differ (norm 3 in B3)
+        letters = sorted(ctx.ball_level(1)) + [gs.delta]
+        seen = Counter()
+        for _ in range(120):
+            w1 = [(rng.choice(letters), rng.choice((1, -1)))
+                  for _ in range(rng.randrange(0, 6))]
+            w2 = variant(rng, ctx, letters, w1)
+            expected = (unreduced_key(ctx, gs, w1)
+                        == unreduced_key(ctx, gs, w2))
+            assert group_equal(ctx, gs, w1, w2) == expected, (name, w1, w2)
+            same_degree = (sum(s * g.norm for g, s in w1)
+                           == sum(s * g.norm for g, s in w2))
+            seen[expected, same_degree, len(w1) == len(w2)] += 1
+        # equal words of different raw length, unequal words of the same
+        # degree (the fold decides) and of different degrees all occur
+        assert seen[True, True, False] >= 10, (name, seen)
+        assert seen[False, True, True] >= 5, (name, seen)
+        assert seen[False, False, True] + seen[False, False, False] >= 5, \
+            (name, seen)
+
+
+def signed_words(gens, max_size=7):
+    return st.lists(st.tuples(st.sampled_from(gens), st.sampled_from((1, -1))),
+                    max_size=max_size)
+
+
+@st.composite
+def word_pairs(draw, gens):
+    """w1 and a second word: a reordering of w1 (an equal element in an
+    abelian group, same degree), the reordering times g h^-1 (same
+    degree, often unequal), or an unrelated word."""
+    w1 = draw(signed_words(gens))
+    kind = draw(st.sampled_from(("permuted", "balanced", "unrelated")))
+    if kind == "unrelated":
+        return w1, draw(signed_words(gens))
+    w2 = draw(st.permutations(w1))
+    if kind == "balanced":
+        g, h = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        w2 = w2 + [(g, 1), (h, -1)]
+    return w1, w2
+
+
+def exponent_sums(word):
+    sums = Counter()
+    for g, s in word:
+        sums[g] += s
+    return sums
+
+
+def check_against(ctx, d, w1, w2, invariant):
+    gs = build_structure(ctx, ctx.element(d))
+    letter = {g: ctx.element(g) for g in ctx.presentation.generators}
+    a = [(letter[g], s) for g, s in w1]
+    b = [(letter[g], s) for g, s in w2]
+    assert group_equal(ctx, gs, a, b) == (invariant(w1) == invariant(w2))
+
+
+ORACLE = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+@ORACLE
+@given(word_pairs(("a", "b", "c")))
+def test_group_equal_free_comm_against_exponent_vectors(ctx_factory, pair):
+    # the group of fractions of free_comm(3) is Z^3
+    def vector(w):
+        sums = exponent_sums(w)
+        return sums["a"], sums["b"], sums["c"]
+    check_against(ctx_factory("free_comm(3)"), "abc", *pair, vector)
+
+
+@ORACLE
+@given(word_pairs(("a", "b")))
+def test_group_equal_m1_against_z_plus_z2(ctx_factory, pair):
+    # M1 = <a, b | aa = bb, ab = ba> has group Z + Z/2,
+    # a^i b^j -> (i + j, j mod 2)
+    def image(w):
+        sums = exponent_sums(w)
+        return sums["a"] + sums["b"], sums["b"] % 2
+    check_against(ctx_factory("M1"), "aa", *pair, image)
