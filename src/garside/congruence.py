@@ -1,12 +1,17 @@
-"""Word problem engine: congruence classes, canonical forms, divisibility.
+"""Word problem engine: canonical forms, divisibility, congruence classes.
 
 Everything rests on homogeneity: relations preserve length, so the
-congruence class of a word is a finite set of words of the same length,
-computable by breadth-first closure under single relation applications.
+congruence class of a word is a finite set of words of the same length.
 The canonical form of an element is the lexicographically least word of
 its class, and the norm is the common length.
 
-Two facts keep divisibility cheap and are used without further comment:
+Canonical forms, products, equality and left division come from the
+length-bounded completions of :mod:`garside.rewrite`, which reduce a
+word to the least word of its class without enumerating the class.
+``class_of`` enumerates a class by breadth-first closure under single
+relation applications; it is the reference the kernel is tested
+against, and the prefix/suffix sets, ``mcms`` and the simple-element
+search use it.  Two facts keep the class-based divisibility sound:
 
 * the set of length-l prefixes of a congruence class is itself a union
   of congruence classes (a rewrite inside a prefix extends to the whole
@@ -25,6 +30,7 @@ from functools import total_ordering
 
 from .presentation import Presentation, PresentationError
 from .reports import VerificationReport
+from .rewrite import Completion, completion
 
 __all__ = ["Element", "MonoidContext", "ResourceLimitExceeded"]
 
@@ -63,17 +69,21 @@ class Element:
 class MonoidContext:
     """All word-problem state for one presentation.
 
-    Congruence classes, prefix/suffix sets, left complements (the
-    results of ``left_divides``) and ball levels are memoized here;
+    Canonical forms (``_canon``, per word), left complements (the
+    results of ``left_divides``), congruence classes enumerated by
+    ``class_of``, prefix/suffix sets and ball levels are memoized here;
     ``caches`` is a scratch area for the higher layers keyed per
     spanning set or Garside element: divisor sets, simple elements,
     normal forms, the automaton, and for ``cayley_distance`` the pair
     distances (``("cayley", delta)``) and each fraction key's tuple of
     neighbour keys (``("adjacency", delta)``), and for ``mcms`` the
     right multiples of an element by norm (``"multiples"``) and each
-    word's letter successors (``"successors"``).  Every class counts
-    against ``max_cached_words``, whether it was enumerated by
-    ``class_of`` or transported by ``image``.
+    word's letter successors (``"successors"``).  Every class word and
+    every canonical-form or left-complement entry counts against
+    ``max_cached_words``; the rewriting systems are shared between
+    contexts and count against no cap.  ``class_fallbacks`` counts the
+    ``left_divides`` calls that enumerated classes because left
+    cancellation could not be certified.
     """
 
     def __init__(self, presentation: Presentation,
@@ -87,14 +97,19 @@ class MonoidContext:
             rules.append((rhs, lhs))
         self._rules = tuple(rules)
         self._classes: dict[str, frozenset[str]] = {}
-        self._canon_of_class: dict[frozenset, str] = {}
         self._cached_words = 0
+        self._canon: dict[str, Element] = {}
+        self._completion = completion(presentation.relations,
+                                      presentation.chars)
+        # per letter c, the completion in which c is least
+        self._least: dict[str, Completion] = {}
         self._levels: list[frozenset[Element]] = []
         self._prefix_sets: dict[tuple[str, int], frozenset[str]] = {}
         self._suffix_sets: dict[tuple[str, int], frozenset[str]] = {}
         self._left_complements: dict[tuple[str, str], Element | None] = {}
         self.caches: dict = defaultdict(dict)
         self.cancellative_radius = -1
+        self.class_fallbacks = 0
         self.one = Element("")
 
     def __repr__(self):
@@ -121,6 +136,47 @@ class MonoidContext:
 
     def show(self, x) -> str:
         return self.presentation.decode_word(self._word_of(x))
+
+    def _remember(self, memo, key, value):
+        """Store a memo entry; like a class word it counts against
+        ``max_cached_words``, checked before the entry is added."""
+        if self._cached_words >= self.max_cached_words:
+            raise ResourceLimitExceeded(
+                f"word cache cap ({self.max_cached_words}) exceeded: "
+                f"{self._cached_words} words cached, and a memo entry "
+                f"needs 1 more")
+        memo[key] = value
+        self._cached_words += 1
+        return value
+
+    # -- canonical forms -------------------------------------------------
+
+    def _reduced(self, word, start=0) -> Element:
+        """Canonical element of a word whose first ``start`` letters
+        form a canonical word."""
+        got = self._canon.get(word)
+        if got is None:
+            got = self._remember(
+                self._canon, word,
+                Element(self._completion.reduce(word, start)))
+        return got
+
+    def canonical(self, word) -> Element:
+        if isinstance(word, Element):
+            return word
+        return self._reduced(self._word_of(word))
+
+    def equal(self, u, v) -> bool:
+        uw = self._word_of(u)
+        vw = self._word_of(v)
+        if len(uw) != len(vw):
+            return False
+        return uw == vw or self._reduced(uw) == self._reduced(vw)
+
+    def mul(self, x, y) -> Element:
+        xw = self._word_of(x)
+        return self._reduced(xw + self._word_of(y),
+                             len(xw) if isinstance(x, Element) else 0)
 
     # -- congruence classes --------------------------------------------
 
@@ -151,58 +207,16 @@ class MonoidContext:
                         start = w.find(lhs, start + 1)
             frontier = new
         cls = frozenset(seen)
-        self._store(cls)
-        return cls
-
-    def image(self, x, table) -> Element:
-        """Canonical element of the word of ``x`` translated by ``table``
-        (a ``str.maketrans`` table), for an alphabet permutation that
-        maps every relation into the congruence.  Such a permutation
-        maps each class onto a class, so when the class of ``x`` is
-        cached the image class is its translation, and no BFS runs."""
-        x = self.canonical(x)
-        word = x.canon.translate(table)
-        cls = self._classes.get(word)
-        if cls is None:
-            source = self._classes.get(x.canon)
-            if source is None:
-                return self.canonical(word)
-            cls = frozenset(w.translate(table) for w in source)
-            room = self.max_cached_words - self._cached_words
-            if len(cls) > room:
-                # what class_of would report for the same class
-                raise self._cache_full(word, room + 1)
-            self._store(cls)
-        return Element(self._canon_of_class[cls])
-
-    def _store(self, cls):
         self._cached_words += len(cls)
         for w in cls:
             self._classes[w] = cls
-        self._canon_of_class[cls] = min(cls)
+        return cls
 
     def _cache_full(self, word, count) -> ResourceLimitExceeded:
         return ResourceLimitExceeded(
             f"word cache cap ({self.max_cached_words}) exceeded: "
             f"{self._cached_words} words cached, and the class of a "
             f"norm-{len(word)} word has at least {count} more")
-
-    def canonical(self, word) -> Element:
-        if isinstance(word, Element):
-            return word
-        return Element(self._canon_of_class[self.class_of(word)])
-
-    def equal(self, u, v) -> bool:
-        uw = self._word_of(u)
-        vw = self._word_of(v)
-        if len(uw) != len(vw):
-            return False
-        if uw == vw:
-            return True
-        return vw in self.class_of(uw)
-
-    def mul(self, x, y) -> Element:
-        return self.canonical(self._word_of(x) + self._word_of(y))
 
     # -- divisibility ----------------------------------------------------
 
@@ -228,29 +242,48 @@ class MonoidContext:
 
     def divides(self, x, y) -> bool:
         """Left divisibility x <= y, i.e. y = x z for some z."""
-        x = self.canonical(x)
-        y = self.canonical(y)
-        if x.norm > y.norm:
-            return False
-        if x.norm == y.norm:
-            return x == y
-        if x.norm == 0:
-            return True
-        return x.canon in self.prefix_set(y, x.norm)
+        return self.left_divides(x, y) is not None
 
     def left_divides(self, x, y):
-        """Complement z with x z = y, or None; z is the least such element."""
+        """Complement z with x z = y, or None; z is the least such element.
+
+        The letters c of x are peeled off y one at a time: in the
+        completion where c is least, c divides z exactly when the
+        reduced word of z starts with c, and when c cancels on the left
+        up to norm(z), the rest of any word of z that starts with c is
+        z/c.  Where that cancellation is not certified, the classes of
+        x and y are enumerated instead (counted in
+        ``class_fallbacks``)."""
         x = self.canonical(x)
         y = self.canonical(y)
-        if x.norm > y.norm:
-            return None
-        ell = x.norm
-        if ell == 0:
+        if x.norm >= y.norm:
+            return self.one if x == y else None
+        if x.norm == 0:
             return y
         key = (x.canon, y.canon)
         memo = self._left_complements
         if key in memo:
             return memo[key]
+        z = y.canon
+        for c in x.canon:
+            kernel = self._least.get(c)
+            if kernel is None:
+                chars = self.presentation.chars
+                kernel = self._least[c] = completion(
+                    self.presentation.relations, c + chars.replace(c, ""))
+            if not kernel.left_cancellative(len(z)):
+                self.class_fallbacks += 1
+                return self._remember(memo, key,
+                                      self._complement_by_classes(x, y))
+            if z[0] != c:
+                z = kernel.reduce(z)
+                if z[0] != c:
+                    return self._remember(memo, key, None)
+            z = z[1:]
+        return self._remember(memo, key, self._reduced(z))
+
+    def _complement_by_classes(self, x: Element, y: Element):
+        ell = x.norm
         xcls = self.class_of(x.canon)
         best = None
         for w in self.class_of(y.canon):
@@ -258,9 +291,7 @@ class MonoidContext:
                 s = w[ell:]
                 if best is None or s < best:
                     best = s
-        z = None if best is None else Element(best)
-        memo[key] = z
-        return z
+        return None if best is None else Element(best)
 
     def right_divides(self, x, y):
         """Complement z with z x = y, or None."""
@@ -290,7 +321,7 @@ class MonoidContext:
             else:
                 chars = self.presentation.chars
                 level = frozenset(
-                    self.canonical(e.canon + c)
+                    self._reduced(e.canon + c, k - 1)
                     for e in self._levels[-1] for c in chars)
             total = sum(len(lv) for lv in self._levels) + len(level)
             if total > self.max_ball_elements:

@@ -74,16 +74,6 @@ class GarsideSearchResult:
     def found(self):
         return bool(self.minimal)
 
-    def to_json(self, ctx):
-        return {
-            "minimal": [ctx.show(d) for d in self.minimal],
-            "candidates_checked": self.candidates_checked,
-            "max_norm": self.max_norm,
-            "primitive_mcm_probe": [
-                {"mcm": ctx.show(z), "garside": ok}
-                for z, ok in self.primitive_mcm_probe],
-        }
-
 
 def find_minimal_garside(ctx: MonoidContext, max_norm: int = 4) -> GarsideSearchResult:
     """Garside elements of norm at most max_norm with no proper Garside
@@ -124,9 +114,6 @@ class GarsideStructure:
     star: dict                 # x -> x* with x x* = delta, on div_delta
     phi_atoms: tuple           # phi_atoms[m][a] = phi^m(atom a), m in 0..e-1
     order: int                 # e with phi^e = identity
-    # phi maps each class letterwise onto a class: every letter is an
-    # atom and phi maps every relation into the congruence
-    transports_classes: bool = False
     _delta_powers: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -143,14 +130,11 @@ class GarsideStructure:
         return got
 
     def phi(self, x, power: int = 1) -> Element:
-        """phi^power(x), computed letterwise on the canonical word.  With
-        transports_classes the image class is the translated class of x
-        rather than a new enumeration."""
-        table = self._translations[power % self.order]
-        if self.transports_classes:
-            return self.ctx.image(x, table)
+        """phi^power(x): the canonical word translated letterwise, then
+        reduced."""
         x = self.ctx.canonical(x)
-        return self.ctx.canonical(x.canon.translate(table))
+        return self.ctx.canonical(
+            x.canon.translate(self._translations[power % self.order]))
 
     def phi_on_divs(self, x) -> Element:
         return self.star[self.star[self.ctx.canonical(x)]]
@@ -258,18 +242,17 @@ def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
                 f"to {ctx.show(img)}")
         base[a.canon] = img.canon
     chars = ctx.presentation.chars
+    # with a relation of length 1 some letters are not atoms, so the
+    # map is extended to every letter through its atom
     _check_preserves_relations(
         ctx, {c: base[ctx.canonical(c).canon] for c in chars})
-    # with a relation of length 1 some letters are not atoms, and phi
-    # is letterwise on canonical words only
-    transports = len(base) == len(chars)
     order = _atom_permutation_order(base)
     tables = [{c: c for c in base}]
     for _ in range(1, order):
         prev = tables[-1]
         tables.append({c: base[prev[c]] for c in prev})
     gs = GarsideStructure(ctx, delta, div, simples, star, tuple(tables),
-                          order, transports)
+                          order)
 
     # star^2 must agree with the letterwise map on every divisor
     for x in div:
@@ -379,14 +362,19 @@ def _reduced(ctx: MonoidContext, letters) -> list:
     return out
 
 
+def _fraction_key(gs: GarsideStructure, reduced) -> tuple:
+    """The stripped fraction key (k, x) of a freely reduced signed word."""
+    key = (0, gs.ctx.one)
+    for g, sign in reduced:
+        key = mul_letter(gs, key, g, sign)
+    return key
+
+
 def fraction_of_signed(ctx: MonoidContext, gs: GarsideStructure,
                        letters) -> FractionForm:
     """Fold a signed word (pairs (element, +-1)) into a fraction form,
     after free reduction."""
-    key = (0, ctx.one)
-    for g, sign in _reduced(ctx, letters):
-        key = mul_letter(gs, key, g, sign)
-    return _form(gs, *key)
+    return _form(gs, *_fraction_key(gs, _reduced(ctx, letters)))
 
 
 def combine(ctx: MonoidContext, gs: GarsideStructure, f1: FractionForm,
@@ -407,8 +395,7 @@ def group_equal(ctx: MonoidContext, gs: GarsideStructure, w1, w2) -> bool:
     if (sum(s * g.norm for g, s in w1)
             != sum(s * g.norm for g, s in w2)):
         return False
-    return (fraction_of_signed(ctx, gs, w1).key
-            == fraction_of_signed(ctx, gs, w2).key)
+    return _fraction_key(gs, w1) == _fraction_key(gs, w2)
 
 
 # -- structural checks -------------------------------------------------

@@ -131,9 +131,9 @@ def test_word_cache_cap():
 
 def test_word_cache_cap_message_counts_cached_words():
     ctx = MonoidContext(fixture("M1"), max_cached_words=2)
-    ctx.element("aa")  # the class {aa, bb} fills the cache
+    ctx.class_of("aa")  # the class {aa, bb} fills the cache
     with pytest.raises(ResourceLimitExceeded) as exc:
-        ctx.element("a")  # a one-word class
+        ctx.class_of("a")  # a one-word class
     assert str(exc.value) == ("word cache cap (2) exceeded: 2 words cached, "
                               "and the class of a norm-1 word has at "
                               "least 1 more")

@@ -323,42 +323,17 @@ def test_delta_normalize_helpers(b3):
         gs.delta_power(-1)
 
 
-def test_phi_transports_the_cached_class(monkeypatch):
-    ctx = MonoidContext(fixture("B3"))
-    gs = build_structure(ctx, ctx.element("s1s2s1"))
-    x = ctx.element("s1s1s1s1s2s1s1s1")  # a class of 7 words
-    image_word = x.canon.translate(str.maketrans(gs.phi_atoms[1]))
-    assert image_word not in ctx._classes
-    built = []
-    class_of = ctx.class_of
-
-    def spy(word):
-        if word not in ctx._classes:
-            built.append(word)
-        return class_of(word)
-
-    monkeypatch.setattr(ctx, "class_of", spy)
-    before = ctx._cached_words
-    y = gs.phi(x)
-    assert built == []
-    bfs = MonoidContext(fixture("B3")).class_of(image_word)
-    assert ctx._classes[image_word] == bfs
-    assert y.canon == min(bfs)
-    assert ctx._cached_words == before + len(bfs)
-
-
-def test_phi_transport_reports_the_cap_like_bfs():
-    ctx = MonoidContext(fixture("B3"))
-    gs = build_structure(ctx, ctx.element("s1s2s1"))
-    x = ctx.element("s1s1s1s1s2s1s1s1")  # a class of 7 words
-    image_word = x.canon.translate(str.maketrans(gs.phi_atoms[1]))
-    ctx.max_cached_words = ctx._cached_words + 3
-    with pytest.raises(ResourceLimitExceeded) as transported:
-        gs.phi(x)
-    with pytest.raises(ResourceLimitExceeded) as enumerated:
-        ctx.class_of(image_word)
-    assert str(transported.value) == str(enumerated.value)
-    assert "has at least 4 more" in str(transported.value)
+def test_phi_is_the_reduced_translation():
+    # phi^m(x) is the least word of the class of the translated word,
+    # enumerated by BFS in a context that shares no memo with phi's
+    for name, d in (("B3", "s1s2s1"), ("M2", "aa"), ("M3", "ac")):
+        ctx = MonoidContext(fixture(name))
+        gs = build_structure(ctx, ctx.element(d))
+        bfs = MonoidContext(fixture(name))
+        for x in ctx.enumerate_ball(3):
+            for m in range(gs.order):
+                word = x.canon.translate(str.maketrans(gs.phi_atoms[m]))
+                assert gs.phi(x, m).canon == min(bfs.class_of(word))
 
 
 def test_phi_preserves_the_relations_of_every_fixture():
@@ -368,7 +343,6 @@ def test_phi_preserves_the_relations_of_every_fixture():
         ctx = MonoidContext(fixture(name))
         for d in deltas:
             gs = build_structure(ctx, ctx.element(d))
-            assert gs.transports_classes
             for table in gs.phi_atoms:
                 _check_preserves_relations(ctx, table)
     m3 = MonoidContext(fixture("M3"))
@@ -385,19 +359,17 @@ def test_relations_are_checked_without_transport(monkeypatch):
                         lambda ctx, letter_map: maps.append(letter_map))
     ctx = MonoidContext(LENGTH_ONE)
     gs = build_structure(ctx, ctx.element("s1s2s1"))
-    assert not gs.transports_classes
     s1, s2, s3 = (ctx.presentation.encode_word(g) for g in ("s1", "s2", "s3"))
     assert maps == [{s1: s2, s2: s1, s3: s2}]
 
 
 def test_phi_with_a_relation_of_length_one():
-    # s3 = s1 makes s3 a letter that is not an atom, so classes are not
-    # mapped letterwise; phi still agrees with BFS on the image word
+    # s3 = s1 makes s3 a letter that is not an atom; phi, letterwise on
+    # canonical words, still agrees with BFS on the image word
     ctx = MonoidContext(LENGTH_ONE)
     gs = build_structure(ctx, ctx.element("s1s2s1"))
-    assert not gs.transports_classes
     bfs = MonoidContext(LENGTH_ONE)
     for x in ctx.enumerate_ball(5):
         for m in range(gs.order):
             word = x.canon.translate(str.maketrans(gs.phi_atoms[m]))
-            assert gs.phi(x, m) == bfs.canonical(word)
+            assert gs.phi(x, m).canon == min(bfs.class_of(word))
