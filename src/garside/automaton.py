@@ -266,6 +266,53 @@ def _append(gs, key, letter, sign=1):
     return _strip(gs, k + 1, gs.phi(x, -1))
 
 
+class _CayleyGraph:
+    """The Cayley graph of the group of fractions over the automaton's
+    monoid letters, with fraction keys interned as ints.  Each key's
+    neighbours are a tuple of ints over letters x (+1, -1).  D' is the
+    inverse of delta, so its edges duplicate delta's and are left out."""
+
+    def __init__(self, gs, letters):
+        self.gs = gs
+        self.letters = letters
+        self.ids = {}           # fraction key -> int
+        self.keys = []          # int -> fraction key
+        self.adjacency = []     # int -> tuple of neighbour ints, or None
+
+    def intern(self, key) -> int:
+        got = self.ids.get(key)
+        if got is None:
+            got = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.adjacency.append(None)
+        return got
+
+    def neighbours(self, node) -> tuple:
+        got = self.adjacency[node]
+        if got is None:
+            gs = self.gs
+            key = self.keys[node]
+            got = self.adjacency[node] = tuple(
+                self.intern(mul_letter(gs, key, letter, sign))
+                for letter in self.letters for sign in (1, -1))
+        return got
+
+
+def _cayley_graph(ctx: MonoidContext, gs: GarsideStructure) -> _CayleyGraph:
+    cache = ctx.caches["cayley_graph"]
+    got = cache.get(gs.delta)
+    if got is None:
+        letters = tuple(l for l in build_automaton(ctx, gs).letters
+                        if l is not DELTA_INV)
+        got = cache[gs.delta] = _CayleyGraph(gs, letters)
+    return got
+
+
+def _no_path(max_dist) -> ResourceLimitExceeded:
+    return ResourceLimitExceeded(
+        f"no path of length <= {max_dist} between the elements")
+
+
 def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
                     max_dist: int = 16, node_cap: int = 200_000) -> int:
     """Distance between two group elements (as fraction keys) in the
@@ -276,29 +323,15 @@ def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
     pair = (key1, key2) if key1 <= key2 else (key2, key1)
     got = cache.get(pair)
     if got is not None:
+        if got > max_dist:
+            raise _no_path(max_dist)
         return got
-    # key -> tuple of its neighbour keys, shared by all searches
-    adjacency = ctx.caches[("adjacency", gs.delta)]
-    plain = [l for l in build_automaton(ctx, gs).letters
-             if l is not DELTA_INV]
-
-    def neighbors(key):
-        got = adjacency.get(key)
-        if got is None:
-            # the monoid letters go straight to mul_letter
-            got = []
-            for letter in plain:
-                got.append(mul_letter(gs, key, letter, 1))
-                got.append(mul_letter(gs, key, letter, -1))
-            got.append(_append(gs, key, DELTA_INV, 1))
-            got.append(_append(gs, key, DELTA_INV, -1))
-            got = adjacency[key] = tuple(got)
-        return got
-
+    graph = _cayley_graph(ctx, gs)
+    neighbours = graph.neighbours
     # level-synchronized bidirectional search; after fully expanding
     # levels (da, db) every path of length <= da + db + 1 has been seen
-    front_a = {key1: 0}
-    front_b = {key2: 0}
+    front_a = {graph.intern(key1): 0}
+    front_b = {graph.intern(key2): 0}
     seen_a = dict(front_a)
     seen_b = dict(front_b)
     depth_a = depth_b = 0
@@ -316,8 +349,8 @@ def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
             seen_a, seen_b = seen_b, seen_a
             depth_a, depth_b = depth_b, depth_a
         new = {}
-        for key, d in front_a.items():
-            for nxt in neighbors(key):
+        for node, d in front_a.items():
+            for nxt in neighbours(node):
                 if nxt in seen_b:
                     cand = d + 1 + seen_b[nxt]
                     if dist is None or cand < dist:
@@ -328,8 +361,7 @@ def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
         front_a = new
         depth_a += 1
     if dist is None or dist > max_dist:
-        raise ResourceLimitExceeded(
-            f"no path of length <= {max_dist} between the elements")
+        raise _no_path(max_dist)
     cache[pair] = dist
     return dist
 

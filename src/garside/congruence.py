@@ -62,6 +62,9 @@ class Element:
     def __lt__(self, other):
         return (len(self.canon), self.canon) < (len(other.canon), other.canon)
 
+    def __hash__(self):
+        return hash(self.canon)
+
     def __repr__(self):
         return f"Element({self.canon!r})"
 
@@ -75,13 +78,17 @@ class MonoidContext:
     ``caches`` is a scratch area for the higher layers keyed per
     spanning set or Garside element: divisor sets, simple elements,
     normal forms, the automaton, and for ``cayley_distance`` the pair
-    distances (``("cayley", delta)``) and each fraction key's tuple of
-    neighbour keys (``("adjacency", delta)``), and for ``mcms`` the
-    right multiples of an element by norm (``"multiples"``) and each
-    word's letter successors (``"successors"``).  Every class word and
-    every canonical-form or left-complement entry counts against
+    distances (``("cayley", delta)``) and the Cayley graph with its
+    fraction keys interned as ints and each key's tuple of neighbour
+    ids (``"cayley_graph"``, per delta), and for ``mcms`` the right
+    multiples of an element by norm (``"multiples"``) and each word's
+    letter successors (``"successors"``).  The ``GarsideStructure``
+    memoises ``mul_letter``'s unstripped steps and each element's chain
+    of quotients by powers of delta.  Every class word and every
+    canonical-form or left-complement entry counts against
     ``max_cached_words``; the rewriting systems are shared between
-    contexts and count against no cap.  ``class_fallbacks`` counts the
+    contexts, and they, the Cayley caches and the structure's memos
+    count against no cap.  ``class_fallbacks`` counts the
     ``left_divides`` calls that enumerated classes because left
     cancellation could not be certified.
     """
@@ -108,7 +115,6 @@ class MonoidContext:
         self._suffix_sets: dict[tuple[str, int], frozenset[str]] = {}
         self._left_complements: dict[tuple[str, str], Element | None] = {}
         self.caches: dict = defaultdict(dict)
-        self.cancellative_radius = -1
         self.class_fallbacks = 0
         self.one = Element("")
 
@@ -369,7 +375,6 @@ class MonoidContext:
             if counterexample:
                 break
         if counterexample is None:
-            self.cancellative_radius = max(self.cancellative_radius, n)
             return VerificationReport(
                 "cancellativity", "pass", details={"radius": n})
         x, y, y2, side = counterexample

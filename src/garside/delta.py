@@ -115,6 +115,12 @@ class GarsideStructure:
     phi_atoms: tuple           # phi_atoms[m][a] = phi^m(atom a), m in 0..e-1
     order: int                 # e with phi^e = identity
     _delta_powers: dict = field(default_factory=dict)
+    # mul_letter's unstripped steps: (x, g, sign) -> (m, y) with
+    # x g^sign = delta^(-m) y
+    _steps: dict = field(default_factory=dict)
+    # _strip's quotients: y -> [y, y/delta, y/delta^2, ...], ended by
+    # None once delta no longer left divides
+    _quotients: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._translations = tuple(str.maketrans(t) for t in self.phi_atoms)
@@ -304,14 +310,22 @@ class FractionForm:
 
 
 def _strip(gs: GarsideStructure, k: int, x: Element):
-    ctx = gs.ctx
-    while k > 0:
-        rest = ctx.left_divides(gs.delta, x)
-        if rest is None:
+    """(k - i, x / delta^i) for the largest i <= k with delta^i left
+    dividing x.  The chain of quotients of x is extended only as far as
+    this k needs."""
+    if k <= 0:
+        return k, x
+    chain = gs._quotients.get(x)
+    if chain is None:
+        chain = gs._quotients[x] = [x]
+    i = 0
+    while i < k:
+        if i + 1 == len(chain):
+            chain.append(gs.ctx.left_divides(gs.delta, chain[i]))
+        if chain[i + 1] is None:
             break
-        k -= 1
-        x = rest
-    return k, x
+        i += 1
+    return k - i, chain[i]
 
 
 def _form(gs: GarsideStructure, k: int, x: Element) -> FractionForm:
@@ -323,19 +337,26 @@ def mul_letter(gs: GarsideStructure, key, g: Element, sign: int):
     """Right-multiply the fraction key (k, x), i.e. delta^(-k) x, by
     g^sign and strip the result.  An inverse g^(-1) is eliminated as
     c delta^(-m) where g c = delta^m, and delta^(-m) is commuted
-    leftward through phi^(-m)."""
-    ctx = gs.ctx
+    leftward through phi^(-m).  The unstripped step does not depend on
+    k, so it is memoised per (x, g, sign)."""
     k, x = key
+    step = gs._steps.get((x, g, sign))
+    if step is None:
+        step = gs._steps[(x, g, sign)] = _step(gs, x, g, sign)
+    m, y = step
+    return _strip(gs, k + m, y)
+
+
+def _step(gs: GarsideStructure, x: Element, g: Element, sign: int):
+    """(m, y) with x g^sign = delta^(-m) y."""
+    ctx = gs.ctx
     if sign == 1:
-        x = ctx.mul(x, g)
-    elif sign == -1:
+        return 0, ctx.mul(x, g)
+    if sign == -1:
         m = gs.embedding_exponent(g)
         comp = ctx.left_divides(g, gs.delta_power(m))
-        x = gs.phi(ctx.mul(x, comp), -m)
-        k += m
-    else:
-        raise ValueError(f"bad sign {sign!r}")
-    return _strip(gs, k, x)
+        return m, gs.phi(ctx.mul(x, comp), -m)
+    raise ValueError(f"bad sign {sign!r}")
 
 
 def to_fraction(ctx: MonoidContext, gs: GarsideStructure, numerator,

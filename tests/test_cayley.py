@@ -1,0 +1,152 @@
+"""The Cayley search and the fraction-key step against uncached
+references.
+
+``reference_distance`` is the level-synchronized bidirectional search
+over fraction keys with no cache of any kind: every neighbour comes
+from ``_append`` on the full automaton alphabet, D' included, in a
+structure of its own context.  ``cayley_distance`` interns keys, leaves
+the D' edges out and caches pair distances; it must agree with the
+reference on every distance and on every exception, however warm its
+caches are."""
+
+import itertools
+
+import pytest
+
+from garside import (DELTA_INV, MonoidContext, ResourceLimitExceeded,
+                     build_automaton, build_structure, fixture, to_fraction)
+from garside.automaton import _append, cayley_distance
+from garside.delta import _strip, mul_letter
+
+CASES = (("M1", "aa"), ("M2", "aa"), ("M3", "ac"), ("B3", "s1s2s1"),
+         ("free_comm(3)", "abc"))
+
+
+def structure(name, delta):
+    ctx = MonoidContext(fixture(name))
+    return ctx, build_structure(ctx, ctx.element(delta))
+
+
+def reference_distance(gs, key1, key2, max_dist=16, node_cap=200_000):
+    if key1 == key2:
+        return 0
+    letters = build_automaton(gs.ctx, gs).letters
+
+    def neighbours(key):
+        return [_append(gs, key, letter, sign)
+                for letter in letters for sign in (1, -1)]
+
+    front_a, front_b = {key1: 0}, {key2: 0}
+    seen_a, seen_b = dict(front_a), dict(front_b)
+    depth_a = depth_b = 0
+    dist = None
+    while front_a and front_b:
+        if dist is not None and dist <= depth_a + depth_b + 1:
+            break
+        if depth_a + depth_b >= max_dist:
+            break
+        if len(seen_a) + len(seen_b) > node_cap:
+            raise ResourceLimitExceeded(
+                f"distance search exceeded {node_cap} nodes")
+        if len(front_a) > len(front_b):
+            front_a, front_b = front_b, front_a
+            seen_a, seen_b = seen_b, seen_a
+            depth_a, depth_b = depth_b, depth_a
+        new = {}
+        for key, d in front_a.items():
+            for nxt in neighbours(key):
+                if nxt in seen_b:
+                    cand = d + 1 + seen_b[nxt]
+                    if dist is None or cand < dist:
+                        dist = cand
+                if nxt not in seen_a:
+                    seen_a[nxt] = d + 1
+                    new[nxt] = d + 1
+        front_a = new
+        depth_a += 1
+    if dist is None or dist > max_dist:
+        raise ResourceLimitExceeded(
+            f"no path of length <= {max_dist} between the elements")
+    return dist
+
+
+def outcome(search, *args, **limits):
+    """The distance, or the message of the ResourceLimitExceeded."""
+    try:
+        return search(*args, **limits)
+    except ResourceLimitExceeded as exc:
+        return ("raised", str(exc))
+
+
+def ball_keys(gs):
+    """Stripped keys (k, x) for x in the radius-2 ball and k in {0, 1}."""
+    return sorted({_strip(gs, k, x) for x in gs.ctx.enumerate_ball(2)
+                   for k in (0, 1)})
+
+
+@pytest.mark.parametrize("name,delta", CASES)
+def test_cayley_distance_matches_the_reference_search(name, delta):
+    ctx, gs = structure(name, delta)
+    _, ref = structure(name, delta)
+    one = (0, ctx.one)
+    letters = build_automaton(ctx, gs).letters
+    assert DELTA_INV in letters
+    keys = ball_keys(gs)
+    targets = keys + [_append(gs, key, letter, sign) for key in keys
+                      for letter, sign in itertools.product(letters, (1, -1))]
+    # the node cap first, while the pair cache is cold: distance-1 pairs
+    # are settled on the first expansion and every longer one trips it
+    capped = [outcome(cayley_distance, ctx, gs, one, t, node_cap=4)
+              for t in targets]
+    assert capped == [outcome(reference_distance, ref, one, t, node_cap=4)
+                      for t in targets]
+    assert ("raised", "distance search exceeded 4 nodes") in capped
+    assert 1 in capped
+    dists = [cayley_distance(ctx, gs, one, t) for t in targets]
+    assert dists == [reference_distance(ref, one, t) for t in targets]
+    # now every pair is cached, and max_dist still binds
+    bounded = [outcome(cayley_distance, ctx, gs, one, t, max_dist=1)
+               for t in targets]
+    assert bounded == [outcome(reference_distance, ref, one, t, max_dist=1)
+                       for t in targets]
+    assert ("raised", "no path of length <= 1 between the elements") in bounded
+
+
+def test_cached_distance_beyond_max_dist_raises_like_a_fresh_search():
+    ctx, gs = structure("B3", "s1s2s1")
+    one = (0, ctx.one)
+    key = _strip(gs, 1, ctx.element("s1s1s1s2s2s2"))
+    no_path = r"no path of length <= 1 between the elements"
+    with pytest.raises(ResourceLimitExceeded, match=no_path):
+        cayley_distance(ctx, gs, one, key, max_dist=1)
+    assert cayley_distance(ctx, gs, one, key) == 5
+    with pytest.raises(ResourceLimitExceeded, match=no_path):
+        cayley_distance(ctx, gs, one, key, max_dist=1)
+    with pytest.raises(ResourceLimitExceeded, match="length <= 4 "):
+        cayley_distance(ctx, gs, key, one, max_dist=4)
+    assert cayley_distance(ctx, gs, key, one, max_dist=5) == 5
+
+
+@pytest.mark.parametrize("name,delta", CASES)
+def test_mul_letter_by_non_letters_warm_and_fresh(name, delta):
+    # a non-letter g takes the to_fraction path: its embedding exponent
+    # and complement are not those of any alphabet letter
+    warm, wgs = structure(name, delta)
+    letters = set(build_automaton(warm, wgs).letters)
+    others = [g for g in sorted(warm.enumerate_ball(3))
+              if g.norm and g not in letters]
+    assert others
+    keys = ball_keys(wgs)
+    for g in others:
+        fresh, fgs = structure(name, delta)
+        fg = fresh.canonical(g.canon)
+        for key, sign in itertools.product(keys, (1, -1)):
+            got = mul_letter(wgs, key, g, sign)
+            assert mul_letter(wgs, key, g, sign) == got
+            assert mul_letter(fgs, key, fg, sign) == got, (key, g, sign)
+            # the stripped key is a normal form: g^sign g^-sign cancels
+            assert mul_letter(wgs, got, g, -sign) == key
+        for x in sorted(warm.enumerate_ball(2)):
+            assert (to_fraction(warm, wgs, x, g).key
+                    == to_fraction(fresh, fgs, fresh.canonical(x.canon),
+                                   fg).key)
