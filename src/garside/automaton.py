@@ -313,37 +313,53 @@ def _no_path(max_dist) -> ResourceLimitExceeded:
         f"no path of length <= {max_dist} between the elements")
 
 
+def _over_cap(node_cap) -> ResourceLimitExceeded:
+    return ResourceLimitExceeded(
+        f"distance search exceeded {node_cap} nodes")
+
+
 def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
                     max_dist: int = 16, node_cap: int = 200_000) -> int:
     """Distance between two group elements (as fraction keys) in the
-    Cayley graph over the automaton alphabet, inverses allowed."""
+    Cayley graph over the automaton alphabet, inverses allowed.
+
+    The search always runs from the lesser key of the pair to the
+    greater, so the node counts it checks against ``node_cap`` are a
+    function of the pair.  The cache keeps them next to the distance,
+    and a cached pair raises exactly where a fresh search with the
+    same ``max_dist`` and ``node_cap`` would."""
     if key1 == key2:
         return 0
     cache = ctx.caches[("cayley", gs.delta)]
     pair = (key1, key2) if key1 <= key2 else (key2, key1)
     got = cache.get(pair)
     if got is not None:
-        if got > max_dist:
+        dist, checked = got
+        # a fresh search checks the cap once per level below max_dist
+        if max(checked[:max(max_dist, 0)], default=0) > node_cap:
+            raise _over_cap(node_cap)
+        if dist > max_dist:
             raise _no_path(max_dist)
-        return got
+        return dist
     graph = _cayley_graph(ctx, gs)
     neighbours = graph.neighbours
     # level-synchronized bidirectional search; after fully expanding
     # levels (da, db) every path of length <= da + db + 1 has been seen
-    front_a = {graph.intern(key1): 0}
-    front_b = {graph.intern(key2): 0}
+    front_a = {graph.intern(pair[0]): 0}
+    front_b = {graph.intern(pair[1]): 0}
     seen_a = dict(front_a)
     seen_b = dict(front_b)
     depth_a = depth_b = 0
     dist = None
+    checked = []
     while front_a and front_b:
         if dist is not None and dist <= depth_a + depth_b + 1:
             break
         if depth_a + depth_b >= max_dist:
             break
-        if len(seen_a) + len(seen_b) > node_cap:
-            raise ResourceLimitExceeded(
-                f"distance search exceeded {node_cap} nodes")
+        checked.append(len(seen_a) + len(seen_b))
+        if checked[-1] > node_cap:
+            raise _over_cap(node_cap)
         if len(front_a) > len(front_b):
             front_a, front_b = front_b, front_a
             seen_a, seen_b = seen_b, seen_a
@@ -362,27 +378,36 @@ def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
         depth_a += 1
     if dist is None or dist > max_dist:
         raise _no_path(max_dist)
-    cache[pair] = dist
+    cache[pair] = (dist, tuple(checked))
     return dist
 
 
 def synchronous_distance(ctx: MonoidContext, gs: GarsideStructure, u, v,
                          max_dist: int = 16,
-                         node_cap: int = 200_000) -> int:
+                         node_cap: int = 200_000, *, _floor=None) -> int:
     """Supremum over positions i of the Cayley distance between the
-    i-th prefix products, clamping each word at its own length."""
+    i-th prefix products, clamping each word at its own length.
+    ``_floor`` is private to ``ftp_probe``: see ``_translated_distance``."""
     u = tuple(u)
     v = tuple(v)
     for letter in u + v:
         if letter is not DELTA_INV:
             _letter_value(gs, letter)
     return _translated_distance(ctx, gs, (0, ctx.one), u, v, max_dist,
-                                node_cap)
+                                node_cap, _floor)
 
 
-def _translated_distance(ctx, gs, y_key, p, q, max_dist, node_cap):
+def _translated_distance(ctx, gs, y_key, p, q, max_dist, node_cap,
+                         floor=None):
     """Supremum over positions i of dist(y * p[:i], q[:i]), clamping
-    each word at its own length."""
+    each word at its own length; y_key is the identity or one alphabet
+    letter.
+
+    With a floor f the supremum is branch-and-bound: every letter is
+    one Cayley edge, so the distance at position i exceeds the one at
+    i - 1 by at most the number of words that moved.  A position whose
+    bound is <= f cannot lift the supremum above f and is not searched.
+    The result is exact when it exceeds f and is <= f otherwise."""
     pk = [y_key]
     for letter in p:
         pk.append(_append(gs, pk[-1], letter))
@@ -390,11 +415,15 @@ def _translated_distance(ctx, gs, y_key, p, q, max_dist, node_cap):
     for letter in q:
         qk.append(_append(gs, qk[-1], letter))
     best = 0
+    bound = int(y_key != qk[0])
     for i in range(1, max(len(p), len(q), 1) + 1):
-        best = max(best, cayley_distance(ctx, gs, pk[min(i, len(p))],
-                                         qk[min(i, len(q))],
-                                         max_dist=max_dist,
-                                         node_cap=node_cap))
+        bound += (i <= len(p)) + (i <= len(q))
+        if floor is not None and bound <= floor:
+            continue
+        bound = cayley_distance(ctx, gs, pk[min(i, len(p))],
+                                qk[min(i, len(q))], max_dist=max_dist,
+                                node_cap=node_cap)
+        best = max(best, bound)
     return best
 
 
@@ -418,6 +447,15 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
     in the plain untranslated convention are also observations; plain
     searches that exceed the left-multiplication bound or the node cap
     are counted, not chased.
+
+    Only the maximum of the plain distances is reported, so it is
+    computed branch-and-bound: a prefix position whose distance cannot
+    exceed the running maximum is not searched (see
+    ``_translated_distance``).  ``max_plain_leftmult`` stays exact, and
+    ``plain_searches_clamped`` counts the plain searches that ran and
+    were clamped; a skipped search has distance <= the running maximum
+    <= the left-multiplication bound, so only one that would have hit
+    the node cap is no longer counted.
     """
     auto = build_automaton(ctx, gs)
     if span is None:
@@ -482,7 +520,8 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
                     try:
                         dp = synchronous_distance(ctx, gs, p.factors, q,
                                                   max_dist=bound_left,
-                                                  node_cap=node_cap)
+                                                  node_cap=node_cap,
+                                                  _floor=max_plain)
                         max_plain = max(max_plain, dp)
                     except ResourceLimitExceeded:
                         plain_clamped += 1

@@ -1,11 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from garside import (DELTA_INV, MonoidContext, build_automaton,
+from garside import (DELTA_INV, MonoidContext, NormalSequence,
+                     ResourceLimitExceeded, build_automaton,
                      build_structure, fixture, ftp_probe, growth, is_normal,
-                     primitive_closure, synchronous_distance)
-from garside.automaton import _append, cayley_distance, charpoly
+                     normalize_all, primitive_closure, synchronous_distance)
+from garside.automaton import (_append, _translated_distance,
+                               cayley_distance, charpoly)
 from garside.delta import _strip
 
 
@@ -231,3 +234,125 @@ def test_warm_caches_give_the_same_answers(name, delta, radius):
     bfs = MonoidContext(fixture(name))
     for cls in set(warm._classes.values()):
         assert bfs.class_of(min(cls)) == cls
+
+
+# (fixture, Garside element, radius) -> the full report details
+PROBE_DETAILS = (
+    ("B3", "s1s2s1", 4,
+     {"k": 6, "elements": 26, "multiform_pairs": 0, "max_multiform": 0,
+      "bound_multiform": 10, "max_leftmult": 1, "bound_leftmult": 18,
+      "max_sliding": 1, "bound_sliding": 1, "max_sliding_simple": 1,
+      "max_plain_leftmult": 9, "plain_searches_clamped": 0}),
+    ("free_comm(3)", "abc", 3,
+     {"k": 8, "elements": 20, "multiform_pairs": 0, "max_multiform": 0,
+      "bound_multiform": 14, "max_leftmult": 1, "bound_leftmult": 24,
+      "max_sliding": 1, "bound_sliding": 1, "max_sliding_simple": 1,
+      "max_plain_leftmult": 2, "plain_searches_clamped": 0}),
+    ("M3", "ac", 2,
+     {"k": 5, "elements": 9, "multiform_pairs": 0, "max_multiform": 0,
+      "bound_multiform": 8, "max_leftmult": 2, "bound_leftmult": 15,
+      "max_sliding": 1, "bound_sliding": 1, "max_sliding_simple": 2,
+      "max_plain_leftmult": 5, "plain_searches_clamped": 0}),
+    ("M1", "aa", 5,
+     {"k": 4, "elements": 11, "multiform_pairs": 0, "max_multiform": 0,
+      "bound_multiform": 6, "max_leftmult": 1, "bound_leftmult": 12,
+      "max_sliding": 1, "bound_sliding": 1, "max_sliding_simple": 1,
+      "max_plain_leftmult": 2, "plain_searches_clamped": 0}),
+    ("M2", "aa", 3,
+     {"k": 5, "elements": 10, "multiform_pairs": 0, "max_multiform": 0,
+      "bound_multiform": 8, "max_leftmult": 1, "bound_leftmult": 15,
+      "max_sliding": 1, "bound_sliding": 1, "max_sliding_simple": 1,
+      "max_plain_leftmult": 2, "plain_searches_clamped": 0}),
+    ("M2", "ab", 2,
+     {"k": 5, "elements": 7, "multiform_pairs": 0, "max_multiform": 0,
+      "bound_multiform": 8, "max_leftmult": 1, "bound_leftmult": 15,
+      "max_sliding": 1, "bound_sliding": 1, "max_sliding_simple": 1,
+      "max_plain_leftmult": 2, "plain_searches_clamped": 0}),
+)
+
+
+@pytest.mark.parametrize("name,delta,radius,details", PROBE_DETAILS)
+def test_ftp_probe_details_frozen(name, delta, radius, details):
+    ctx = MonoidContext(fixture(name))
+    rep = ftp_probe(ctx, structure(ctx, delta), radius)
+    assert rep.passed
+    assert rep.details == details
+
+
+def plain_observations(ctx, gs, radius):
+    """max_plain_leftmult and plain_searches_clamped recomputed with the
+    public, unpruned synchronous_distance over ftp_probe's loop."""
+    S = gs.div_delta
+    bound_left = 3 * len(S)
+
+    def forms_of(x):
+        return sorted(normalize_all(ctx, S, x), key=NormalSequence.sort_key)
+
+    best = clamped = 0
+    for x in ctx.enumerate_ball(radius):
+        forms = forms_of(x)
+        for y in build_automaton(ctx, gs).letters:
+            if y is DELTA_INV:
+                rest = ctx.left_divides(gs.delta, x)
+                targets = ([(DELTA_INV,) + f.factors for f in forms]
+                           if rest is None
+                           else [f.factors for f in forms_of(rest)])
+            else:
+                targets = [f.factors for f in forms_of(ctx.mul(y, x))]
+            for p in forms:
+                for q in targets:
+                    try:
+                        best = max(best, synchronous_distance(
+                            ctx, gs, p.factors, q, max_dist=bound_left))
+                    except ResourceLimitExceeded:
+                        clamped += 1
+    return best, clamped
+
+
+@pytest.mark.parametrize("name,delta,radius", (("B3", "s1s2s1", 3),
+                                               ("M3", "ac", 2)))
+def test_plain_observation_matches_the_unpruned_supremum(name, delta, radius):
+    ctx = MonoidContext(fixture(name))
+    gs = structure(ctx, delta)
+    rep = ftp_probe(ctx, gs, radius)
+    oracle = MonoidContext(fixture(name))
+    assert plain_observations(oracle, structure(oracle, delta), radius) == (
+        rep.details["max_plain_leftmult"],
+        rep.details["plain_searches_clamped"])
+
+
+def factor_words(letters):
+    return st.lists(st.sampled_from(letters), max_size=4)
+
+
+@pytest.mark.parametrize("name,delta", (("B3", "s1s2s1"), ("M2", "aa")))
+def test_floored_supremum_is_exact_above_the_floor(ctx_factory, name, delta):
+    ctx = ctx_factory(name)
+    gs = structure(ctx, delta)
+    letters = build_automaton(ctx, gs).letters
+    # translations by the identity (the plain convention) and by letters
+    y_keys = [(0, ctx.one)] + [(1, ctx.one) if y is DELTA_INV else (0, y)
+                               for y in letters]
+    outcomes = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(factor_words(letters), factor_words(letters),
+           st.sampled_from(y_keys), st.integers(0, 8))
+    def check(u, v, y_key, floor):
+        if y_key == (0, ctx.one):
+            exact = synchronous_distance(ctx, gs, u, v)
+            got = synchronous_distance(ctx, gs, u, v, _floor=floor)
+        else:
+            exact = _translated_distance(ctx, gs, y_key, u, v, 16, 200_000)
+            got = _translated_distance(ctx, gs, y_key, u, v, 16, 200_000,
+                                       floor)
+        if exact > floor:
+            assert got == exact
+            outcomes.add("exact")
+        else:
+            assert got <= floor
+            outcomes.add("pruned" if got < exact else "at or below")
+
+    check()
+    # both sides of the floor occur, and some pruning lowered the result
+    assert outcomes == {"exact", "pruned", "at or below"}

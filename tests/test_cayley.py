@@ -150,3 +150,45 @@ def test_mul_letter_by_non_letters_warm_and_fresh(name, delta):
             assert (to_fraction(warm, wgs, x, g).key
                     == to_fraction(fresh, fgs, fresh.canonical(x.canon),
                                    fg).key)
+
+
+def test_cached_distance_honours_the_node_cap_like_a_fresh_search():
+    # from the identity, delta^-1 s1s1s1s2s2s2 is 5 away; a fresh search
+    # checks 90 nodes against the cap before it meets
+    ctx, gs = structure("B3", "s1s2s1")
+    one = (0, ctx.one)
+    key = _strip(gs, 1, ctx.element("s1s1s1s2s2s2"))
+    over = "distance search exceeded 50 nodes"
+    with pytest.raises(ResourceLimitExceeded, match=over):
+        cayley_distance(ctx, gs, one, key, node_cap=50)
+    assert cayley_distance(ctx, gs, one, key) == 5
+    for a, b in ((one, key), (key, one)):
+        with pytest.raises(ResourceLimitExceeded, match=over):
+            cayley_distance(ctx, gs, a, b, node_cap=50)
+        assert cayley_distance(ctx, gs, a, b, node_cap=90) == 5
+    # under max_dist=2 a fresh search checks only the first two levels
+    # against the cap, so it runs out of length, not of nodes
+    with pytest.raises(ResourceLimitExceeded, match="length <= 2 "):
+        cayley_distance(ctx, gs, one, key, max_dist=2, node_cap=50)
+
+
+@pytest.mark.parametrize("name,delta", CASES)
+def test_warm_pair_cache_gives_the_fresh_outcomes(name, delta):
+    # every pair is cached by an unbounded search first; each bounded
+    # call must then raise or answer as the uncached reference does
+    ctx, gs = structure(name, delta)
+    _, ref = structure(name, delta)
+    keys = ball_keys(gs)
+    pairs = [(a, b) for a in keys[:6] for b in keys]
+    for a, b in pairs:
+        cayley_distance(ctx, gs, a, b)
+    seen = set()
+    for max_dist, node_cap in itertools.product((1, 2, 3, 16), (4, 30, 200)):
+        for a, b in pairs:
+            got = outcome(cayley_distance, ctx, gs, a, b,
+                          max_dist=max_dist, node_cap=node_cap)
+            assert got == outcome(reference_distance, ref, a, b,
+                                  max_dist=max_dist, node_cap=node_cap), (
+                a, b, max_dist, node_cap)
+            seen.add(got if isinstance(got, int) else got[1].split()[0])
+    assert {"distance", "no"} <= seen
