@@ -479,7 +479,7 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
     def forms_of(x):
         return sorted(normalize_all(ctx, S, x), key=NormalSequence.sort_key)
 
-    for x in ctx.enumerate_ball(radius):
+    for x in sorted(ctx.enumerate_ball(radius)):
         forms = forms_of(x)
         checked += 1
         for i, p in enumerate(forms):

@@ -10,16 +10,10 @@ length-bounded completions of :mod:`garside.rewrite`, which reduce a
 word to the least word of its class without enumerating the class.
 ``class_of`` enumerates a class by breadth-first closure under single
 relation applications; it is the reference the kernel is tested
-against, and the prefix/suffix sets, ``mcms`` and the simple-element
-search use it.  Two facts keep the class-based divisibility sound:
-
-* the set of length-l prefixes of a congruence class is itself a union
-  of congruence classes (a rewrite inside a prefix extends to the whole
-  word), so ``x`` left-divides ``y`` iff the canonical word of ``x``
-  appears among the raw length-``|x|`` prefixes of ``class(y)``;
-* for the same reason the complement words ``{w[l:]}`` over members with
-  prefix congruent to ``x`` form a union of classes, so their plain
-  minimum is already a canonical word.
+against, and the fallback for left divisions where the completion
+cannot certify left cancellation: as a rewrite inside a prefix extends
+to the whole word, the words ``w[l:]`` of ``class(y)`` whose prefix is
+congruent to ``x`` form a union of classes, the complements of x in y.
 """
 
 from __future__ import annotations
@@ -74,23 +68,25 @@ class MonoidContext:
 
     Canonical forms (``_canon``, per word), left complements (the
     results of ``left_divides``), congruence classes enumerated by
-    ``class_of``, prefix/suffix sets and ball levels are memoized here;
-    ``caches`` is a scratch area for the higher layers keyed per
-    spanning set or Garside element: divisor sets, simple elements,
-    normal forms, the automaton, and for ``cayley_distance`` the pair
-    distances (``("cayley", delta)``) and the Cayley graph with its
-    fraction keys interned as ints and each key's tuple of neighbour
-    ids (``"cayley_graph"``, per delta), and for ``mcms`` the right
-    multiples of an element by norm (``"multiples"``) and each word's
-    letter successors (``"successors"``).  The ``GarsideStructure``
-    memoises ``mul_letter``'s unstripped steps and each element's chain
-    of quotients by powers of delta.  Every class word and every
+    ``class_of`` and ball levels are memoized here; ``caches`` is a
+    scratch area for the higher layers keyed per spanning set or
+    Garside element: divisor sets, each element's factorisations,
+    simple elements, normal forms, the automaton, the completions of
+    the reversed relations (``"reversed_kernels"``), and for
+    ``cayley_distance`` the pair distances (``("cayley", delta)``) and
+    the Cayley graph with its fraction keys interned as ints and each
+    key's tuple of neighbour ids (``"cayley_graph"``, per delta), and
+    for ``mcms`` the right multiples of an element by norm
+    (``"multiples"``) and each word's letter successors
+    (``"successors"``).  The ``GarsideStructure`` memoises
+    ``mul_letter``'s unstripped steps and each element's chain of
+    quotients by powers of delta.  Every class word and every
     canonical-form or left-complement entry counts against
     ``max_cached_words``; the rewriting systems are shared between
     contexts, and they, the Cayley caches and the structure's memos
-    count against no cap.  ``class_fallbacks`` counts the
-    ``left_divides`` calls that enumerated classes because left
-    cancellation could not be certified.
+    count against no cap.  ``class_fallbacks`` counts the left
+    divisions (``left_divides`` and ``complements``) that enumerated
+    classes because left cancellation could not be certified.
     """
 
     def __init__(self, presentation: Presentation,
@@ -111,8 +107,6 @@ class MonoidContext:
         # per letter c, the completion in which c is least
         self._least: dict[str, Completion] = {}
         self._levels: list[frozenset[Element]] = []
-        self._prefix_sets: dict[tuple[str, int], frozenset[str]] = {}
-        self._suffix_sets: dict[tuple[str, int], frozenset[str]] = {}
         self._left_complements: dict[tuple[str, str], Element | None] = {}
         self.caches: dict = defaultdict(dict)
         self.class_fallbacks = 0
@@ -226,26 +220,6 @@ class MonoidContext:
 
     # -- divisibility ----------------------------------------------------
 
-    def prefix_set(self, y: Element, length: int) -> frozenset[str]:
-        if length == 0:
-            return frozenset([""])
-        key = (y.canon, length)
-        ps = self._prefix_sets.get(key)
-        if ps is None:
-            ps = frozenset(w[:length] for w in self.class_of(y.canon))
-            self._prefix_sets[key] = ps
-        return ps
-
-    def suffix_set(self, y: Element, length: int) -> frozenset[str]:
-        if length == 0:
-            return frozenset([""])
-        key = (y.canon, length)
-        ss = self._suffix_sets.get(key)
-        if ss is None:
-            ss = frozenset(w[len(w) - length:] for w in self.class_of(y.canon))
-            self._suffix_sets[key] = ss
-        return ss
-
     def divides(self, x, y) -> bool:
         """Left divisibility x <= y, i.e. y = x z for some z."""
         return self.left_divides(x, y) is not None
@@ -272,15 +246,10 @@ class MonoidContext:
             return memo[key]
         z = y.canon
         for c in x.canon:
-            kernel = self._least.get(c)
-            if kernel is None:
-                chars = self.presentation.chars
-                kernel = self._least[c] = completion(
-                    self.presentation.relations, c + chars.replace(c, ""))
+            kernel = self._kernel(c)
             if not kernel.left_cancellative(len(z)):
-                self.class_fallbacks += 1
-                return self._remember(memo, key,
-                                      self._complement_by_classes(x, y))
+                return self._remember(
+                    memo, key, min(self.complements(x, y), default=None))
             if z[0] != c:
                 z = kernel.reduce(z)
                 if z[0] != c:
@@ -288,34 +257,30 @@ class MonoidContext:
             z = z[1:]
         return self._remember(memo, key, self._reduced(z))
 
-    def _complement_by_classes(self, x: Element, y: Element):
-        ell = x.norm
-        xcls = self.class_of(x.canon)
-        best = None
-        for w in self.class_of(y.canon):
-            if w[:ell] in xcls:
-                s = w[ell:]
-                if best is None or s < best:
-                    best = s
-        return None if best is None else Element(best)
+    def _kernel(self, c) -> Completion:
+        """The completion in which the letter c is least."""
+        kernel = self._least.get(c)
+        if kernel is None:
+            chars = self.presentation.chars
+            kernel = self._least[c] = completion(
+                self.presentation.relations, c + chars.replace(c, ""))
+        return kernel
 
-    def right_divides(self, x, y):
-        """Complement z with z x = y, or None."""
+    def complements(self, x, y) -> frozenset[Element]:
+        """Every z with x z = y.  Where each letter of x cancels on the
+        left up to norm(y) that is the complement of ``left_divides``
+        alone; otherwise it is read off the classes of x and y (counted
+        in ``class_fallbacks``)."""
         x = self.canonical(x)
         y = self.canonical(y)
-        if x.norm > y.norm:
-            return None
-        ell = x.norm
-        if ell == 0:
-            return y
+        if all(self._kernel(c).left_cancellative(y.norm) for c in x.canon):
+            z = self.left_divides(x, y)
+            return frozenset() if z is None else frozenset([z])
+        self.class_fallbacks += 1
         xcls = self.class_of(x.canon)
-        best = None
-        for w in self.class_of(y.canon):
-            if w[len(w) - ell:] in xcls:
-                s = w[:len(w) - ell]
-                if best is None or s < best:
-                    best = s
-        return None if best is None else Element(best)
+        ell = x.norm
+        rests = {w[ell:] for w in self.class_of(y.canon) if w[:ell] in xcls}
+        return frozenset(map(self._reduced, rests))
 
     # -- balls -----------------------------------------------------------
 
@@ -352,10 +317,10 @@ class MonoidContext:
         for total in range(2, n + 1):
             for i in range(1, total):
                 j = total - i
-                for x in self.ball_level(i):
+                for x in sorted(self.ball_level(i)):
                     seen_l: dict[Element, Element] = {}
                     seen_r: dict[Element, Element] = {}
-                    for y in self.ball_level(j):
+                    for y in sorted(self.ball_level(j)):
                         p = self.mul(x, y)
                         other = seen_l.get(p)
                         if other is not None and other != y:

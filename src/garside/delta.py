@@ -163,29 +163,6 @@ class GarsideStructure:
                     f"Garside element up to {m - 1}")
         return m
 
-    def check_conjugation(self, radius: int) -> VerificationReport:
-        """x * delta == delta * phi(x) for every x in the given ball."""
-        ctx = self.ctx
-        for g in ctx.enumerate_ball(radius):
-            if ctx.mul(g, self.delta) != ctx.mul(self.delta, self.phi(g)):
-                return VerificationReport(
-                    "conjugation", "fail", bound=radius,
-                    witness={"element": ctx.show(g)})
-        return VerificationReport("conjugation", "pass", bound=radius)
-
-    def check_centrality(self, radius: int) -> VerificationReport:
-        """delta^order commutes with every element of the given ball."""
-        ctx = self.ctx
-        dpow = self.delta_power(self.order)
-        for g in ctx.enumerate_ball(radius):
-            if ctx.mul(g, dpow) != ctx.mul(dpow, g):
-                return VerificationReport(
-                    "centrality", "fail", bound=radius,
-                    witness={"element": ctx.show(g), "power": self.order})
-        return VerificationReport(
-            "centrality", "pass", bound=radius,
-            details={"power": self.order})
-
 
 def _atom_permutation_order(table: dict) -> int:
     order = 1

@@ -150,8 +150,10 @@ _COMPLETIONS: dict = {}
 
 def completion(relations, order) -> Completion:
     """The shared completion of ``relations`` (a tuple of pairs of
-    words) for the letter order ``order``."""
-    key = (relations, order)
+    words) for the letter order ``order``.  Its rules do not depend on
+    the order or orientation of the pairs, so neither does the key: a
+    presentation and its reversal often share one."""
+    key = (frozenset(map(frozenset, relations)), order)
     got = _COMPLETIONS.get(key)
     if got is None:
         got = _COMPLETIONS[key] = Completion(relations, order)

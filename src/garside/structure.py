@@ -2,7 +2,9 @@
 spanning sets, simple elements and the covering relation.
 
 All searches are norm-bounded and honest about it: results carry a
-``complete`` flag (or notes) when a bound was exhausted.
+``complete`` flag (or notes) when a bound was exhausted.  Everything
+runs on the rewriting kernel; only where it cannot certify left
+cancellation do complements fall back to classes (``complements``).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .congruence import Element, MonoidContext, ResourceLimitExceeded
 from .reports import VerificationReport
+from .rewrite import completion
 
 __all__ = [
     "ElementSet",
@@ -116,15 +119,16 @@ def mcms(ctx: MonoidContext, x, y, bound=None) -> McmResult:
 
     found: list[Element] = []
     complete = False
-    prev_cm_words: set[str] = set()
+    prev_cm: frozenset = frozenset()
+    successors = ctx.caches["successors"]
     level = max(x.norm, y.norm) + 1
     while level <= bound:
         cm = _multiples(ctx, x, level) & _multiples(ctx, y, level)
-        new = []
-        for zc in sorted(cm):
-            cls = ctx.class_of(zc)
-            if not any(w[:-1] in prev_cm_words for w in cls):
-                new.append(Element(zc))
+        # a common multiple is not minimal exactly when it is m c for a
+        # common multiple m one level down (its successors were built
+        # with the multiples of x) and a letter c
+        below = {s for m in prev_cm for s in successors[m]}
+        new = [Element(zc) for zc in sorted(cm) if zc not in below]
         if found and not new:
             # one full level above the last minimal common multiple:
             # exhaustive iff everything here sits above something found
@@ -133,9 +137,7 @@ def mcms(ctx: MonoidContext, x, y, bound=None) -> McmResult:
                 complete = True
                 break
         found.extend(new)
-        prev_cm_words = set()
-        for zc in cm:
-            prev_cm_words.update(ctx.class_of(zc))
+        prev_cm = cm
         level += 1
     comp_l = {m: ctx.left_divides(x, m) for m in found}
     comp_r = {m: ctx.left_divides(y, m) for m in found}
@@ -149,7 +151,7 @@ def primitive_closure(ctx: MonoidContext, cap=10_000) -> ElementSet:
     members = {ctx.one} | set(ctx.ball_level(1))
     notes: list[str] = []
     done: set[frozenset] = set()
-    pending = [(a, b) for a in members for b in members
+    pending = [(a, b) for a in sorted(members) for b in sorted(members)
                if a != b and a.norm and b.norm]
     while pending:
         x, y = pending.pop()
@@ -175,7 +177,7 @@ def primitive_closure(ctx: MonoidContext, cap=10_000) -> ElementSet:
                                           tuple(notes))
                     members.add(comp)
                     pending.extend(
-                        (comp, s) for s in members
+                        (comp, s) for s in sorted(members)
                         if s != comp and s.norm and comp.norm)
     return ElementSet(frozenset(members), "primitives", tuple(notes))
 
@@ -251,21 +253,44 @@ def check_ore(ctx: MonoidContext, S, bound=None) -> VerificationReport:
                               details={"set": S.label or len(S)})
 
 
+def _factorisations(ctx: MonoidContext, x: Element) -> frozenset:
+    """The pairs (p, z) with p z = x, memoized per x.
+
+    Walked from (1, x): each pair (p, z) leads to (p a, z') for every
+    atom a and every z' with a z' = z.  Induction on the letters of p
+    reaches every factorisation, with or without cancellation, since
+    ``complements`` lists every z'."""
+    cache = ctx.caches["factorisations"]
+    got = cache.get(x)
+    if got is None:
+        atom_list = sorted(ctx.ball_level(1))
+        pairs = {(ctx.one, x)}
+        frontier = [(ctx.one, x)]
+        while frontier:
+            nxt = []
+            for p, z in frontier:
+                for a in atom_list:
+                    for rest in ctx.complements(a, z):
+                        pair = (ctx.mul(p, a), rest)
+                        if pair not in pairs:
+                            pairs.add(pair)
+                            nxt.append(pair)
+            frontier = nxt
+        got = cache[x] = frozenset(pairs)
+    return got
+
+
 def divisors(ctx: MonoidContext, x) -> ElementSet:
     """All left divisors of x (canonical representatives)."""
     x = ctx.canonical(x)
-    out = set()
-    for ell in range(x.norm + 1):
-        out.update(ctx.canonical(p) for p in ctx.prefix_set(x, ell))
-    return ElementSet(frozenset(out), f"Div({ctx.show(x)})")
+    return ElementSet(frozenset(p for p, _ in _factorisations(ctx, x)),
+                      f"Div({ctx.show(x)})")
 
 
 def right_divisors(ctx: MonoidContext, x) -> ElementSet:
     x = ctx.canonical(x)
-    out = set()
-    for ell in range(x.norm + 1):
-        out.update(ctx.canonical(s) for s in ctx.suffix_set(x, ell))
-    return ElementSet(frozenset(out), f"RDiv({ctx.show(x)})")
+    return ElementSet(frozenset(z for _, z in _factorisations(ctx, x)),
+                      f"RDiv({ctx.show(x)})")
 
 
 def divisors_in(ctx: MonoidContext, S, x) -> frozenset:
@@ -293,8 +318,36 @@ def covers(ctx: MonoidContext, S, x, y) -> bool:
     return divisors_in(ctx, S, ctx.mul(x, y)) == divisors_in(ctx, S, x)
 
 
-def _codim1_divisors(ctx, x):
-    return {ctx.canonical(w[:-1]) for w in ctx.class_of(x.canon)}
+def _reversed_kernel(ctx: MonoidContext, c: str):
+    """The completion of the reversed relations in which c is least."""
+    kernels = ctx.caches["reversed_kernels"]
+    kernel = kernels.get(c)
+    if kernel is None:
+        rels = tuple((u[::-1], v[::-1])
+                     for u, v in ctx.presentation.relations)
+        chars = ctx.presentation.chars
+        kernel = kernels[c] = completion(rels, c + chars.replace(c, ""))
+    return kernel
+
+
+def _codim1_divisors(ctx: MonoidContext, x: Element) -> set:
+    """The left divisors p of x with p a = x for an atom a.
+
+    Read backwards, a right-divides x exactly when the reversed word of
+    x reduces, in the reversed completion where a is least, to a word
+    that starts with a; where a cancels there on the left, the rest of
+    that word, read backwards, is the one such p.  Where it does not,
+    the factorisations of x are walked instead."""
+    word = x.canon[::-1]
+    out = set()
+    for a in sorted(ctx.ball_level(1)):
+        kernel = _reversed_kernel(ctx, a.canon)
+        if not kernel.left_cancellative(x.norm):
+            return {p for p, z in _factorisations(ctx, x) if z.norm == 1}
+        rev = kernel.reduce(word)
+        if rev[0] == a.canon:
+            out.add(ctx.canonical(rev[:0:-1]))
+    return out
 
 
 def enumerate_simples(ctx: MonoidContext, S) -> ElementSet:

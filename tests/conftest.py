@@ -3,9 +3,8 @@ import pytest
 from garside import MonoidContext, fixture
 
 
-@pytest.fixture(scope="session")
-def ctx_factory():
-    """Session-wide contexts so congruence caches are shared."""
+def context_factory():
+    """A function from fixture names to contexts, one per name."""
     cache = {}
 
     def get(name):
@@ -14,6 +13,12 @@ def ctx_factory():
         return cache[name]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def ctx_factory():
+    """Session-wide contexts so congruence caches are shared."""
+    return context_factory()
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,191 @@
+"""Class-based oracles for the tests, and the extra presentations they
+are run on.
+
+The oracles share no code with the package's word problem.  A
+congruence class is enumerated here by breadth-first closure under
+single relation applications, and divisibility, minimal common
+multiples and simple elements are read off classes by their
+definitions.  Elements come back as ``Element`` of the least word of
+their class; arguments may be elements or internal words.
+"""
+
+from functools import lru_cache
+
+from garside import Element, Presentation, parse_presentation
+
+LENGTH_ONE = Presentation(["s1", "s2", "s3"],
+                          [("s1s2s1", "s2s1s2"), ("s3", "s1")])
+NOT_LEFT_CANCELLATIVE = Presentation(["a", "b"], [("ab", "aa")])
+NOT_RIGHT_CANCELLATIVE = Presentation(["a", "b"], [("ba", "aa")])
+# two presentations whose completions need the critical pairs of a new
+# rule on both sides of every older one
+B4 = parse_presentation("gens: s1 s2 s3\n"
+                        "rels: s1s3 = s3s1; s1s2s1 = s2s1s2; s2s3s2 = s3s2s3",
+                        name="B4")
+CYCLIC = parse_presentation("gens: a b c\nrels: abc = bca = cab",
+                            name="cyclic")
+
+
+def _rules(relations):
+    return [(u, v) for u, v in relations] + [(v, u) for u, v in relations]
+
+
+def _rewrites(rules, w):
+    """The words one relation application away from w."""
+    for lhs, rhs in rules:
+        i = w.find(lhs)
+        while i >= 0:
+            yield w[:i] + rhs + w[i + len(lhs):]
+            i = w.find(lhs, i + 1)
+
+
+@lru_cache(maxsize=None)
+def _class(relations, word):
+    rules = _rules(relations)
+    seen = {word}
+    frontier = [word]
+    while frontier:
+        new = []
+        for w in frontier:
+            for w2 in _rewrites(rules, w):
+                if w2 not in seen:
+                    seen.add(w2)
+                    new.append(w2)
+        frontier = new
+    return frozenset(seen)
+
+
+def congruent(ctx, u, v) -> bool:
+    """Are the words u and v congruent?  A breadth-first search from
+    both ends, which stops where they meet instead of enumerating the
+    class."""
+    if u == v:
+        return True
+    rules = _rules(ctx.presentation.relations)
+    mine, other = {u}, {v}
+    frontier, across = [u], [v]
+    while frontier and across:
+        if len(frontier) > len(across):
+            mine, other, frontier, across = other, mine, across, frontier
+        new = []
+        for w in frontier:
+            for w2 in _rewrites(rules, w):
+                if w2 in other:
+                    return True
+                if w2 not in mine:
+                    mine.add(w2)
+                    new.append(w2)
+        frontier = new
+    return False
+
+
+def _word(x):
+    return x.canon if isinstance(x, Element) else x
+
+
+def word_class(ctx, x) -> frozenset:
+    return _class(ctx.presentation.relations, _word(x))
+
+
+def least(ctx, x) -> Element:
+    return Element(min(word_class(ctx, x)))
+
+
+def left_complements(ctx, x, y) -> frozenset:
+    """Every z with x z = y."""
+    n = len(_word(x))
+    xcls = word_class(ctx, x)
+    return frozenset(least(ctx, w[n:]) for w in word_class(ctx, y)
+                     if w[:n] in xcls)
+
+
+def right_complements(ctx, x, y) -> frozenset:
+    """Every z with z x = y."""
+    n = len(_word(x))
+    xcls = word_class(ctx, x)
+    return frozenset(least(ctx, w[:len(w) - n]) for w in word_class(ctx, y)
+                     if len(w) >= n and w[len(w) - n:] in xcls)
+
+
+def right_divides(ctx, x, y):
+    """The least z with z x = y, or None."""
+    return min(right_complements(ctx, x, y), default=None)
+
+
+def divisors(ctx, x) -> frozenset:
+    return frozenset(least(ctx, w[:k]) for w in word_class(ctx, x)
+                     for k in range(len(w) + 1))
+
+
+def right_divisors(ctx, x) -> frozenset:
+    return frozenset(least(ctx, w[k:]) for w in word_class(ctx, x)
+                     for k in range(len(w) + 1))
+
+
+def _multiples(ctx, x, top):
+    """The right multiples of x of each norm up to ``top``, by norm."""
+    out = {x.norm: frozenset([x])}
+    for n in range(x.norm + 1, top + 1):
+        out[n] = frozenset(least(ctx, z.canon + c) for z in out[n - 1]
+                           for c in ctx.presentation.chars)
+    return out
+
+
+def mcms(ctx, x, y, bound):
+    """(minimal common multiples, complete) as ``structure.mcms``
+    defines them: a common multiple is minimal when no proper left
+    divisor of it is a common multiple, and the listing is complete when
+    a norm level within the bound, above the last one found, holds only
+    proper multiples of those found."""
+    x, y = least(ctx, x), least(ctx, y)
+    if left_complements(ctx, x, y):
+        return frozenset([y]), True
+    if left_complements(ctx, y, x):
+        return frozenset([x]), True
+    mx = _multiples(ctx, x, bound)
+    my = _multiples(ctx, y, bound)
+    common = set()
+    found = set()
+    for n in range(max(x.norm, y.norm) + 1, bound + 1):
+        cm = mx[n] & my[n]
+        new = {z for z in cm if not divisors(ctx, z) & common}
+        if found and not new and all(
+                any(left_complements(ctx, m, z) for m in found) for z in cm):
+            return frozenset(found), True
+        found |= new
+        common |= cm
+    return frozenset(found), False
+
+
+def simples(ctx, S, top) -> frozenset:
+    """The S-simple elements of norm at most ``top``: no proper left
+    divisor has the same divisors in S."""
+    S = frozenset(S)
+    out = set()
+    for level in _multiples(ctx, Element(""), top).values():
+        for x in level:
+            div = divisors(ctx, x)
+            own = S & div
+            if all(S & divisors(ctx, d) != own for d in div if d != x):
+                out.add(x)
+    return frozenset(out)
+
+
+def conjugation_failure(gs, ball):
+    """An x of ``ball`` with x delta != delta phi(x), or None."""
+    ctx = gs.ctx
+    delta = gs.delta.canon
+    for x in sorted(ball):
+        if not congruent(ctx, x.canon + delta, delta + gs.phi(x).canon):
+            return x
+    return None
+
+
+def centrality_failure(gs, ball):
+    """An x of ``ball`` that does not commute with delta^order, or None."""
+    ctx = gs.ctx
+    power = gs.delta.canon * gs.order
+    for x in sorted(ball):
+        if not congruent(ctx, x.canon + power, power + x.canon):
+            return x
+    return None

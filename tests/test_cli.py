@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import garside
 from garside import GarsideStructure
@@ -232,14 +233,107 @@ def test_other_runtime_errors_exit_1(capsys, monkeypatch):
     assert err == "error: no power of the Garside element\n"
 
 
-def test_python_m_garside_cli_runs_without_warnings():
+def run_module(argv, hashseed=None):
+    """``python -m garside.cli argv`` in a fresh interpreter."""
     src = pathlib.Path(garside.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "garside.cli", "normalize", "--fixture", "M1",
-         "aaa"], capture_output=True, text=True, env=env, timeout=60)
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = str(hashseed)
+    return subprocess.run([sys.executable, "-m", "garside.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+def test_python_m_garside_cli_runs_without_warnings():
+    proc = run_module(["normalize", "--fixture", "M1", "aaa"])
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout == "aa a\n"
+
+
+def test_analyze_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # a b = a a is not left cancellative; its primitive closure notes an
+    # incomplete mcm search, once, for the first pair it tries
+    path = tmp_path / "pres.txt"
+    path.write_text("gens: a b\nrels: ab = aa\n")
+    argv = ["analyze", "--json", "--file", str(path)]
+    first, second = (run_module(argv, hashseed=seed) for seed in (0, 2))
+    assert first.returncode == second.returncode == 0
+    assert "mcm search incomplete for pair (b, a)" in first.stdout
+    assert first.stdout == second.stdout
+
+
+# positional arguments and options of each subcommand
+COMMANDS = {
+    "analyze": ([], "--json --bound --radius --garside-norm"),
+    "normalize": (["word"], "--json --delta --span"),
+    "all-normal-forms": (["word"], "--json --delta --span"),
+    "word-problem": (["signed", "signed"], "--json --delta --garside-norm"),
+    "automaton": ([], "--json --delta --garside-norm --full"),
+    "growth": ([], "--json --delta --garside-norm --radius -n --mode"),
+    "graph": ([], "--delta --span --bound"),
+    "distance": (["word", "word"], "--json --delta --garside-norm"),
+    "prove": (["word", "word"], "--json --delta --span --identity")}
+FLAGS = ("--json", "--full", "--identity")
+FUZZ_FIXTURES = {"M1": ["a", "b"], "M3": ["a", "b", "c"], "B3": ["s1", "s2"],
+                 "free_comm(2)": ["a", "b"], "B9": ["a"]}
+
+
+@st.composite
+def cli_runs(draw):
+    """(presentation file text, argv): mostly well-formed, so that most
+    runs get past parsing, with a share of malformed pieces."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(FUZZ_FIXTURES)))
+        gens, text = FUZZ_FIXTURES[name], ""
+        source = ["--fixture", name]
+    else:
+        gens = draw(st.lists(st.sampled_from(["a", "b", "c", "s1", "s2"]),
+                             min_size=1, max_size=3, unique=True))
+        rels = []
+        for _ in range(draw(st.integers(0, 2))):
+            n = draw(st.integers(1, 3))
+            side = st.lists(st.sampled_from(gens), min_size=n, max_size=n)
+            rels.append("".join(draw(side)) + " = " + "".join(draw(side)))
+        text = f"gens: {' '.join(gens)}\nrels: {'; '.join(rels)}\n"
+        text = draw(st.sampled_from(
+            [text] * 6 + [text.replace("rels:", "rel:"), text + "gens: a\n",
+                          text.replace("=", "= a", 1), ""]))
+        source = ["--file", "PATH"]
+    letter = st.sampled_from(gens + ["z"])  # z is in no alphabet
+    word = st.lists(letter, max_size=4).map("".join)
+    signed = st.lists(st.tuples(letter, st.sampled_from(["", "'"])),
+                      max_size=4).map(lambda t: " ".join(a + b for a, b in t))
+    values = st.one_of(st.integers(-1, 4).map(str), word,
+                       st.sampled_from(["x", "group", "monoid", "-"]))
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    positional, options = COMMANDS[command]
+    # now and then an option that the subcommand does not take
+    option = st.sampled_from(options.split() * 9 + ["--full", "--span"])
+    argv = [command] + source
+    for _ in range(draw(st.integers(0, 2))):
+        name = draw(option)
+        argv += [name] if name in FLAGS else [name, draw(values)]
+    for kind in positional:
+        argv.append(draw(signed if kind == "signed" else word))
+    # small caps keep each run short; a cap that fires exits 2
+    return text, argv + ["--cache-cap", "20000", "--ball-cap", "300"]
+
+
+def test_cli_fuzz_exits_0_1_or_2_without_traceback(tmp_path, capsys):
+    path = tmp_path / "pres.txt"
+
+    @settings(derandomize=True, deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cli_runs())
+    def check(case):
+        text, argv = case
+        path.write_text(text)
+        argv = [str(path) if a == "PATH" else a for a in argv]
+        code, _, err = run(capsys, argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+
+    check()

@@ -1,7 +1,8 @@
 import pytest
 
+import oracles
 from garside import (Element, MonoidContext, PresentationError, Presentation,
-                     ResourceLimitExceeded, fixture)
+                     ResourceLimitExceeded, divisors, fixture, right_divisors)
 
 
 def test_element_ordering_is_shortlex():
@@ -80,9 +81,9 @@ def test_divides_m1(m1):
     assert m1.left_divides(b, ab) == a
     assert m1.left_divides(b, aa) == b
     assert m1.left_divides(aa, ab) is None
-    assert m1.right_divides(b, ab) == a
-    assert m1.right_divides(a, aa) == a
-    assert m1.right_divides(b, aa) == b
+    assert oracles.right_divides(m1, b, ab) == a
+    assert oracles.right_divides(m1, a, aa) == a
+    assert oracles.right_divides(m1, b, aa) == b
     assert m1.left_divides(m1.one, ab) == ab
 
 
@@ -99,17 +100,23 @@ def test_divisibility_consistency_on_ball(m1, b3):
                 assert ctx.mul(x, comp) == z
                 # cancellative fixtures: the complement is exactly y
                 assert comp == y
-                rcomp = ctx.right_divides(y, z)
+                rcomp = oracles.right_divides(ctx, y, z)
                 assert rcomp is not None and ctx.mul(rcomp, y) == z
 
 
 def test_prefix_suffix_sets(m1):
+    # the words of the divisors of one norm are the length-l prefixes
+    # (suffixes) of the words of the class
+    def words(xs, norm):
+        return {w for x in xs if x.norm == norm
+                for w in oracles.word_class(m1, x)}
+
     aa = m1.element("aa")
-    assert m1.prefix_set(aa, 1) == frozenset({"a", "b"})
-    assert m1.suffix_set(aa, 1) == frozenset({"a", "b"})
-    assert m1.prefix_set(aa, 0) == frozenset({""})
+    assert words(divisors(m1, aa), 1) == {"a", "b"}
+    assert words(right_divisors(m1, aa), 1) == {"a", "b"}
+    assert words(divisors(m1, aa), 0) == {""}
     aab = m1.element("aab")
-    assert m1.prefix_set(aab, 2) == frozenset({"aa", "ab", "ba", "bb"})
+    assert words(divisors(m1, aab), 2) == {"aa", "ab", "ba", "bb"}
 
 
 def test_cancellativity_check(m1, b3, m2, m3):

@@ -8,22 +8,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from garside import (MonoidContext, Presentation, ResourceLimitExceeded,
-                     build_structure, fixture, parse_presentation)
+from garside import (MonoidContext, ResourceLimitExceeded, build_structure,
+                     fixture)
 from garside.delta import _strip
 from garside.rewrite import Completion, completion
+from oracles import B4, CYCLIC, LENGTH_ONE, NOT_LEFT_CANCELLATIVE
 
 FIVE = ("M1", "M2", "M3", "B3", "free_comm(3)")
-LENGTH_ONE = Presentation(["s1", "s2", "s3"],
-                          [("s1s2s1", "s2s1s2"), ("s3", "s1")])
-NOT_LEFT_CANCELLATIVE = Presentation(["a", "b"], [("ab", "aa")])
-# two presentations whose completions need the critical pairs of a new
-# rule on both sides of every older one
-B4 = parse_presentation("gens: s1 s2 s3\n"
-                        "rels: s1s3 = s3s1; s1s2s1 = s2s1s2; s2s3s2 = s3s2s3",
-                        name="B4")
-CYCLIC = parse_presentation("gens: a b c\nrels: abc = bca = cab",
-                            name="cyclic")
 
 
 def words(chars, lo, hi):

@@ -1,9 +1,11 @@
 import pytest
 
+import oracles
 from garside import (Element, ElementSet, MonoidContext, atoms, check_ore,
                      covers, divisors, divisors_in, enumerate_simples,
-                     fixture, is_spanning, mcms, primitive_closure,
-                     right_divisors)
+                     find_minimal_garside, fixture, is_spanning, mcms,
+                     primitive_closure, right_divisors)
+from garside.rewrite import completion
 
 
 def names(ctx, xs):
@@ -209,3 +211,62 @@ def test_simples_are_div_minimal_on_ball(m1, m3):
                 if d != x and ctx.divides(d, x)
                 and divisors_in(ctx, S, d) == dset]
             assert (x in simples) == (not proper), ctx.show(x)
+
+
+# (presentation, radius of the divisor check, norm of its Garside search)
+DIFFERENTIAL = [(fixture(name), 5, 4)
+                for name in ("M1", "M2", "M3", "B3", "free_comm(3)")] + [
+    (oracles.LENGTH_ONE, 5, 4), (oracles.B4, 4, 6), (oracles.CYCLIC, 5, 4),
+    (oracles.NOT_LEFT_CANCELLATIVE, 5, 4),
+    (oracles.NOT_RIGHT_CANCELLATIVE, 5, 4)]
+
+
+@pytest.mark.parametrize(
+    "presentation,radius,garside_norm", DIFFERENTIAL,
+    ids=["M1", "M2", "M3", "B3", "free_comm(3)", "length_one", "B4",
+         "cyclic", "ab=aa", "ba=aa"])
+def test_structure_layer_matches_class_oracles(presentation, radius,
+                                               garside_norm):
+    # divisors, right divisors, mcms and simple elements come from the
+    # rewriting kernel; the oracles read them off congruence classes
+    ctx = MonoidContext(presentation)
+    ball = sorted(ctx.enumerate_ball(radius))
+    for x in ball:
+        assert divisors(ctx, x).members == oracles.divisors(ctx, x)
+        assert right_divisors(ctx, x).members == \
+            oracles.right_divisors(ctx, x)
+    pairs = [x for x in ball if 0 < x.norm <= 2]
+    for x in pairs:
+        for y in pairs:
+            res = mcms(ctx, x, y)
+            found, complete = oracles.mcms(ctx, x, y, res.search_bound)
+            assert (res.mcms, res.complete) == (found, complete), \
+                (ctx.show(x), ctx.show(y))
+            for m in found:
+                assert res.complements_left[m] == \
+                    min(oracles.left_complements(ctx, x, m))
+                assert res.complements_right[m] == \
+                    min(oracles.left_complements(ctx, y, m))
+    spans = [primitive_closure(ctx)] + [
+        divisors(ctx, d) for d in find_minimal_garside(ctx, garside_norm).minimal]
+    for S in spans:
+        got = enumerate_simples(ctx, S)
+        assert got.members == oracles.simples(ctx, S.members,
+                                              got.max_norm + 1)
+    if presentation is oracles.NOT_LEFT_CANCELLATIVE:
+        # a b = a a: a does not cancel on the left, so peeling a takes
+        # every complement from the classes, and b right-divides aa only
+        assert ctx.class_fallbacks > 0
+        aa = ctx.element("aa")
+        assert right_divisors(ctx, aa).members - divisors(ctx, aa).members \
+            == {ctx.element("b")}
+    elif presentation is oracles.NOT_RIGHT_CANCELLATIVE:
+        # b a = a a: a does not cancel on the right, so the divisors one
+        # letter shorter come from the factorisations; no class is needed
+        reversed_rels = (("ab", "aa"),)
+        assert not completion(reversed_rels, "ab").left_cancellative(2)
+        assert ctx.class_fallbacks == 0
+        assert not ctx._classes
+    else:
+        assert ctx.class_fallbacks == 0
+        assert not ctx._classes
