@@ -2,60 +2,50 @@
 bounded rewriting, divisibility, minimal common multiples, primitive
 and simple elements, greedy normal forms, Garside elements, groups of
 fractions, normal-form automata, growth series, and derivation grids.
+
+The public names load on first use (PEP 562): importing the package, or
+``garside.cli``, loads no layer until a name from it is asked for, and
+``python -m garside.cli`` does not find its module already imported.
 """
 
-from .presentation import (FIXTURE_NAMES, Presentation, PresentationError,
-                           fixture, parse_presentation,
-                           serialize_presentation)
-from .reports import VerificationReport
-from .congruence import Element, MonoidContext, ResourceLimitExceeded
-from .structure import (ElementSet, McmResult, atoms, check_ore, covers,
-                        divisors, divisors_in, enumerate_simples,
-                        is_spanning, mcms, primitive_closure,
-                        right_divisors)
-from .normal import (Derivation, DerivationStep, GridError, NormalSequence,
-                     grid_prove_equality, is_normal, left_mult_update,
-                     normalize, normalize_all, prove_group_identity)
-from .delta import (FractionForm, GarsideSearchResult, GarsideStructure,
-                    build_structure, check_normal_uniqueness_criterion,
-                    check_uniform_length, combine, find_minimal_garside,
-                    fraction_of_signed, group_equal, is_garside,
-                    to_fraction)
-from .automaton import (DELTA_INV, GrowthSeries, NormalFormAutomaton,
-                        build_automaton, cayley_distance, ftp_probe,
-                        growth, synchronous_distance)
+import importlib
 
 __version__ = "0.1.0"
 
-# The CLI loads on first use (PEP 562), so that `python -m garside.cli`
-# does not find its module already imported by the package.
-_CLI_NAMES = ("export_characteristic_graph", "main")
+# defining module of each public name
+_EXPORTS = {
+    "presentation": ("FIXTURE_NAMES", "Presentation", "PresentationError",
+                     "fixture", "parse_presentation",
+                     "serialize_presentation"),
+    "reports": ("VerificationReport", "GridError"),
+    "congruence": ("Element", "MonoidContext", "ResourceLimitExceeded"),
+    "structure": ("ElementSet", "McmResult", "atoms", "check_ore", "covers",
+                  "divisors", "divisors_in", "enumerate_simples",
+                  "is_spanning", "mcms", "primitive_closure",
+                  "right_divisors"),
+    "normal": ("Derivation", "DerivationStep", "NormalSequence",
+               "grid_prove_equality", "is_normal", "left_mult_update",
+               "normalize", "normalize_all", "prove_group_identity"),
+    "delta": ("FractionForm", "GarsideSearchResult", "GarsideStructure",
+              "build_structure", "check_normal_uniqueness_criterion",
+              "check_uniform_length", "combine", "find_minimal_garside",
+              "fraction_of_signed", "group_equal", "is_garside",
+              "to_fraction"),
+    "automaton": ("DELTA_INV", "GrowthSeries", "NormalFormAutomaton",
+                  "build_automaton", "cayley_distance", "ftp_probe",
+                  "growth", "synchronous_distance"),
+    "cli": ("export_characteristic_graph", "main"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
 
 
 def __getattr__(name):
-    if name in _CLI_NAMES:
-        from . import cli
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "FIXTURE_NAMES", "Presentation", "PresentationError", "fixture",
-    "parse_presentation", "serialize_presentation",
-    "VerificationReport",
-    "Element", "MonoidContext", "ResourceLimitExceeded",
-    "ElementSet", "McmResult", "atoms", "check_ore", "covers",
-    "divisors", "divisors_in", "enumerate_simples", "is_spanning",
-    "mcms", "primitive_closure", "right_divisors",
-    "Derivation", "DerivationStep", "GridError", "NormalSequence",
-    "grid_prove_equality", "is_normal", "left_mult_update", "normalize",
-    "normalize_all", "prove_group_identity",
-    "FractionForm", "GarsideSearchResult", "GarsideStructure",
-    "build_structure", "check_normal_uniqueness_criterion",
-    "check_uniform_length", "combine", "find_minimal_garside",
-    "fraction_of_signed", "group_equal", "is_garside", "to_fraction",
-    "DELTA_INV", "GrowthSeries", "NormalFormAutomaton",
-    "build_automaton", "cayley_distance", "ftp_probe", "growth",
-    "synchronous_distance",
-    "export_characteristic_graph", "main",
-    "__version__",
-]
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

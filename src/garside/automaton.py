@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 
 from .congruence import Element, MonoidContext, ResourceLimitExceeded
-from .reports import VerificationReport
+from .reports import Record, VerificationReport
 from .structure import _coerce_set, covers, enumerate_simples
 from .normal import NormalSequence, left_mult_update, normalize_all
 from .delta import GarsideStructure, _strip, mul_letter
@@ -55,13 +54,16 @@ INITIAL = _Token("start")
 FAIL = _Token("fail")
 
 
-@dataclass
-class NormalFormAutomaton:
-    ctx: MonoidContext
-    gs: GarsideStructure
-    letters: tuple             # non-identity simples shortlex, then D'
-    states: tuple              # INITIAL, letters..., FAIL
-    table: dict                # (state, letter) -> state
+class NormalFormAutomaton(Record):
+    _fields = ("ctx", "gs", "letters", "states", "table")
+
+    def __init__(self, ctx: MonoidContext, gs: GarsideStructure,
+                 letters: tuple, states: tuple, table: dict):
+        self.ctx = ctx
+        self.gs = gs
+        self.letters = letters  # non-identity simples shortlex, then D'
+        self.states = states    # INITIAL, letters..., FAIL
+        self.table = table      # (state, letter) -> state
 
     def step(self, state, letter):
         try:
@@ -155,12 +157,15 @@ def build_automaton(ctx: MonoidContext, gs: GarsideStructure) -> NormalFormAutom
     return auto
 
 
-@dataclass
-class GrowthSeries:
-    coefficients: tuple
-    recurrence: tuple          # c(n) = sum r_i * c(n-i), i = 1..d
-    mode: str
-    counts_elements: bool | None
+class GrowthSeries(Record):
+    _fields = ("coefficients", "recurrence", "mode", "counts_elements")
+
+    def __init__(self, coefficients: tuple, recurrence: tuple, mode: str,
+                 counts_elements: bool | None):
+        self.coefficients = coefficients
+        self.recurrence = recurrence  # c(n) = sum r_i * c(n-i), i = 1..d
+        self.mode = mode
+        self.counts_elements = counts_elements
 
     def check_recurrence(self) -> bool:
         d = len(self.recurrence)

@@ -9,6 +9,12 @@ Exit codes: 0 for completed runs (including runs whose mathematical
 checks report failures; those are findings), 1 for usage, parse and
 other errors (reported as one line, never a traceback), 2 when a
 resource cap is hit.
+
+Each subcommand imports the layers it runs (``structure``, ``normal``,
+``delta``, ``automaton``) when it runs, so a process pays to load only
+those: ``graph`` stops at ``structure``, ``normalize``,
+``all-normal-forms`` and ``prove`` at ``normal``, ``word-problem`` at
+``delta``.
 """
 
 from __future__ import annotations
@@ -16,20 +22,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .congruence import MonoidContext, ResourceLimitExceeded
 from .presentation import (Presentation, PresentationError, fixture,
                            parse_presentation)
-from .structure import (ElementSet, atoms, check_ore, divisors,
-                        enumerate_simples, is_spanning, primitive_closure)
-from .normal import (GridError, grid_prove_equality, normalize,
-                     normalize_all, prove_group_identity)
-from .delta import (build_structure, check_normal_uniqueness_criterion,
-                    check_uniform_length, find_minimal_garside,
-                    fraction_of_signed)
-from .automaton import (DELTA_INV, build_automaton, growth,
-                        synchronous_distance)
+from .reports import GridError, Record
 
 DEFAULT_CANCEL_RADIUS = 6
 DEFAULT_GARSIDE_NORM = 4
@@ -72,7 +69,8 @@ def _context(args) -> MonoidContext:
                          max_ball_elements=args.ball_cap)
 
 
-def _resolve_span(ctx, args) -> ElementSet:
+def _resolve_span(ctx, args):
+    from .structure import ElementSet, divisors, primitive_closure
     if getattr(args, "span", None):
         members = {ctx.one}
         for tok in args.span.replace(",", " ").split():
@@ -84,6 +82,7 @@ def _resolve_span(ctx, args) -> ElementSet:
 
 
 def _resolve_structure(ctx, args):
+    from .delta import build_structure, find_minimal_garside
     if getattr(args, "delta", None):
         return build_structure(ctx, ctx.element(args.delta))
     res = find_minimal_garside(ctx, args.garside_norm)
@@ -100,6 +99,7 @@ def _parse_signed(ctx, text):
 
 
 def _parse_letter_word(ctx, text):
+    from .automaton import DELTA_INV
     letters = []
     for tok in text.replace(",", " ").split():
         if tok in ("D'", "D^-1", "D-1"):
@@ -120,11 +120,13 @@ def _emit(args, payload, text):
 # -- analyze -----------------------------------------------------------
 
 
-@dataclass
-class AnalysisReport:
-    name: str
-    stages: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
+class AnalysisReport(Record):
+    _fields = ("name", "stages", "notes")
+
+    def __init__(self, name, stages=None, notes=None):
+        self.name = name
+        self.stages = {} if stages is None else stages
+        self.notes = [] if notes is None else notes
 
     def to_json(self):
         return {"presentation": self.name, **self.stages,
@@ -147,6 +149,9 @@ class AnalysisReport:
 
 
 def _delta_summary(ctx, delta, radius):
+    from .automaton import growth
+    from .delta import (build_structure, check_normal_uniqueness_criterion,
+                        check_uniform_length)
     gs = build_structure(ctx, delta)
     uniform = check_uniform_length(ctx, gs, radius)
     unique = uniform.details.get("unique_forms")
@@ -165,6 +170,9 @@ def _delta_summary(ctx, delta, radius):
 
 
 def cmd_analyze(args) -> int:
+    from .delta import find_minimal_garside
+    from .structure import (atoms, check_ore, enumerate_simples, is_spanning,
+                            primitive_closure)
     ctx = _context(args)
     report = AnalysisReport(ctx.presentation.name or "(unnamed)")
     stages = report.stages
@@ -223,6 +231,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from .normal import normalize
     ctx = _context(args)
     S = _resolve_span(ctx, args)
     x = ctx.element(args.element)
@@ -233,6 +242,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_all_normal_forms(args) -> int:
+    from .normal import normalize_all
     ctx = _context(args)
     S = _resolve_span(ctx, args)
     x = ctx.element(args.element)
@@ -245,6 +255,7 @@ def cmd_all_normal_forms(args) -> int:
 
 
 def cmd_word_problem(args) -> int:
+    from .delta import fraction_of_signed
     ctx = _context(args)
     gs = _resolve_structure(ctx, args)
     w1 = _parse_signed(ctx, args.left)
@@ -264,6 +275,7 @@ def cmd_word_problem(args) -> int:
 
 
 def cmd_automaton(args) -> int:
+    from .automaton import build_automaton
     ctx = _context(args)
     gs = _resolve_structure(ctx, args)
     auto = build_automaton(ctx, gs)
@@ -275,6 +287,8 @@ def cmd_automaton(args) -> int:
 
 
 def cmd_growth(args) -> int:
+    from .automaton import growth
+    from .delta import check_uniform_length
     ctx = _context(args)
     gs = _resolve_structure(ctx, args)
     uniform = check_uniform_length(ctx, gs, args.radius)
@@ -287,9 +301,10 @@ def cmd_growth(args) -> int:
     return 0
 
 
-def export_characteristic_graph(ctx, S: ElementSet) -> str:
-    """DOT digraph on S: an edge x -> xg labeled g for each generator
-    g with xg again in S."""
+def export_characteristic_graph(ctx, S) -> str:
+    """DOT digraph on S, an ``ElementSet``: an edge x -> xg labeled g
+    for each generator g with xg again in S."""
+    from .structure import atoms
     lines = ["digraph characteristic {"]
     for x in S:
         lines.append(f'  "{ctx.show(x)}";')
@@ -305,6 +320,7 @@ def export_characteristic_graph(ctx, S: ElementSet) -> str:
 
 
 def cmd_graph(args) -> int:
+    from .structure import is_spanning
     ctx = _context(args)
     S = _resolve_span(ctx, args)
     rep = is_spanning(ctx, S, bound=args.bound)
@@ -316,6 +332,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from .automaton import synchronous_distance
     ctx = _context(args)
     gs = _resolve_structure(ctx, args)
     u = _parse_letter_word(ctx, args.left)
@@ -325,6 +342,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    from .normal import grid_prove_equality, prove_group_identity
     ctx = _context(args)
     S = _resolve_span(ctx, args)
     if args.identity:

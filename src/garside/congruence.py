@@ -19,11 +19,10 @@ congruent to ``x`` form a union of classes, the complements of x in y.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import total_ordering
 
 from .presentation import Presentation, PresentationError
-from .reports import VerificationReport
+from .reports import FrozenRecord, VerificationReport
 from .rewrite import Completion, completion
 
 __all__ = ["Element", "MonoidContext", "ResourceLimitExceeded"]
@@ -38,8 +37,7 @@ class ResourceLimitExceeded(RuntimeError):
 
 
 @total_ordering
-@dataclass(frozen=True, slots=True)
-class Element:
+class Element(FrozenRecord):
     """A monoid element, identified by the least word of its class.
 
     Construct these through :class:`MonoidContext` (``element``,
@@ -47,17 +45,27 @@ class Element:
     non-canonical word breaks every comparison.  Ordering is shortlex.
     """
 
-    canon: str
+    __slots__ = ("canon",)
+    _fields = __slots__
+
+    def __init__(self, canon):
+        object.__setattr__(self, "canon", canon)
 
     @property
     def norm(self):
         return len(self.canon)
 
-    def __lt__(self, other):
-        return (len(self.canon), self.canon) < (len(other.canon), other.canon)
+    # equality and hashing are on every memo lookup: one field, no tuple
+    def __eq__(self, other):
+        if other.__class__ is Element:
+            return self.canon == other.canon
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.canon)
+
+    def __lt__(self, other):
+        return (len(self.canon), self.canon) < (len(other.canon), other.canon)
 
     def __repr__(self):
         return f"Element({self.canon!r})"
@@ -67,7 +75,8 @@ class MonoidContext:
     """All word-problem state for one presentation.
 
     Canonical forms (``_canon``, per word), left complements (the
-    results of ``left_divides``), congruence classes enumerated by
+    results of ``left_divides``, and of ``complements`` where it reads
+    classes), congruence classes enumerated by
     ``class_of`` and ball levels are memoized here; ``caches`` is a
     scratch area for the higher layers keyed per spanning set or
     Garside element: divisor sets, each element's factorisations,
@@ -84,9 +93,10 @@ class MonoidContext:
     canonical-form or left-complement entry counts against
     ``max_cached_words``; the rewriting systems are shared between
     contexts, and they, the Cayley caches and the structure's memos
-    count against no cap.  ``class_fallbacks`` counts the left
-    divisions (``left_divides`` and ``complements``) that enumerated
-    classes because left cancellation could not be certified.
+    count against no cap.  ``class_fallbacks`` counts the distinct
+    pairs whose left division (``left_divides`` or ``complements``)
+    enumerated classes because left cancellation could not be
+    certified.
     """
 
     def __init__(self, presentation: Presentation,
@@ -108,6 +118,8 @@ class MonoidContext:
         self._least: dict[str, Completion] = {}
         self._levels: list[frozenset[Element]] = []
         self._left_complements: dict[tuple[str, str], Element | None] = {}
+        self._class_complements: dict[tuple[str, str],
+                                      frozenset[Element]] = {}
         self.caches: dict = defaultdict(dict)
         self.class_fallbacks = 0
         self.one = Element("")
@@ -269,18 +281,24 @@ class MonoidContext:
     def complements(self, x, y) -> frozenset[Element]:
         """Every z with x z = y.  Where each letter of x cancels on the
         left up to norm(y) that is the complement of ``left_divides``
-        alone; otherwise it is read off the classes of x and y (counted
-        in ``class_fallbacks``)."""
+        alone; otherwise it is read off the classes of x and y once per
+        pair (counted in ``class_fallbacks``) and memoised."""
         x = self.canonical(x)
         y = self.canonical(y)
         if all(self._kernel(c).left_cancellative(y.norm) for c in x.canon):
             z = self.left_divides(x, y)
             return frozenset() if z is None else frozenset([z])
-        self.class_fallbacks += 1
-        xcls = self.class_of(x.canon)
-        ell = x.norm
-        rests = {w[ell:] for w in self.class_of(y.canon) if w[:ell] in xcls}
-        return frozenset(map(self._reduced, rests))
+        key = (x.canon, y.canon)
+        got = self._class_complements.get(key)
+        if got is None:
+            self.class_fallbacks += 1
+            xcls = self.class_of(x.canon)
+            ell = x.norm
+            rests = {w[ell:] for w in self.class_of(y.canon)
+                     if w[:ell] in xcls}
+            got = self._remember(self._class_complements, key,
+                                 frozenset(map(self._reduced, rests)))
+        return got
 
     # -- balls -----------------------------------------------------------
 

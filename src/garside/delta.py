@@ -17,10 +17,8 @@ larger set than the divisors themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .congruence import Element, MonoidContext
-from .reports import VerificationReport
+from .reports import FrozenRecord, Record, VerificationReport
 from .structure import (ElementSet, divisors, divisors_in,
                         enumerate_simples, is_spanning, mcms,
                         primitive_closure, right_divisors)
@@ -61,14 +59,18 @@ def is_garside(ctx: MonoidContext, d, bound=None) -> VerificationReport:
         details={"element": ctx.show(d), "divisors": len(div)})
 
 
-@dataclass
-class GarsideSearchResult:
-    minimal: tuple
-    candidates_checked: int
-    max_norm: int
-    # Garside status of each mcm of a pair of primitive elements,
-    # probing whether such mcms always are Garside elements.
-    primitive_mcm_probe: tuple = ()
+class GarsideSearchResult(Record):
+    _fields = ("minimal", "candidates_checked", "max_norm",
+               "primitive_mcm_probe")
+
+    def __init__(self, minimal, candidates_checked, max_norm,
+                 primitive_mcm_probe=()):
+        self.minimal = minimal
+        self.candidates_checked = candidates_checked
+        self.max_norm = max_norm
+        # Garside status of each mcm of a pair of primitive elements,
+        # probing whether such mcms always are Garside elements.
+        self.primitive_mcm_probe = primitive_mcm_probe
 
     @property
     def found(self):
@@ -101,29 +103,32 @@ def find_minimal_garside(ctx: MonoidContext, max_norm: int = 4) -> GarsideSearch
                                tuple(probe))
 
 
-@dataclass
-class GarsideStructure:
+class GarsideStructure(Record):
     """A Garside element with its divisors, simple elements, star map
     and the automorphism phi, certified by ``build_structure``:
     x delta = delta phi(x) for every x, and delta^order is central."""
 
-    ctx: MonoidContext
-    delta: Element
-    div_delta: ElementSet      # the span: left = right divisors of delta
-    simples: ElementSet        # Div(delta)-simple elements
-    star: dict                 # x -> x* with x x* = delta, on div_delta
-    phi_atoms: tuple           # phi_atoms[m][a] = phi^m(atom a), m in 0..e-1
-    order: int                 # e with phi^e = identity
-    _delta_powers: dict = field(default_factory=dict)
-    # mul_letter's unstripped steps: (x, g, sign) -> (m, y) with
-    # x g^sign = delta^(-m) y
-    _steps: dict = field(default_factory=dict)
-    # _strip's quotients: y -> [y, y/delta, y/delta^2, ...], ended by
-    # None once delta no longer left divides
-    _quotients: dict = field(default_factory=dict)
+    _fields = ("ctx", "delta", "div_delta", "simples", "star", "phi_atoms",
+               "order", "_delta_powers", "_steps", "_quotients")
 
-    def __post_init__(self):
-        self._translations = tuple(str.maketrans(t) for t in self.phi_atoms)
+    def __init__(self, ctx: MonoidContext, delta: Element,
+                 div_delta: ElementSet, simples: ElementSet, star: dict,
+                 phi_atoms: tuple, order: int):
+        self.ctx = ctx
+        self.delta = delta
+        self.div_delta = div_delta  # the span: left = right divisors of delta
+        self.simples = simples      # Div(delta)-simple elements
+        self.star = star            # x -> x* with x x* = delta, on div_delta
+        self.phi_atoms = phi_atoms  # phi_atoms[m][a] = phi^m(atom a), m < e
+        self.order = order          # e with phi^e = identity
+        self._delta_powers = {}
+        # mul_letter's unstripped steps: (x, g, sign) -> (m, y) with
+        # x g^sign = delta^(-m) y
+        self._steps = {}
+        # _strip's quotients: y -> [y, y/delta, y/delta^2, ...], ended by
+        # None once delta no longer left divides
+        self._quotients = {}
+        self._translations = tuple(str.maketrans(t) for t in phi_atoms)
 
     def delta_power(self, k: int) -> Element:
         if k < 0:
@@ -254,15 +259,17 @@ def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
 # -- fractions ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FractionForm:
+class FractionForm(FrozenRecord):
     """The group element delta^(-k) * product(tail), with k minimal:
     either k = 0 or delta does not left divide the product; hence the
     tail's head factor is never delta when k > 0."""
 
-    k: int
-    tail: NormalSequence
-    product: Element
+    _fields = ("k", "tail", "product")
+
+    def __init__(self, k: int, tail: NormalSequence, product: Element):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "product", product)
 
     @property
     def key(self):

@@ -14,9 +14,8 @@ apply relations of the form s t' = t s' with all four entries in S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .congruence import Element, MonoidContext, ResourceLimitExceeded
+from .reports import FrozenRecord, GridError, Record
 from .structure import (_coerce_set, covers, divisors_in,
                         enumerate_simples, mcms)
 
@@ -34,10 +33,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NormalSequence:
-    factors: tuple
-    span_label: str = ""
+class NormalSequence(FrozenRecord):
+    _fields = ("factors", "span_label")
+
+    def __init__(self, factors, span_label=""):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "span_label", span_label)
 
     def __len__(self):
         return len(self.factors)
@@ -194,12 +195,7 @@ def left_mult_update(ctx: MonoidContext, S, y, seq) -> NormalSequence:
 # -- derivations -------------------------------------------------------
 
 
-class GridError(Exception):
-    """The requested derivation does not exist or could not be closed."""
-
-
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(FrozenRecord):
     """Replace ``before`` by ``after`` at letter position ``pos``.
 
     Kinds: ``rewrite`` (a relation between two-letter words over S),
@@ -208,21 +204,26 @@ class DerivationStep:
     ``swap`` count as relation applications.
     """
 
-    kind: str
-    pos: int
-    before: tuple
-    after: tuple
+    _fields = ("kind", "pos", "before", "after")
+
+    def __init__(self, kind, pos, before, after):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "before", before)
+        object.__setattr__(self, "after", after)
 
     @property
     def counted(self):
         return self.kind in ("rewrite", "swap")
 
 
-@dataclass
-class Derivation:
-    source: tuple
-    target: tuple
-    steps: list = field(default_factory=list)
+class Derivation(Record):
+    _fields = ("source", "target", "steps")
+
+    def __init__(self, source, target, steps=None):
+        self.source = source
+        self.target = target
+        self.steps = [] if steps is None else steps
 
     @property
     def relation_count(self):

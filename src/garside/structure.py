@@ -9,10 +9,8 @@ cancellation do complements fall back to classes (``complements``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .congruence import Element, MonoidContext, ResourceLimitExceeded
-from .reports import VerificationReport
+from .reports import FrozenRecord, Record, VerificationReport
 from .rewrite import completion
 
 __all__ = [
@@ -31,14 +29,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ElementSet:
+class ElementSet(FrozenRecord):
     """A finite set of elements with a label for reports and exports.
     ``members`` keys the per-span caches; a frozenset caches its hash."""
 
-    members: frozenset
-    label: str = ""
-    notes: tuple = ()
+    _fields = ("members", "label", "notes")
+
+    def __init__(self, members, label="", notes=()):
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "notes", notes)
 
     def __contains__(self, x):
         return x in self.members
@@ -64,8 +64,7 @@ def atoms(ctx: MonoidContext) -> ElementSet:
     return ElementSet(ctx.ball_level(1), "atoms")
 
 
-@dataclass
-class McmResult:
+class McmResult(Record):
     """Minimal common multiples of an ordered pair.
 
     ``complements_left[m]`` is the element c with x c = m (complement of
@@ -75,12 +74,17 @@ class McmResult:
     the listing is exhaustive.
     """
 
-    pair: tuple
-    mcms: frozenset
-    complements_left: dict
-    complements_right: dict
-    search_bound: int
-    complete: bool
+    _fields = ("pair", "mcms", "complements_left", "complements_right",
+               "search_bound", "complete")
+
+    def __init__(self, pair, mcms, complements_left, complements_right,
+                 search_bound, complete):
+        self.pair = pair
+        self.mcms = mcms
+        self.complements_left = complements_left
+        self.complements_right = complements_right
+        self.search_bound = search_bound
+        self.complete = complete
 
 
 def _multiples(ctx: MonoidContext, x: Element, norm: int) -> frozenset:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import pathlib
@@ -152,6 +153,16 @@ def test_prove(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["prove", "--fixture", "M1", "a a", "a b"],
+    ["prove", "--fixture", "M1", "--identity", "a"]])
+def test_grid_errors_exit_1_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_presentation_file(tmp_path, capsys):
     path = tmp_path / "pres.txt"
     path.write_text("# square-free pair\ngens: x y\nrels: xy = yx\n")
@@ -233,17 +244,21 @@ def test_other_runtime_errors_exit_1(capsys, monkeypatch):
     assert err == "error: no power of the Garside element\n"
 
 
-def run_module(argv, hashseed=None):
-    """``python -m garside.cli argv`` in a fresh interpreter."""
+def run_python(args, hashseed=None):
+    """``python args`` in a fresh interpreter that imports this package."""
     src = pathlib.Path(garside.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
     if hashseed is not None:
         env["PYTHONHASHSEED"] = str(hashseed)
-    return subprocess.run([sys.executable, "-m", "garside.cli", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def run_module(argv, hashseed=None):
+    """``python -m garside.cli argv`` in a fresh interpreter."""
+    return run_python(["-m", "garside.cli", *argv], hashseed)
 
 
 def test_python_m_garside_cli_runs_without_warnings():
@@ -251,6 +266,62 @@ def test_python_m_garside_cli_runs_without_warnings():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout == "aa a\n"
+
+
+# the layers below the command line, which a command imports as it runs
+LAYERS = ("structure", "normal", "delta", "automaton")
+LOADED = """
+import sys
+before = set(sys.modules)
+{}
+new = set(sys.modules) - before
+print(" ".join(sorted(m for m in new
+                      if m.startswith("garside.") or m == "dataclasses")))
+"""
+
+
+def loaded_by(code):
+    """Modules of the package, and ``dataclasses``, that ``code`` loads
+    in a fresh interpreter, read from the last line of its output."""
+    proc = run_python(["-c", LOADED.format(code)])
+    assert proc.returncode == 0, proc.stderr
+    names = proc.stdout.splitlines()[-1].split()
+    return {n.removeprefix("garside.") for n in names}
+
+
+def test_importing_the_cli_loads_no_layer_and_no_dataclasses():
+    assert loaded_by("import garside.cli") == {
+        "cli", "congruence", "presentation", "reports", "rewrite"}
+
+
+@pytest.mark.parametrize("argv,layers", [
+    (["graph", "--fixture", "M1"], {"structure"}),
+    (["normalize", "--fixture", "M1", "aaa"], {"structure", "normal"}),
+    (["word-problem", "--fixture", "M1", "a b'", "b' a"],
+     {"structure", "normal", "delta"})])
+def test_a_command_loads_only_its_own_layers(argv, layers):
+    code = ("import contextlib, io\n"
+            "from garside.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0")
+    loaded = loaded_by(code)
+    assert "dataclasses" not in loaded
+    assert loaded & set(LAYERS) == layers
+
+
+def test_public_names_resolve_to_their_defining_modules():
+    namespace = {}
+    exec("from garside import *", namespace)
+    for name in garside.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(f"garside.{garside._MODULE_OF[name]}")
+        value = getattr(garside, name)
+        assert value is getattr(module, name) is namespace[name], name
+        if callable(value) and hasattr(value, "__qualname__"):
+            assert value.__module__ == module.__name__, name
+    with pytest.raises(AttributeError):
+        garside.no_such_name
 
 
 def test_analyze_output_does_not_depend_on_the_hash_seed(tmp_path):

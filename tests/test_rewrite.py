@@ -12,6 +12,7 @@ from garside import (MonoidContext, ResourceLimitExceeded, build_structure,
                      fixture)
 from garside.delta import _strip
 from garside.rewrite import Completion, completion
+import oracles
 from oracles import B4, CYCLIC, LENGTH_ONE, NOT_LEFT_CANCELLATIVE
 
 FIVE = ("M1", "M2", "M3", "B3", "free_comm(3)")
@@ -182,6 +183,28 @@ def test_left_division_falls_back_where_cancellation_fails():
     for y in words(p.chars, 0, 5):
         for x in words(p.chars, 1, 3):
             check_against_classes(ctx, oracle, x, y)
+
+
+def test_complements_read_classes_once_per_pair():
+    # on a b = a a the class path is taken for pairs whose x has an a;
+    # a second pass over the same pairs is answered from the memo
+    ctx = MonoidContext(NOT_LEFT_CANCELLATIVE)
+    pairs = [(x, y) for y in words("ab", 0, 5) for x in words("ab", 1, 3)]
+    first = [ctx.complements(x, y) for x, y in pairs]
+    fallbacks = ctx.class_fallbacks
+    distinct = {(ctx.canonical(x), ctx.canonical(y)) for x, y in pairs
+                if "a" in x}
+    assert 0 < fallbacks <= len(distinct)
+    assert [ctx.complements(x, y) for x, y in pairs] == first
+    for x, y in pairs:
+        ctx.left_divides(x, y)
+    assert ctx.class_fallbacks == fallbacks
+    # every memo entry counts against max_cached_words, like a class word
+    assert ctx._cached_words == (len(ctx._classes) + len(ctx._canon)
+                                 + len(ctx._left_complements)
+                                 + len(ctx._class_complements))
+    for (x, y), got in zip(pairs, first):
+        assert got == oracles.left_complements(ctx, x, y), (x, y)
 
 
 def test_the_fixtures_pass_the_cancellation_gate():
