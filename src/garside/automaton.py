@@ -24,7 +24,7 @@ from .congruence import Element, MonoidContext, ResourceLimitExceeded
 from .reports import Record, VerificationReport
 from .structure import _coerce_set, covers, enumerate_simples
 from .normal import NormalSequence, left_mult_update, normalize_all
-from .delta import GarsideStructure, _strip, mul_letter
+from .delta import GarsideStructure, _key, _mul, mul_letter
 
 __all__ = [
     "DELTA_INV",
@@ -263,19 +263,24 @@ def _letter_value(gs, letter):
 
 def _append(gs, key, letter, sign=1):
     """Right-multiply the fraction key (k, x) by letter^sign."""
-    if letter is not DELTA_INV:
-        return mul_letter(gs, key, letter, sign)
-    if sign < 0:
-        return mul_letter(gs, key, gs.delta, 1)
-    k, x = key
-    return _strip(gs, k + 1, gs.phi(x, -1))
+    if letter is DELTA_INV:
+        letter, sign = gs.delta, -sign
+    return mul_letter(gs, key, letter, sign)
+
+
+def _append_key(gs, key, letter):
+    """``_append`` on internal keys, sign 1."""
+    if letter is DELTA_INV:
+        return _mul(gs, key, gs.delta, -1)
+    return _mul(gs, key, letter, 1)
 
 
 class _CayleyGraph:
     """The Cayley graph of the group of fractions over the automaton's
-    monoid letters, with fraction keys interned as ints.  Each key's
-    neighbours are a tuple of ints over letters x (+1, -1).  D' is the
-    inverse of delta, so its edges duplicate delta's and are left out."""
+    monoid letters, with internal fraction keys interned as ints.  Each
+    key's neighbours are a tuple of ints over letters x (+1, -1).  D' is
+    the inverse of delta, so its edges duplicate delta's and are left
+    out."""
 
     def __init__(self, gs, letters):
         self.gs = gs
@@ -298,7 +303,7 @@ class _CayleyGraph:
             gs = self.gs
             key = self.keys[node]
             got = self.adjacency[node] = tuple(
-                self.intern(mul_letter(gs, key, letter, sign))
+                self.intern(_mul(gs, key, letter, sign))
                 for letter in self.letters for sign in (1, -1))
         return got
 
@@ -325,14 +330,17 @@ def _over_cap(node_cap) -> ResourceLimitExceeded:
 
 def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
                     max_dist: int = 16, node_cap: int = 200_000) -> int:
-    """Distance between two group elements (as fraction keys) in the
-    Cayley graph over the automaton alphabet, inverses allowed.
+    """Distance between two group elements (as fraction keys, public or
+    internal) in the Cayley graph over the automaton alphabet, inverses
+    allowed.
 
-    The search always runs from the lesser key of the pair to the
-    greater, so the node counts it checks against ``node_cap`` are a
-    function of the pair.  The cache keeps them next to the distance,
+    The search always runs from the lesser internal key of the pair to
+    the greater, so the node counts it checks against ``node_cap`` are
+    a function of the pair.  The cache keeps them next to the distance,
     and a cached pair raises exactly where a fresh search with the
     same ``max_dist`` and ``node_cap`` would."""
+    key1 = _key(gs, key1)
+    key2 = _key(gs, key2)
     if key1 == key2:
         return 0
     cache = ctx.caches[("cayley", gs.delta)]
@@ -398,29 +406,29 @@ def synchronous_distance(ctx: MonoidContext, gs: GarsideStructure, u, v,
     for letter in u + v:
         if letter is not DELTA_INV:
             _letter_value(gs, letter)
-    return _translated_distance(ctx, gs, (0, ctx.one), u, v, max_dist,
-                                node_cap, _floor)
+    return _translated_distance(ctx, gs, _key(gs, (0, ctx.one)), u, v,
+                                max_dist, node_cap, _floor)
 
 
 def _translated_distance(ctx, gs, y_key, p, q, max_dist, node_cap,
                          floor=None):
     """Supremum over positions i of dist(y * p[:i], q[:i]), clamping
-    each word at its own length; y_key is the identity or one alphabet
-    letter.
+    each word at its own length; y_key is the fraction key (public or
+    internal) of the identity or of one alphabet letter.
 
     With a floor f the supremum is branch-and-bound: every letter is
     one Cayley edge, so the distance at position i exceeds the one at
     i - 1 by at most the number of words that moved.  A position whose
     bound is <= f cannot lift the supremum above f and is not searched.
     The result is exact when it exceeds f and is <= f otherwise."""
-    pk = [y_key]
+    pk = [_key(gs, y_key)]
     for letter in p:
-        pk.append(_append(gs, pk[-1], letter))
-    qk = [(0, ctx.one)]
+        pk.append(_append_key(gs, pk[-1], letter))
+    qk = [_key(gs, (0, ctx.one))]
     for letter in q:
-        qk.append(_append(gs, qk[-1], letter))
+        qk.append(_append_key(gs, qk[-1], letter))
     best = 0
-    bound = int(y_key != qk[0])
+    bound = int(pk[0] != qk[0])
     for i in range(1, max(len(p), len(q), 1) + 1):
         bound += (i <= len(p)) + (i <= len(q))
         if floor is not None and bound <= floor:
@@ -505,14 +513,14 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
             continue
         for y in auto.letters:
             if y is DELTA_INV:
-                y_key = (1, ctx.one)
+                y_key = _key(gs, (1, ctx.one))
                 rest = ctx.left_divides(gs.delta, x)
                 if rest is None:
                     targets = [(DELTA_INV,) + f.factors for f in forms_of(x)]
                 else:
                     targets = [f.factors for f in forms_of(rest)]
             else:
-                y_key = (0, y)
+                y_key = _key(gs, (0, y))
                 targets = [f.factors for f in forms_of(ctx.mul(y, x))]
             for p in forms:
                 dists = []

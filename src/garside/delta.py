@@ -6,9 +6,17 @@ x to the complement x* with x x* = d; its square phi = ** permutes the
 atoms and extends letterwise to an automorphism with x d = d phi(x),
 and d^e is central where e is the order of phi.  ``build_structure``
 proves both identities on the whole monoid from the atoms and the
-relations alone.  Group elements are carried as pairs (k, x) meaning
+relations alone.  A group element is the fraction key (k, x) meaning
 d^(-k) x with k minimal, which gives a normal form and a word problem
 for the enveloping group of fractions.
+
+Where Div(d) is a lattice (the gate of ``garside_tables``),
+the group layer computes internally on keys (k, f) instead, f the tuple
+of table ids of the Delta-normal form of x: a letter is multiplied in
+by sliding that form, and no word longer than d is reduced.  Answers
+are the same, and keys take the public form (k, x) at the boundaries:
+``mul_letter``, ``to_fraction``, ``combine``, ``FractionForm`` and the
+arguments of ``automaton.cayley_distance``.
 
 "Delta-simple" and "Delta-normal" mean simple/normal with respect to
 the span Div(delta); the simple elements usually form a strictly
@@ -22,7 +30,7 @@ from .reports import FrozenRecord, Record, VerificationReport
 from .structure import (ElementSet, divisors, divisors_in,
                         enumerate_simples, is_spanning, mcms,
                         primitive_closure, right_divisors)
-from .normal import NormalSequence, normalize, normalize_all
+from .normal import NormalSequence, _sequence, normalize, normalize_all
 
 __all__ = [
     "is_garside",
@@ -129,6 +137,8 @@ class GarsideStructure(Record):
         # None once delta no longer left divides
         self._quotients = {}
         self._translations = tuple(str.maketrans(t) for t in phi_atoms)
+        # the GarsideTables of div_delta, where it passes their gate
+        self.tables = None
 
     def delta_power(self, k: int) -> Element:
         if k < 0:
@@ -253,7 +263,175 @@ def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
     # gives a delta = a a* a** = delta phi(a), and induction on the
     # length of a word gives x delta = delta phi(x) for every x.  Hence
     # x delta^e = delta^e phi^e(x) = delta^e x: delta^e is central.
+    gs.tables = garside_tables(ctx, div, simples, star)
     return gs
+
+
+# -- Garside tables ------------------------------------------------------
+
+
+_UNSET = object()
+
+
+class GarsideTables:
+    """Div(delta) as a lattice, with the simples numbered in shortlex
+    order: id 0 is the identity and the last id is delta.
+
+    Where any two simples have a greatest common divisor in Div(delta)
+    on each side, every Delta-normal form is read off tables on the ids
+    (Dehornoy et al., *Foundations of Garside Theory*, 2015, ch. I and
+    III): ``dual`` is the complement s -> s* with s s* = delta, ``phi``
+    its square, ``meet`` the left gcd, and ``slide`` makes a pair s|t
+    left-weighted, s(s* ^ t) | (s* ^ t)^-1 t.  A pair is left-weighted,
+    i.e. s covers t over Div(delta), exactly when s* ^ t = 1.  Every
+    entry is computed from words of norm at most norm(delta); the
+    tables hold |Div(delta)|^2 entries and count against no cap.
+    """
+
+    __slots__ = ("elements", "ids", "n", "delta", "dual", "dual_inv",
+                 "phi", "phi_inv", "meet", "_atoms", "_peel", "_slides")
+
+    def __init__(self, elements, dual, meet, peel, atoms):
+        n = len(elements)
+        self.elements = elements
+        self.ids = {e: i for i, e in enumerate(elements)}
+        self.n = n
+        self.delta = n - 1
+        self.dual = dual
+        self.dual_inv = [0] * n
+        for i, d in enumerate(dual):
+            self.dual_inv[d] = i
+        self.phi = [dual[d] for d in dual]
+        self.phi_inv = [0] * n
+        for i, p in enumerate(self.phi):
+            self.phi_inv[p] = i
+        self.meet = meet
+        self._atoms = atoms    # letter -> id of its atom
+        self._peel = peel      # id -> left quotient rows of its letters
+        self._slides = [_UNSET] * (n * n)
+
+    def left_weighted(self, i, j) -> bool:
+        return self.meet[self.dual[i] * self.n + j] == 0
+
+    def _quotient(self, a, b):
+        """The id of a^-1 b, for a left dividing b."""
+        for row in self._peel[a]:
+            b = row[b]
+        return b
+
+    def slide(self, i, j):
+        """The pair s_i|s_j made left-weighted, as ids (s_i m, m^-1 s_j)
+        with m = s_i* ^ s_j, or None where m = 1.  Since (s_i m)* =
+        m^-1 s_i*, the product s_i m is read off a quotient too."""
+        key = i * self.n + j
+        got = self._slides[key]
+        if got is _UNSET:
+            m = self.meet[self.dual[i] * self.n + j]
+            got = self._slides[key] = None if not m else (
+                self.dual_inv[self._quotient(m, self.dual[i])],
+                self._quotient(m, j))
+        return got
+
+    def times(self, form, t) -> tuple:
+        """The normal form of form * s_t: s_t is appended and the pairs
+        are made left-weighted from the right, up to the first pair
+        that already is; identity factors can only end up last."""
+        if not t or not form:
+            return (t,) if t else form
+        slides = self._slides
+        n = self.n
+        got = slides[form[-1] * n + t]
+        if got is _UNSET:
+            got = self.slide(form[-1], t)
+        if got is None:
+            return form + (t,)
+        f = list(form)
+        f[-1], last = got
+        i = len(f) - 1
+        while i:
+            got = slides[f[i - 1] * n + f[i]]
+            if got is _UNSET:
+                got = self.slide(f[i - 1], f[i])
+            if got is None:
+                break
+            f[i - 1], f[i] = got
+            i -= 1
+        if last:
+            f.append(last)
+        while f and not f[-1]:
+            f.pop()
+        return tuple(f)
+
+    def form(self, x: Element) -> tuple:
+        """The ids of the Delta-normal form of x."""
+        got = self.ids.get(x)
+        if got is not None:
+            return (got,) if got else ()
+        form = ()
+        atoms = self._atoms
+        for c in x.canon:
+            form = self.times(form, atoms[c])
+        return form
+
+    def product(self, ctx: MonoidContext, form) -> Element:
+        if not form:
+            return ctx.one
+        return ctx.canonical("".join(self.elements[i].canon for i in form))
+
+
+def garside_tables(ctx: MonoidContext, div: ElementSet, simples: ElementSet,
+                   star: dict):
+    """The tables of Div(delta), registered for that span, or None
+    where the gate fails.
+
+    The gate: the simples are the divisors themselves, left division by
+    an atom is unique within Div(delta), and the left divisor sets
+    (and the right ones) of any two simples intersect in the divisor
+    set of a simple.  The sets are int bitmasks, so each pair is one
+    dict lookup per side."""
+    if simples.members != div.members:
+        return None
+    elements = sorted(div.members)
+    n = len(elements)
+    ids = {e: i for i, e in enumerate(elements)}
+    atoms = sorted(ctx.ball_level(1))
+    # quotients[a][b]: the id of a^-1 b for an atom a, else -1
+    quotients = {}
+    for a in atoms:
+        row = [-1] * n
+        for y, e in enumerate(elements):
+            b = ids.get(ctx.mul(a, e))
+            if b is not None:
+                if row[b] >= 0:
+                    return None
+                row[b] = y
+        quotients[a.canon] = row
+    right = [1] * n
+    for b in range(1, n):
+        mask = 1 << b
+        for row in quotients.values():
+            if row[b] >= 0:
+                mask |= right[row[b]]
+        right[b] = mask
+    left = [sum(1 << ids[d] for d in divisors_in(ctx, div, e))
+            for e in elements]
+    # each set holds its element, so no two elements share one
+    left_of = {m: i for i, m in enumerate(left)}
+    right_of = {m: i for i, m in enumerate(right)}
+    meet = [0] * (n * n)
+    for i in range(n):
+        li, ri = left[i], right[i]
+        for j in range(i, n):
+            m = left_of.get(li & left[j])
+            if m is None or ri & right[j] not in right_of:
+                return None
+            meet[i * n + j] = meet[j * n + i] = m
+    peel = [tuple(quotients[c] for c in e.canon) for e in elements]
+    atom_ids = {a.canon: ids[a] for a in atoms}
+    tables = GarsideTables(elements, [ids[star[e]] for e in elements], meet,
+                           peel, atom_ids)
+    ctx.caches["garside_tables"][div.members] = tables
+    return tables
 
 
 # -- fractions ---------------------------------------------------------
@@ -312,23 +490,89 @@ def _strip(gs: GarsideStructure, k: int, x: Element):
     return k - i, chain[i]
 
 
-def _form(gs: GarsideStructure, k: int, x: Element) -> FractionForm:
-    """The fraction form of an already stripped key (k, x)."""
-    return FractionForm(k, gs.normalize(x), x)
+def _strip_form(tables, k: int, form: tuple):
+    """_strip on a Delta-normal form: its leading delta factors."""
+    i = 0
+    while i < k and i < len(form) and form[i] == tables.delta:
+        i += 1
+    return k - i, form[i:]
+
+
+def _key(gs: GarsideStructure, key):
+    """The internal, stripped form of a fraction key (k, x)."""
+    tables = gs.tables
+    if tables is None or key[1].__class__ is not Element:
+        return key
+    return _strip_form(tables, key[0], tables.form(key[1]))
+
+
+def _public(gs: GarsideStructure, key):
+    """The fraction key (k, x) of an internal key."""
+    tables = gs.tables
+    if tables is None:
+        return key
+    return key[0], tables.product(gs.ctx, key[1])
+
+
+def _form(gs: GarsideStructure, key) -> FractionForm:
+    """The fraction form of a stripped internal key."""
+    k, x = key
+    tables = gs.tables
+    if tables is None:
+        return FractionForm(k, gs.normalize(x), x)
+    return FractionForm(k, _sequence(tables, x, gs.div_delta.label),
+                        tables.product(gs.ctx, x))
 
 
 def mul_letter(gs: GarsideStructure, key, g: Element, sign: int):
     """Right-multiply the fraction key (k, x), i.e. delta^(-k) x, by
-    g^sign and strip the result.  An inverse g^(-1) is eliminated as
-    c delta^(-m) where g c = delta^m, and delta^(-m) is commuted
-    leftward through phi^(-m).  The unstripped step does not depend on
-    k, so it is memoised per (x, g, sign)."""
-    k, x = key
-    step = gs._steps.get((x, g, sign))
-    if step is None:
-        step = gs._steps[(x, g, sign)] = _step(gs, x, g, sign)
-    m, y = step
-    return _strip(gs, k + m, y)
+    g^sign and strip the result."""
+    if gs.tables is None:
+        return _mul(gs, key, g, sign)
+    return _public(gs, _mul(gs, _key(gs, key), g, sign))
+
+
+def _mul(gs: GarsideStructure, key, g: Element, sign: int):
+    """``mul_letter`` on internal keys.
+
+    Without tables an inverse g^(-1) is eliminated as c delta^(-m)
+    where g c = delta^m, and delta^(-m) is commuted leftward through
+    phi^(-m); the unstripped step does not depend on k, so it is
+    memoised per (x, g, sign).  With tables g is multiplied in factor
+    by factor, each inverse s^(-1) as s* delta^(-1)."""
+    tables = gs.tables
+    if tables is None:
+        k, x = key
+        step = gs._steps.get((x, g, sign))
+        if step is None:
+            step = gs._steps[(x, g, sign)] = _step(gs, x, g, sign)
+        m, y = step
+        return _strip(gs, k + m, y)
+    if sign != 1 and sign != -1:
+        raise ValueError(f"bad sign {sign!r}")
+    i = tables.ids.get(g)
+    if i is not None:
+        return _times_simple(tables, key, i, sign)
+    factors = tables.form(g)
+    for i in (factors if sign == 1 else reversed(factors)):
+        key = _times_simple(tables, key, i, sign)
+    return key
+
+
+def _times_simple(tables, key, i: int, sign: int):
+    """The internal key times s_i^sign: x s^(-1) = x s* delta^(-1) =
+    delta^(-1) phi^(-1)(x s*)."""
+    k, form = key
+    if sign == 1:
+        form = tables.times(form, i)
+    else:
+        phi_inv = tables.phi_inv
+        form = tuple([phi_inv[j]
+                      for j in tables.times(form, tables.dual[i])])
+        k += 1
+    if k and form and form[0] == tables.delta:
+        return _strip_form(tables, k, form)
+    return k, form
 
 
 def _step(gs: GarsideStructure, x: Element, g: Element, sign: int):
@@ -347,8 +591,8 @@ def to_fraction(ctx: MonoidContext, gs: GarsideStructure, numerator,
                 denominator) -> FractionForm:
     """The group element numerator * denominator^(-1) as a fraction
     form with k minimal."""
-    key = (0, ctx.canonical(numerator))
-    return _form(gs, *mul_letter(gs, key, ctx.canonical(denominator), -1))
+    key = _key(gs, (0, ctx.canonical(numerator)))
+    return _form(gs, _mul(gs, key, ctx.canonical(denominator), -1))
 
 
 def _reduced(ctx: MonoidContext, letters) -> list:
@@ -368,10 +612,11 @@ def _reduced(ctx: MonoidContext, letters) -> list:
 
 
 def _fraction_key(gs: GarsideStructure, reduced) -> tuple:
-    """The stripped fraction key (k, x) of a freely reduced signed word."""
-    key = (0, gs.ctx.one)
+    """The stripped internal fraction key of a freely reduced signed
+    word."""
+    key = (0, gs.ctx.one if gs.tables is None else ())
     for g, sign in reduced:
-        key = mul_letter(gs, key, g, sign)
+        key = _mul(gs, key, g, sign)
     return key
 
 
@@ -379,14 +624,17 @@ def fraction_of_signed(ctx: MonoidContext, gs: GarsideStructure,
                        letters) -> FractionForm:
     """Fold a signed word (pairs (element, +-1)) into a fraction form,
     after free reduction."""
-    return _form(gs, *_fraction_key(gs, _reduced(ctx, letters)))
+    return _form(gs, _fraction_key(gs, _reduced(ctx, letters)))
 
 
 def combine(ctx: MonoidContext, gs: GarsideStructure, f1: FractionForm,
             f2: FractionForm) -> FractionForm:
-    """Product of two fraction forms."""
-    x = ctx.mul(gs.phi(f1.product, -f2.k), f2.product)
-    return _form(gs, *_strip(gs, f1.k + f2.k, x))
+    """Product of two fraction forms: f1 times delta^(-1), k2 times,
+    then times the product of f2."""
+    key = _key(gs, (f1.k, f1.product))
+    for _ in range(f2.k):
+        key = _mul(gs, key, gs.delta, -1)
+    return _form(gs, _mul(gs, key, f2.product, 1))
 
 
 def group_equal(ctx: MonoidContext, gs: GarsideStructure, w1, w2) -> bool:

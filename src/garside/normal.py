@@ -17,7 +17,7 @@ from __future__ import annotations
 from .congruence import Element, MonoidContext, ResourceLimitExceeded
 from .reports import FrozenRecord, GridError, Record
 from .structure import (_coerce_set, covers, divisors_in,
-                        enumerate_simples, mcms)
+                        enumerate_simples, mcms, span_tables)
 
 __all__ = [
     "NormalSequence",
@@ -59,6 +59,13 @@ class NormalSequence(FrozenRecord):
 def is_normal(ctx: MonoidContext, S, seq) -> bool:
     factors = tuple(seq.factors if isinstance(seq, NormalSequence) else seq)
     S = _coerce_set(ctx, S)
+    tables = span_tables(ctx, S)
+    if tables is not None:
+        ids = [tables.ids.get(ctx.canonical(f)) for f in factors]
+        if not all(ids):
+            return False
+        return all(tables.left_weighted(ids[i], ids[i + 1])
+                   for i in range(len(ids) - 1))
     simples = enumerate_simples(ctx, S).members
     for f in factors:
         if not f.norm or f not in simples:
@@ -67,38 +74,48 @@ def is_normal(ctx: MonoidContext, S, seq) -> bool:
                for i in range(len(factors) - 1))
 
 
-def _lex_simples(ctx, S):
-    """Non-identity simple elements in plain lexicographic order of
-    their canonical words (the tie-break order for greedy heads)."""
-    cache = ctx.caches["lex_simples"]
+def _head_index(ctx, S):
+    """The non-identity simple elements grouped by their S-divisor set,
+    each group in plain lexicographic order of the canonical words (the
+    tie-break order for greedy heads)."""
+    cache = ctx.caches["head_index"]
     got = cache.get(S.members)
     if got is None:
-        got = tuple(sorted(
-            (s for s in enumerate_simples(ctx, S).members if s.norm),
-            key=lambda e: e.canon))
+        got = {}
+        for s in sorted((s for s in enumerate_simples(ctx, S).members
+                         if s.norm), key=lambda e: e.canon):
+            got.setdefault(divisors_in(ctx, S, s), []).append(s)
         cache[S.members] = got
     return got
 
 
-def _heads(ctx, S, simples, x):
+def _heads(ctx, S, index, x):
     """Lazily yield the pairs (h, rest) with h rest = x, where h runs
-    through ``simples`` (those of ``_lex_simples``, in that tie-break
-    order) and has the same S-divisor set as x."""
-    dset = divisors_in(ctx, S, x)
-    for h in simples:
-        if divisors_in(ctx, S, h) == dset and ctx.divides(h, x):
+    through the simples of ``index`` (see ``_head_index``) with the same
+    S-divisor set as x, in tie-break order."""
+    for h in index.get(divisors_in(ctx, S, x), ()):
+        if ctx.divides(h, x):
             yield h, ctx.left_divides(h, x)
+
+
+def _sequence(tables, form, label) -> NormalSequence:
+    return NormalSequence(tuple(tables.elements[i] for i in form), label)
 
 
 def normalize(ctx: MonoidContext, S, x) -> NormalSequence:
     """Greedy normal form: each head is the lex-least simple divisor
-    whose S-divisor set equals that of the remainder."""
+    whose S-divisor set equals that of the remainder.  Over a span with
+    Garside tables the head is unique, and the form is read off the
+    tables."""
     S = _coerce_set(ctx, S)
     x = ctx.canonical(x)
-    heads = _lex_simples(ctx, S)
+    tables = span_tables(ctx, S)
+    if tables is not None:
+        return _sequence(tables, tables.form(x), S.label)
+    index = _head_index(ctx, S)
     factors = []
     while x.norm:
-        head = next(_heads(ctx, S, heads, x), None)
+        head = next(_heads(ctx, S, index, x), None)
         if head is None:
             raise ValueError(
                 f"no simple head divides {ctx.show(x)}; is the set spanning?")
@@ -107,11 +124,21 @@ def normalize(ctx: MonoidContext, S, x) -> NormalSequence:
     return NormalSequence(tuple(factors), S.label)
 
 
+def _too_many(ctx, cap, x) -> ResourceLimitExceeded:
+    return ResourceLimitExceeded(
+        f"more than {cap} normal decompositions for {ctx.show(x)}")
+
+
 def normalize_all(ctx: MonoidContext, S, x, cap=10_000) -> frozenset:
-    """Every normal decomposition of x, as a set of NormalSequence."""
+    """Every normal decomposition of x, as a set of NormalSequence.
+    Over a span with Garside tables that is the one normal form."""
     S = _coerce_set(ctx, S)
     x = ctx.canonical(x)
-    heads = _lex_simples(ctx, S)
+    if span_tables(ctx, S) is not None:
+        if cap < 1 and x.norm:
+            raise _too_many(ctx, cap, x)
+        return frozenset([normalize(ctx, S, x)])
+    index = _head_index(ctx, S)
     memo = ctx.caches[("normalize_all", S.members)]
 
     def rec(e) -> frozenset:
@@ -121,13 +148,11 @@ def normalize_all(ctx: MonoidContext, S, x, cap=10_000) -> frozenset:
         if got is not None:
             return got
         out = set()
-        for h, rest in _heads(ctx, S, heads, e):
+        for h, rest in _heads(ctx, S, index, e):
             for tail in rec(rest):
                 out.add((h,) + tail)
                 if len(out) > cap:
-                    raise ResourceLimitExceeded(
-                        f"more than {cap} normal decompositions for "
-                        f"{ctx.show(x)}")
+                    raise _too_many(ctx, cap, x)
         res = frozenset(out)
         memo[e] = res
         return res
@@ -148,7 +173,8 @@ def left_mult_update(ctx: MonoidContext, S, y, seq) -> NormalSequence:
     normal forms of three or more factors.  In that case the greedy
     head is used and the carry degenerates into an arbitrary element,
     normalized at the end; the result is still a normal form of the
-    product, only the locality degrades."""
+    product, only the locality degrades.  Over a span with Garside
+    tables each split is the tables' slide, and the carry stays simple."""
     S = _coerce_set(ctx, S)
     y = ctx.canonical(y)
     if isinstance(seq, NormalSequence):
@@ -162,14 +188,38 @@ def left_mult_update(ctx: MonoidContext, S, y, seq) -> NormalSequence:
         raise ValueError(f"{ctx.show(y)} is not simple over the given set")
     if not is_normal(ctx, S, factors):
         raise ValueError("input sequence is not normal over the given set")
-    heads = _lex_simples(ctx, S)
+    tables = span_tables(ctx, S)
+    if tables is not None:
+        cur = tables.ids[y]
+        form = []
+        for f in factors:
+            f = tables.ids[f]
+            head, cur = tables.slide(cur, f) or (cur, f)
+            form.append(head)
+        if cur:
+            form.append(cur)
+        result = _sequence(tables, form, S.label)
+    else:
+        result = _slid_by_heads(ctx, S, y, factors, simples)
+    product = y
+    for f in factors:
+        product = ctx.mul(product, f)
+    if result.product(ctx) != product or not is_normal(ctx, S, result):
+        raise RuntimeError(
+            f"sliding update produced a non-normal sequence for "
+            f"{ctx.show(y)} * {'|'.join(ctx.show(f) for f in factors)}")
+    return result
+
+
+def _slid_by_heads(ctx, S, y, factors, simples) -> NormalSequence:
+    index = _head_index(ctx, S)
     cur = y
     out = []
     for f in factors:
         z = ctx.mul(cur, f)
         # the first head that leaves a simple carry, else the greedy head
         chosen = None
-        for h, rest in _heads(ctx, S, heads, z):
+        for h, rest in _heads(ctx, S, index, z):
             chosen = chosen or (h, rest)
             if not rest.norm or rest in simples:
                 chosen = (h, rest)
@@ -181,15 +231,7 @@ def left_mult_update(ctx: MonoidContext, S, y, seq) -> NormalSequence:
         h, cur = chosen
         out.append(h)
     out.extend(normalize(ctx, S, cur).factors)
-    result = NormalSequence(tuple(out), S.label)
-    product = y
-    for f in factors:
-        product = ctx.mul(product, f)
-    if result.product(ctx) != product or not is_normal(ctx, S, out):
-        raise RuntimeError(
-            f"sliding update produced a non-normal sequence for "
-            f"{ctx.show(y)} * {'|'.join(ctx.show(f) for f in factors)}")
-    return result
+    return NormalSequence(tuple(out), S.label)
 
 
 # -- derivations -------------------------------------------------------

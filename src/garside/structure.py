@@ -313,12 +313,20 @@ def covers(ctx: MonoidContext, S, x, y) -> bool:
     """x covers y over S: multiplying x by y adds no new S-divisors.
 
     Equivalently Div(x y) and Div(x) meet S in the same set; true for
-    y = 1 by convention.
+    y = 1 by convention.  Over a span with Garside tables and for x, y
+    in it, that is the pair x|y being left-weighted.
     """
     x = ctx.canonical(x)
     y = ctx.canonical(y)
     if not y.norm:
         return True
+    S = _coerce_set(ctx, S)
+    tables = span_tables(ctx, S)
+    if tables is not None:
+        i = tables.ids.get(x)
+        j = tables.ids.get(y)
+        if i is not None and j is not None:
+            return tables.left_weighted(i, j)
     return divisors_in(ctx, S, ctx.mul(x, y)) == divisors_in(ctx, S, x)
 
 
@@ -394,3 +402,9 @@ def enumerate_simples(ctx: MonoidContext, S) -> ElementSet:
                         f"simples({S.label or len(S)})")
     cache[S.members] = result
     return result
+
+
+def span_tables(ctx: MonoidContext, S: ElementSet):
+    """The Garside tables that ``delta.garside_tables`` registered for
+    the span S, or None."""
+    return ctx.caches["garside_tables"].get(S.members)

@@ -1,0 +1,351 @@
+"""Garside tables against the kernel path.
+
+Where Div(delta) is a lattice, ``build_structure`` attaches tables on
+the simples, and fraction keys, normal forms, covering and the
+automaton are read off them.  Here every such answer is compared with
+the kernel path: fraction keys folded by ``_step`` and ``_strip``
+directly, and normal forms and covering on a context of its own that
+never built a structure, so that it has no tables.  Long words are
+checked against oracles that share no code with the package: the
+reduced Burau representation on B3 (``test_burau``) and exponent
+vectors on free_comm(3), whose group is Z^3."""
+
+import itertools
+import pathlib
+import random
+import time
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from garside import (DELTA_INV, ElementSet, MonoidContext, build_automaton,
+                     build_structure, covers, divisors, fixture,
+                     fraction_of_signed, group_equal, normalize,
+                     normalize_all, parse_presentation)
+from garside.delta import (_fraction_key, _public, _step, _strip,
+                           garside_tables, mul_letter)
+from test_burau import image
+
+B5_FILE = pathlib.Path(__file__).parent / "data" / "b5.txt"
+B5_DELTA = "s1s2s1s3s2s1s4s3s2s1"
+# the Artin monoid of type B3: m(a, b) = 4, m(b, c) = 3, m(a, c) = 2;
+# delta = (abc)^3 has norm 9, the number of reflections
+ARTIN_B3 = parse_presentation("gens: a b c\n"
+                              "rels: abab = baba; bcb = cbc; ac = ca",
+                              name="artin(B3)")
+
+# B3 on the Birman-Ko-Lee generators a = s2, b = s1, c = s2 s1 s2^-1,
+# with delta = ab = s2 s1: phi permutes a, b, c cyclically, so
+# phi^-1 != phi
+BKL_B3 = parse_presentation("gens: a b c\nrels: ab = bc = ca", name="BKL(B3)")
+
+# presentation, Garside element, and the reach of the kernel path:
+# the largest norm(x) + norm(y) at which covering is compared, and the
+# largest norm of a word whose key is compared, each inverse letter
+# counted as norm(delta).  The kernel multiplies an inverse simple in
+# through its complement in delta, so that bounds the norms it reduces;
+# the completions of B4 and type B3 are infinite and do not finish at
+# norm 16.
+GATED = (
+    (fixture("B3"), "s1s2s1", 6, 24),
+    (fixture("free_comm(3)"), "abc", 6, 24),
+    (oracles.B4, "s1s2s1s3s2s1", 12, 14),
+    (ARTIN_B3, "abcabcabc", 12, 11),
+    (BKL_B3, "ab", 4, 12),
+)
+GATED_IDS = [p.name for p, *_ in GATED]
+
+
+def structure(presentation, delta):
+    ctx = MonoidContext(presentation)
+    return ctx, build_structure(ctx, ctx.element(delta))
+
+
+def kernel_keys(gs, word):
+    """The stripped key (k, x) after each letter of a signed word,
+    folded by the kernel's ``_step`` and ``_strip``."""
+    key = (0, gs.ctx.one)
+    keys = [key]
+    for g, sign in word:
+        m, y = _step(gs, key[1], g, sign)
+        key = _strip(gs, key[0] + m, y)
+        keys.append(key)
+    return keys
+
+
+def test_the_gate_fails_where_mcms_are_not_unique():
+    for name, delta in (("M1", "aa"), ("M1", "ab"), ("M2", "aa"),
+                        ("M2", "ab"), ("M3", "ac")):
+        ctx, gs = structure(fixture(name), delta)
+        assert gs.tables is None, (name, delta)
+
+
+@pytest.mark.parametrize("presentation,delta,_,__", GATED, ids=GATED_IDS)
+def test_the_gate_passes_on_lattices(presentation, delta, _, __):
+    ctx, gs = structure(presentation, delta)
+    tables = gs.tables
+    assert tables is not None
+    assert tables.elements == sorted(gs.div_delta.members)
+    assert tables.elements[tables.delta] == gs.delta
+    for i, s in enumerate(tables.elements):
+        assert tables.elements[tables.dual[i]] == gs.star[s]
+        assert tables.elements[tables.phi[i]] == gs.phi(s)
+        assert tables.elements[tables.phi_inv[i]] == gs.phi(s, -1)
+
+
+def test_phi_has_order_three_on_the_birman_ko_lee_generators():
+    ctx, gs = structure(BKL_B3, "ab")
+    assert gs.order == 3
+    assert gs.tables.phi != gs.tables.phi_inv
+
+
+def test_the_gate_rejects_a_poset_that_is_no_lattice_or_not_cancellative():
+    # in free_comm(3), abc and abb have the common divisors 1, a and b
+    # within this set, and no greatest one
+    ctx = MonoidContext(fixture("free_comm(3)"))
+    S = element_set(ctx, ("", "a", "b", "c", "abc", "abb"))
+    assert garside_tables(ctx, S, S, {}) is None
+    # with ab added the set is a lattice under left division
+    S = element_set(ctx, ("", "a", "b", "c", "ab", "abc", "abb"))
+    star = {x: x for x in S.members}
+    assert garside_tables(ctx, S, S, star) is not None
+    # in ab = aa, a a = a b: aa has two left quotients by a
+    ctx = MonoidContext(oracles.NOT_LEFT_CANCELLATIVE)
+    S = element_set(ctx, ("", "a", "b", "aa"))
+    assert garside_tables(ctx, S, S, {}) is None
+
+
+def element_set(ctx, words):
+    return ElementSet(frozenset(ctx.canonical(w) for w in words), "set")
+
+
+def kernel_words(rng, letters, delta_norm, reach, count):
+    """Random signed words of up to 6 letters within the kernel's
+    reach."""
+    words = []
+    while len(words) < count:
+        word = [(rng.choice(letters), rng.choice((1, -1)))
+                for _ in range(rng.randrange(7))]
+        if sum(g.norm if s > 0 else delta_norm for g, s in word) <= reach:
+            words.append(word)
+    return words
+
+
+@pytest.mark.parametrize("presentation,delta,_,reach", GATED, ids=GATED_IDS)
+def test_table_keys_equal_kernel_keys(presentation, delta, _, reach):
+    ctx, gs = structure(presentation, delta)
+    rng = random.Random(2015)
+    atoms = sorted(ctx.ball_level(1))
+    # every alphabet letter, D' as delta^-1
+    simple = [gs.delta if l is DELTA_INV else l
+              for l in build_automaton(ctx, gs).letters]
+    words = [kernel_words(rng, letters, gs.delta.norm, reach, 40)
+             for letters in (atoms, atoms + [gs.delta], simple)]
+    for word in words[0] + words[1] + words[2]:
+        expected = kernel_keys(gs, word)
+        key = (0, ctx.one)
+        for (g, sign), want in zip(word, expected[1:]):
+            key = mul_letter(gs, key, g, sign)
+            assert key == want, (word, g, sign)
+        assert _public(gs, _fraction_key(gs, word)) == expected[-1], word
+        form = fraction_of_signed(ctx, gs, word)
+        assert (form.k, form.product) == _strip(gs, *expected[-1])
+
+
+@pytest.mark.parametrize("presentation,delta,max_norm,_", GATED,
+                         ids=GATED_IDS)
+def test_normal_forms_and_covering_equal_the_kernel_path(
+        presentation, delta, max_norm, _):
+    ctx, gs = structure(presentation, delta)
+    # a context that never built a structure has no tables
+    ref = MonoidContext(presentation)
+    ref_div = divisors(ref, ref.element(delta))
+    assert ref.caches["garside_tables"] == {}
+
+    def words(seq):
+        return [f.canon for f in seq.factors]
+
+    for x in sorted(ctx.enumerate_ball(5)):
+        rx = ref.canonical(x.canon)
+        got = normalize(ctx, gs.div_delta, x)
+        assert words(got) == words(normalize(ref, ref_div, rx)), x
+        assert ({tuple(words(f)) for f in normalize_all(ctx, gs.div_delta,
+                                                           x)}
+                == {tuple(words(f))
+                    for f in normalize_all(ref, ref_div, rx)}), x
+        assert got.span_label == ref_div.label
+    simples = sorted(gs.div_delta.members)
+    compared = 0
+    for x, y in itertools.product(simples, simples):
+        if x.norm + y.norm <= max_norm:
+            rx, ry = ref.canonical(x.canon), ref.canonical(y.canon)
+            assert (covers(ctx, gs.div_delta, x, y)
+                    == covers(ref, ref_div, rx, ry)), (x, y)
+            compared += 1
+    assert compared >= 0.75 * len(simples) ** 2
+    # the automaton's transitions between plain letters are covering
+    auto = build_automaton(ctx, gs)
+    plain = [l for l in auto.letters if l is not DELTA_INV and l != gs.delta]
+    for y, x in itertools.product(plain, plain):
+        if x.norm + y.norm <= max_norm:
+            rx, ry = ref.canonical(x.canon), ref.canonical(y.canon)
+            expected = x if covers(ref, ref_div, ry, rx) else None
+            got = auto.table[(y, x)]
+            assert (got if got == x else None) == expected, (y, x)
+
+
+def test_b5_passes_the_gate_and_builds_its_automaton_fast():
+    ctx, gs = structure(parse_presentation(B5_FILE.read_text()), B5_DELTA)
+    assert gs.tables is not None
+    assert len(gs.div_delta) == len(gs.simples) == 120
+    t0 = time.perf_counter()
+    auto = build_automaton(ctx, gs)
+    assert time.perf_counter() - t0 < 1.0
+    # 118 plain letters, delta and D'
+    assert len(auto.letters) == 120
+    # the left-weighted pairs of S5 simples: s|t is left-weighted iff
+    # every atom that starts t ends s; s1|s1 is, s1|s2 is not
+    s1, s2 = ctx.element("s1"), ctx.element("s2")
+    assert auto.table[(s1, s1)] == s1
+    assert auto.table[(s1, s2)] is not s2
+
+
+# -- long words against oracles ---------------------------------------
+
+
+LONG = settings(derandomize=True, deadline=None, max_examples=40)
+BRAID_RELATOR = [("s1", 1), ("s2", 1), ("s1", 1), ("s2", -1), ("s1", -1),
+                 ("s2", -1)]
+
+
+@st.composite
+def long_pairs(draw, gens, relators, min_size=64):
+    """A long signed word and a second one: the same with relators and
+    cancelling pairs inserted (equal), with two letters swapped or one
+    sign flipped (often unequal), or an unrelated word."""
+    letters = st.tuples(st.sampled_from(gens), st.sampled_from((1, -1)))
+    w1 = draw(st.lists(letters, min_size=min_size, max_size=min_size + 32))
+    kind = draw(st.sampled_from(("planted", "swapped", "flipped",
+                                 "unrelated")))
+    w2 = list(w1)
+    if kind == "planted":
+        for _ in range(draw(st.integers(1, 4))):
+            i = draw(st.integers(0, len(w2)))
+            r = draw(st.sampled_from(relators))
+            if draw(st.booleans()):
+                r = [(g, -s) for g, s in reversed(r)]
+            w2[i:i] = r
+    elif kind == "swapped":
+        i = draw(st.integers(0, len(w2) - 2))
+        w2[i], w2[i + 1] = w2[i + 1], w2[i]
+    elif kind == "flipped":
+        i = draw(st.integers(0, len(w2) - 1))
+        w2[i] = (w2[i][0], -w2[i][1])
+    else:
+        w2 = draw(st.lists(letters, min_size=min_size,
+                           max_size=min_size + 32))
+    return w1, w2
+
+
+def elements(ctx, word):
+    return [(ctx.element(g), s) for g, s in word]
+
+
+@LONG
+@given(long_pairs(("s1", "s2"), (BRAID_RELATOR,
+                                 [("s1", 1), ("s1", -1)])))
+def test_long_b3_words_against_burau(b3_structure, pair):
+    ctx, gs = b3_structure
+    w1, w2 = pair
+    expected = image(w1) == image(w2)
+    assert group_equal(ctx, gs, elements(ctx, w1),
+                       elements(ctx, w2)) == expected
+
+
+@LONG
+@given(long_pairs(("a", "b", "c"), ([("a", 1), ("b", 1), ("a", -1),
+                                     ("b", -1)],
+                                    [("b", 1), ("c", -1), ("b", -1),
+                                     ("c", 1)])))
+def test_long_free_comm_words_against_exponent_vectors(fc3_structure,
+                                                       pair):
+    ctx, gs = fc3_structure
+    w1, w2 = pair
+
+    def vector(word):
+        sums = Counter()
+        for g, s in word:
+            sums[g] += s
+        return sums["a"], sums["b"], sums["c"]
+
+    assert group_equal(ctx, gs, elements(ctx, w1),
+                       elements(ctx, w2)) == (vector(w1) == vector(w2))
+
+
+@pytest.fixture(scope="module")
+def b3_structure():
+    return structure(fixture("B3"), "s1s2s1")
+
+
+@pytest.fixture(scope="module")
+def fc3_structure():
+    return structure(fixture("free_comm(3)"), "abc")
+
+
+def planted_b4(rng, word, count):
+    """The word with ``count`` rewrites that keep the braid: a relation
+    applied to a positive or negative run, or a cancelling pair
+    inserted."""
+    rewrites = []
+    for lhs, rhs in oracles.B4.relations:
+        u = [oracles.B4.symbol_of(c) for c in lhs]
+        v = [oracles.B4.symbol_of(c) for c in rhs]
+        rewrites += [(u, v), (v, u)]
+    w = list(word)
+    for _ in range(count):
+        moves = []
+        for u, v in rewrites:
+            pos = [(g, 1) for g in u]
+            neg = [(g, -1) for g in reversed(u)]
+            for i in range(len(w) - len(u) + 1):
+                if w[i:i + len(u)] == pos:
+                    moves.append((i, len(u), [(g, 1) for g in v]))
+                elif w[i:i + len(u)] == neg:
+                    moves.append((i, len(u),
+                                  [(g, -1) for g in reversed(v)]))
+        if moves and rng.random() < 0.7:
+            i, n, new = rng.choice(moves)
+            w[i:i + n] = new
+        else:
+            g, s = rng.choice(("s1", "s2", "s3")), rng.choice((1, -1))
+            i = rng.randrange(len(w) + 1)
+            w[i:i] = [(g, s), (g, -s)]
+    return w
+
+
+def test_b4_200_letter_words_in_milliseconds():
+    ctx, gs = structure(oracles.B4, "s1s2s1s3s2s1")
+    rng = random.Random(200)
+    # mostly positive, so that many relations apply
+    w1 = [(rng.choice(("s1", "s2", "s3")), 1 if rng.random() < 0.8 else -1)
+          for _ in range(200)]
+    w2 = planted_b4(rng, w1, 60)
+    assert w2 != w1 and len(w2) >= 200
+    e1, e2 = elements(ctx, w1), elements(ctx, w2)
+    t0 = time.perf_counter()
+    assert group_equal(ctx, gs, e1, e2)
+    assert time.perf_counter() - t0 < 1.0
+    identity = e1 + [(g, -s) for g, s in reversed(e2)]
+    t0 = time.perf_counter()
+    assert group_equal(ctx, gs, identity, [])
+    assert time.perf_counter() - t0 < 1.0
+    assert _fraction_key(gs, identity) == _fraction_key(gs, [])
+    # one sign flipped is another braid (another degree), and one
+    # letter changed is another braid of the same degree
+    flipped = e2[:100] + [(e2[100][0], -e2[100][1])] + e2[101:]
+    assert not group_equal(ctx, gs, e1, flipped)
+    other = ctx.element("s1" if w2[100][0] != "s1" else "s2")
+    changed = e2[:100] + [(other, e2[100][1])] + e2[101:]
+    assert not group_equal(ctx, gs, e1, changed)
