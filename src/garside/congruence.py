@@ -82,7 +82,6 @@ class MonoidContext:
     Garside element: divisor sets, each element's factorisations,
     simple elements, the simples grouped by divisor set for the greedy
     heads (``"head_index"``), normal forms, the automaton, the
-    completions of the reversed relations (``"reversed_kernels"``), the
     Garside tables of each span Div(delta) that passes their gate
     (``"garside_tables"``, per span), and for ``cayley_distance`` the
     pair distances (``("cayley", delta)``) and the Cayley graph with
@@ -118,8 +117,14 @@ class MonoidContext:
         self._canon: dict[str, Element] = {}
         self._completion = completion(presentation.relations,
                                       presentation.chars)
-        # per letter c, the completion in which c is least
-        self._least: dict[str, Completion] = {}
+        # per letter c, the completions in which c is least, of the
+        # relations and of the relations read backwards
+        backwards = tuple((u[::-1], v[::-1])
+                          for u, v in presentation.relations)
+        self._least, self._least_reversed = (
+            {c: completion(rels, c + presentation.chars.replace(c, ""))
+             for c in presentation.chars}
+            for rels in (presentation.relations, backwards))
         self._levels: list[frozenset[Element]] = []
         self._left_complements: dict[tuple[str, str], Element | None] = {}
         self._class_complements: dict[tuple[str, str],
@@ -275,12 +280,11 @@ class MonoidContext:
 
     def _kernel(self, c) -> Completion:
         """The completion in which the letter c is least."""
-        kernel = self._least.get(c)
-        if kernel is None:
-            chars = self.presentation.chars
-            kernel = self._least[c] = completion(
-                self.presentation.relations, c + chars.replace(c, ""))
-        return kernel
+        return self._least[c]
+
+    def _reversed_kernel(self, c) -> Completion:
+        """The completion of the reversed relations in which c is least."""
+        return self._least_reversed[c]
 
     def complements(self, x, y) -> frozenset[Element]:
         """Every z with x z = y.  Where each letter of x cancels on the
@@ -334,33 +338,36 @@ class MonoidContext:
 
     def check_cancellative_bounded(self, n) -> VerificationReport:
         """Search for a cancellation failure among triples with
-        norm(x) + norm(y) <= n, on both sides."""
+        norm(x) + norm(y) <= n, on both sides.
+
+        A failure x y = x y2 with x = c x' is one by the letter c, or
+        x' y = x' y2 is one at a lower norm; so the completions of each
+        letter certify the answer, and the ball is scanned only at the
+        least failing norm, for x an atom, to name the first witness."""
+        failing = [k.uncancellable for k in (*self._least.values(),
+                                             *self._least_reversed.values())
+                   if not k.left_cancellative(n)]
         counterexample = None
-        for total in range(2, n + 1):
-            for i in range(1, total):
-                j = total - i
-                for x in sorted(self.ball_level(i)):
-                    seen_l: dict[Element, Element] = {}
-                    seen_r: dict[Element, Element] = {}
-                    for y in sorted(self.ball_level(j)):
-                        p = self.mul(x, y)
-                        other = seen_l.get(p)
-                        if other is not None and other != y:
-                            counterexample = (x, other, y, "left")
-                            break
-                        seen_l[p] = y
-                        q = self.mul(y, x)
-                        other = seen_r.get(q)
-                        if other is not None and other != y:
-                            counterexample = (x, other, y, "right")
-                            break
-                        seen_r[q] = y
-                    if counterexample:
+        if failing:
+            j = min(failing) - 1
+            for x in sorted(self.ball_level(1)):
+                seen_l: dict[Element, Element] = {}
+                seen_r: dict[Element, Element] = {}
+                for y in sorted(self.ball_level(j)):
+                    p = self.mul(x, y)
+                    other = seen_l.get(p)
+                    if other is not None and other != y:
+                        counterexample = (x, other, y, "left")
                         break
+                    seen_l[p] = y
+                    q = self.mul(y, x)
+                    other = seen_r.get(q)
+                    if other is not None and other != y:
+                        counterexample = (x, other, y, "right")
+                        break
+                    seen_r[q] = y
                 if counterexample:
                     break
-            if counterexample:
-                break
         if counterexample is None:
             return VerificationReport(
                 "cancellativity", "pass", details={"radius": n})

@@ -117,7 +117,7 @@ class GarsideStructure(Record):
     x delta = delta phi(x) for every x, and delta^order is central."""
 
     _fields = ("ctx", "delta", "div_delta", "simples", "star", "phi_atoms",
-               "order", "_delta_powers", "_steps", "_quotients")
+               "order")
 
     def __init__(self, ctx: MonoidContext, delta: Element,
                  div_delta: ElementSet, simples: ElementSet, star: dict,
@@ -129,6 +129,7 @@ class GarsideStructure(Record):
         self.star = star            # x -> x* with x x* = delta, on div_delta
         self.phi_atoms = phi_atoms  # phi_atoms[m][a] = phi^m(atom a), m < e
         self.order = order          # e with phi^e = identity
+        # the memos are not fields: == and repr do not see how warm they are
         self._delta_powers = {}
         # mul_letter's unstripped steps: (x, g, sign) -> (m, y) with
         # x g^sign = delta^(-m) y

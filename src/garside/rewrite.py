@@ -60,14 +60,18 @@ class Completion:
         self._trie: dict = {}
         self._pending: dict[int, list] = {}       # overlap length -> pairs
         self.bound = 0
-        # length of the shortest rule c t -> r with c least and t
-        # irreducible: left cancellation by c fails from there on
         self._uncancellable = None
         for lhs, rhs in relations:
             self._defer(lhs, rhs)
 
     def _defer(self, u, v):
         self._pending.setdefault(len(u), []).append((u, v))
+
+    @property
+    def uncancellable(self):
+        """The length of the shortest rule c t -> r with t irreducible,
+        or None if no rule up to ``bound`` is one."""
+        return self._uncancellable
 
     def left_cancellative(self, n) -> bool:
         """Does c u = c v imply u = v, for c the least letter and words

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .congruence import Element, MonoidContext, ResourceLimitExceeded
 from .reports import FrozenRecord, Record, VerificationReport
-from .rewrite import completion
 
 __all__ = [
     "ElementSet",
@@ -330,18 +329,6 @@ def covers(ctx: MonoidContext, S, x, y) -> bool:
     return divisors_in(ctx, S, ctx.mul(x, y)) == divisors_in(ctx, S, x)
 
 
-def _reversed_kernel(ctx: MonoidContext, c: str):
-    """The completion of the reversed relations in which c is least."""
-    kernels = ctx.caches["reversed_kernels"]
-    kernel = kernels.get(c)
-    if kernel is None:
-        rels = tuple((u[::-1], v[::-1])
-                     for u, v in ctx.presentation.relations)
-        chars = ctx.presentation.chars
-        kernel = kernels[c] = completion(rels, c + chars.replace(c, ""))
-    return kernel
-
-
 def _codim1_divisors(ctx: MonoidContext, x: Element) -> set:
     """The left divisors p of x with p a = x for an atom a.
 
@@ -353,7 +340,7 @@ def _codim1_divisors(ctx: MonoidContext, x: Element) -> set:
     word = x.canon[::-1]
     out = set()
     for a in sorted(ctx.ball_level(1)):
-        kernel = _reversed_kernel(ctx, a.canon)
+        kernel = ctx._reversed_kernel(a.canon)
         if not kernel.left_cancellative(x.norm):
             return {p for p, z in _factorisations(ctx, x) if z.norm == 1}
         rev = kernel.reduce(word)

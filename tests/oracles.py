@@ -1,17 +1,24 @@
 """Class-based oracles for the tests, and the extra presentations they
 are run on.
 
-The oracles share no code with the package's word problem.  A
-congruence class is enumerated here by breadth-first closure under
-single relation applications, and divisibility, minimal common
-multiples and simple elements are read off classes by their
-definitions.  Elements come back as ``Element`` of the least word of
-their class; arguments may be elements or internal words.
+The oracles share no code with the package's word problem, except
+``cancellation_scan``.  A congruence class is enumerated here by
+breadth-first closure under single relation applications, and
+divisibility, minimal common multiples and simple elements are read off
+classes by their definitions.  Elements come back as ``Element`` of the
+least word of their class; arguments may be elements or internal words.
+
+``cancellation_scan`` runs on the context's products and balls: it
+searches every pair of ball levels by norm for a cancellation failure,
+and is the reference for the whole reports of
+``check_cancellative_bounded``, witness included.
 """
 
+import random
 from functools import lru_cache
 
-from garside import Element, Presentation, parse_presentation
+from garside import (Element, Presentation, VerificationReport,
+                     parse_presentation)
 
 LENGTH_ONE = Presentation(["s1", "s2", "s3"],
                           [("s1s2s1", "s2s1s2"), ("s3", "s1")])
@@ -24,6 +31,22 @@ B4 = parse_presentation("gens: s1 s2 s3\n"
                         name="B4")
 CYCLIC = parse_presentation("gens: a b c\nrels: abc = bca = cab",
                             name="cyclic")
+
+
+def random_presentation(seed) -> Presentation:
+    """2 to 4 generators and 1 to 3 relations between random words of
+    one length from 1 to 4, seeded."""
+    rng = random.Random(seed)
+    gens = "abcd"[:rng.randint(2, 4)]
+    rels = []
+    for _ in range(rng.randint(1, 3)):
+        n = rng.randint(1, 4)
+        u = v = ""
+        while u == v:
+            u, v = ("".join(rng.choice(gens) for _ in range(n))
+                    for _ in "uv")
+        rels.append((u, v))
+    return Presentation(list(gens), rels, name=f"random({seed})")
 
 
 def _rules(relations):
@@ -189,3 +212,43 @@ def centrality_failure(gs, ball):
         if not congruent(ctx, x.canon + power, power + x.canon):
             return x
     return None
+
+
+def cancellation_scan(ctx, n) -> VerificationReport:
+    """Search for a cancellation failure among triples with
+    norm(x) + norm(y) <= n, on both sides."""
+    counterexample = None
+    for total in range(2, n + 1):
+        for i in range(1, total):
+            j = total - i
+            for x in sorted(ctx.ball_level(i)):
+                seen_l: dict[Element, Element] = {}
+                seen_r: dict[Element, Element] = {}
+                for y in sorted(ctx.ball_level(j)):
+                    p = ctx.mul(x, y)
+                    other = seen_l.get(p)
+                    if other is not None and other != y:
+                        counterexample = (x, other, y, "left")
+                        break
+                    seen_l[p] = y
+                    q = ctx.mul(y, x)
+                    other = seen_r.get(q)
+                    if other is not None and other != y:
+                        counterexample = (x, other, y, "right")
+                        break
+                    seen_r[q] = y
+                if counterexample:
+                    break
+            if counterexample:
+                break
+        if counterexample:
+            break
+    if counterexample is None:
+        return VerificationReport(
+            "cancellativity", "pass", details={"radius": n})
+    x, y, y2, side = counterexample
+    return VerificationReport(
+        "cancellativity", "fail",
+        witness={"x": ctx.show(x), "y": ctx.show(y),
+                 "y2": ctx.show(y2), "side": side},
+        details={"radius": n})

@@ -31,6 +31,17 @@ def test_analyze_matches_golden(capsys):
         (DATA / "analyze_m1.json").read_text())
 
 
+def test_analyze_matches_golden_where_cancellation_fails(tmp_path, capsys):
+    path = tmp_path / "ab_aa.txt"
+    path.write_text("gens: a b\nrels: ab = aa\n")
+    code, out, _ = run(capsys, ["analyze", "--json", "--file", str(path)])
+    assert code == 0
+    golden = json.loads((DATA / "analyze_ab_aa.json").read_text())
+    # the presentation is named by the path it was read from
+    golden["presentation"] = str(path)
+    assert json.loads(out) == golden
+
+
 def test_analyze_text(capsys):
     code, out, _ = run(capsys, ["analyze", "--fixture", "B3"])
     assert code == 0

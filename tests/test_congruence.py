@@ -1,8 +1,11 @@
+import pathlib
+
 import pytest
 
 import oracles
 from garside import (Element, MonoidContext, PresentationError, Presentation,
-                     ResourceLimitExceeded, divisors, fixture, right_divisors)
+                     ResourceLimitExceeded, divisors, fixture,
+                     parse_presentation, right_divisors)
 
 
 def test_element_ordering_is_shortlex():
@@ -128,6 +131,33 @@ def test_cancellativity_check(m1, b3, m2, m3):
     rep = bad.check_cancellative_bounded(4)
     assert not rep.passed
     assert rep.witness["side"] in ("left", "right")
+
+
+# the fixtures, presentations that fail cancellation on one side or
+# identify letters, and 60 seeded random ones
+SCANNED = [fixture(name) for name in ("M1", "M2", "M3", "B3",
+                                      "free_comm(3)")] + [
+    oracles.NOT_LEFT_CANCELLATIVE, oracles.NOT_RIGHT_CANCELLATIVE,
+    oracles.LENGTH_ONE, oracles.B4, oracles.CYCLIC,
+    parse_presentation("gens: a b c\nrels: a = b; bc = ca")] + [
+    oracles.random_presentation(seed) for seed in range(60)]
+
+
+@pytest.mark.parametrize(
+    "presentation", SCANNED,
+    ids=[p.name or "/".join(map("=".join, p.relations)) for p in SCANNED])
+def test_cancellativity_reports_match_the_ball_scan(presentation):
+    reference = MonoidContext(presentation)
+    for radius in range(1, 8):
+        report = MonoidContext(presentation).check_cancellative_bounded(radius)
+        assert report == oracles.cancellation_scan(reference, radius), radius
+
+
+def test_passing_cancellativity_builds_no_ball():
+    text = (pathlib.Path(__file__).parent / "data" / "b5.txt").read_text()
+    ctx = MonoidContext(parse_presentation(text, name="B5"))
+    assert ctx.check_cancellative_bounded(10).passed
+    assert ctx._levels == []
 
 
 def test_word_cache_cap():

@@ -273,6 +273,15 @@ def test_group_equal(m1):
     assert group_equal(m1, gs, [], [(a, 1), (a, -1)])
 
 
+def test_structures_compare_equal_however_warm_their_memos():
+    ctx = MonoidContext(fixture("M1"))
+    warm, cold = (build_structure(ctx, ctx.element("aa")) for _ in "wc")
+    a, b = ctx.element("a"), ctx.element("b")
+    assert group_equal(ctx, warm, [(b, -1), (a, 1)], [(a, -1), (b, 1)])
+    assert warm == cold
+    assert repr(warm) == repr(cold)
+
+
 def test_check_uniform_length_frozen(m1, m2, m3, b3):
     gs = build_structure(m1, m1.element("aa"))
     rep = check_uniform_length(m1, gs, 4)

@@ -30,8 +30,8 @@ RECORDS = [
      ("minimal", "candidates_checked", "max_norm", "primitive_mcm_probe"),
      False),
     (GarsideStructure, (None, B, frozenset(), frozenset(), {}, ({},), 1),
-     ("ctx", "delta", "div_delta", "simples", "star", "phi_atoms", "order",
-      "_delta_powers", "_steps", "_quotients"), False),
+     ("ctx", "delta", "div_delta", "simples", "star", "phi_atoms", "order"),
+     False),
     (Derivation, ((A,), (B,), []), ("source", "target", "steps"), False),
     (NormalFormAutomaton, (None, None, (A,), ("start",), {}),
      ("ctx", "gs", "letters", "states", "table"), False),
