@@ -262,7 +262,7 @@ def cmd_word_problem(args) -> int:
     w2 = _parse_signed(ctx, args.right)
     f1 = fraction_of_signed(ctx, gs, w1)
     f2 = fraction_of_signed(ctx, gs, w2)
-    equal = f1.key == f2.key
+    equal = f1 == f2
     text = (f"{'equal' if equal else 'different'}\n"
             f"left:  {f1.describe(ctx)}\n"
             f"right: {f2.describe(ctx)}")
@@ -472,6 +472,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ResourceLimitExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("resource cap exceeded: out of memory", file=sys.stderr)
         return 2
     except (PresentationError, GridError, ValueError, OSError,
             RuntimeError) as exc:

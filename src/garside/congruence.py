@@ -76,30 +76,29 @@ class MonoidContext:
 
     Canonical forms (``_canon``, per word), left complements (the
     results of ``left_divides``, and of ``complements`` where it reads
-    classes), congruence classes enumerated by
-    ``class_of`` and ball levels are memoized here; ``caches`` is a
-    scratch area for the higher layers keyed per spanning set or
-    Garside element: divisor sets, each element's factorisations,
-    simple elements, the simples grouped by divisor set for the greedy
-    heads (``"head_index"``), normal forms, the automaton, the
-    Garside tables of each span Div(delta) that passes their gate
-    (``"garside_tables"``, per span), and for ``cayley_distance`` the
-    pair distances (``("cayley", delta)``) and the Cayley graph with
-    its fraction keys interned as ints and each key's tuple of
-    neighbour ids (``"cayley_graph"``, per delta), and for ``mcms`` the
-    right multiples of an element by norm (``"multiples"``) and each
-    word's letter successors (``"successors"``).  Without tables the
-    ``GarsideStructure`` memoises ``mul_letter``'s unstripped steps and
-    each element's chain of quotients by powers of delta; the tables
-    memoise the slide of each pair of simples.  Every class word and
-    every canonical-form or left-complement entry counts against
-    ``max_cached_words``; the rewriting systems are shared between
-    contexts, and they, the Cayley caches, the tables (|Div(delta)|^2
-    entries) and the structure's memos count against no cap.
-    ``class_fallbacks`` counts the distinct
+    classes), congruence classes enumerated by ``class_of`` and ball
+    levels are memoized here; ``caches`` is a scratch area for the
+    higher layers keyed per spanning set or Garside element: the
+    primitive closure per cap (``"primitives"``), divisor sets, each
+    element's factorisations, simple elements, the simples grouped by
+    divisor set for the greedy heads (``"head_index"``), normal forms,
+    the automaton, the Garside tables of each span Div(delta) that
+    passes their gate (``"garside_tables"``, per span), and for
+    ``cayley_distance`` the pair distances (``("cayley", delta)``) and
+    the Cayley graph with its fraction keys interned as ints and each
+    key's tuple of neighbour ids (``"cayley_graph"``, per delta), and
+    for ``mcms`` the right multiples of an element by norm
+    (``"multiples"``) and each word's letter successors
+    (``"successors"``).  Without tables the ``GarsideStructure`` memoises
+    ``mul_letter``'s unstripped steps and each element's chain of
+    quotients by powers of delta; the tables memoise the slide of each
+    pair of simples.  Every class word and every canonical-form or
+    left-complement entry counts against ``max_cached_words``; the
+    rewriting systems are shared between contexts, and they, the Cayley
+    caches, the tables (|Div(delta)|^2 entries) and the structure's
+    memos count against no cap.  ``class_fallbacks`` counts the distinct
     pairs whose left division (``left_divides`` or ``complements``)
-    enumerated classes because left cancellation could not be
-    certified.
+    enumerated classes because left cancellation could not be certified.
     """
 
     def __init__(self, presentation: Presentation,

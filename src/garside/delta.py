@@ -14,9 +14,9 @@ Where Div(d) is a lattice (the gate of ``garside_tables``),
 the group layer computes internally on keys (k, f) instead, f the tuple
 of table ids of the Delta-normal form of x: a letter is multiplied in
 by sliding that form, and no word longer than d is reduced.  Answers
-are the same, and keys take the public form (k, x) at the boundaries:
-``mul_letter``, ``to_fraction``, ``combine``, ``FractionForm`` and the
-arguments of ``automaton.cayley_distance``.
+are the same.  A ``FractionForm`` holds the form, not x; keys take the
+public form (k, x) only at ``mul_letter`` and the arguments of
+``automaton.cayley_distance``.
 
 "Delta-simple" and "Delta-normal" mean simple/normal with respect to
 the span Div(delta); the simple elements usually form a strictly
@@ -374,11 +374,6 @@ class GarsideTables:
             form = self.times(form, atoms[c])
         return form
 
-    def product(self, ctx: MonoidContext, form) -> Element:
-        if not form:
-            return ctx.one
-        return ctx.canonical("".join(self.elements[i].canon for i in form))
-
 
 def garside_tables(ctx: MonoidContext, div: ElementSet, simples: ElementSet,
                    star: dict):
@@ -441,18 +436,14 @@ def garside_tables(ctx: MonoidContext, div: ElementSet, simples: ElementSet,
 class FractionForm(FrozenRecord):
     """The group element delta^(-k) * product(tail), with k minimal:
     either k = 0 or delta does not left divide the product; hence the
-    tail's head factor is never delta when k > 0."""
+    tail's head factor is never delta when k > 0.  The tail is a function
+    of the product, so forms are equal exactly when their elements are."""
 
-    _fields = ("k", "tail", "product")
+    _fields = ("k", "tail")
 
-    def __init__(self, k: int, tail: NormalSequence, product: Element):
+    def __init__(self, k: int, tail: NormalSequence):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "product", product)
-
-    @property
-    def key(self):
-        return (self.k, self.product)
 
     def __len__(self):
         return self.k + len(self.tail)
@@ -512,7 +503,7 @@ def _public(gs: GarsideStructure, key):
     tables = gs.tables
     if tables is None:
         return key
-    return key[0], tables.product(gs.ctx, key[1])
+    return key[0], _sequence(tables, key[1], "").product(gs.ctx)
 
 
 def _form(gs: GarsideStructure, key) -> FractionForm:
@@ -520,9 +511,8 @@ def _form(gs: GarsideStructure, key) -> FractionForm:
     k, x = key
     tables = gs.tables
     if tables is None:
-        return FractionForm(k, gs.normalize(x), x)
-    return FractionForm(k, _sequence(tables, x, gs.div_delta.label),
-                        tables.product(gs.ctx, x))
+        return FractionForm(k, gs.normalize(x))
+    return FractionForm(k, _sequence(tables, x, gs.div_delta.label))
 
 
 def mul_letter(gs: GarsideStructure, key, g: Element, sign: int):
@@ -592,8 +582,7 @@ def to_fraction(ctx: MonoidContext, gs: GarsideStructure, numerator,
                 denominator) -> FractionForm:
     """The group element numerator * denominator^(-1) as a fraction
     form with k minimal."""
-    key = _key(gs, (0, ctx.canonical(numerator)))
-    return _form(gs, _mul(gs, key, ctx.canonical(denominator), -1))
+    return fraction_of_signed(ctx, gs, [(numerator, 1), (denominator, -1)])
 
 
 def _reduced(ctx: MonoidContext, letters) -> list:
@@ -630,12 +619,11 @@ def fraction_of_signed(ctx: MonoidContext, gs: GarsideStructure,
 
 def combine(ctx: MonoidContext, gs: GarsideStructure, f1: FractionForm,
             f2: FractionForm) -> FractionForm:
-    """Product of two fraction forms: f1 times delta^(-1), k2 times,
-    then times the product of f2."""
-    key = _key(gs, (f1.k, f1.product))
-    for _ in range(f2.k):
-        key = _mul(gs, key, gs.delta, -1)
-    return _form(gs, _mul(gs, key, f2.product, 1))
+    """Product of two fraction forms: the letters of f1, then those of
+    f2, folded with each inverse letter (None) read as delta^(-1)."""
+    word = f1.letters(None) + f2.letters(None)
+    return fraction_of_signed(
+        ctx, gs, [(gs.delta, -1) if x is None else (x, 1) for x in word])
 
 
 def group_equal(ctx: MonoidContext, gs: GarsideStructure, w1, w2) -> bool:

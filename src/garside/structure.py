@@ -150,7 +150,14 @@ def mcms(ctx: MonoidContext, x, y, bound=None) -> McmResult:
 def primitive_closure(ctx: MonoidContext, cap=10_000) -> ElementSet:
     """Close {1} and the atoms under complements of minimal common
     multiples.  Stops at a fixpoint, or at ``cap`` elements with a note
-    (closedness then undetermined)."""
+    (closedness then undetermined).  Memoised per cap."""
+    cache = ctx.caches["primitives"]
+    if cap not in cache:
+        cache[cap] = _primitive_closure(ctx, cap)
+    return cache[cap]
+
+
+def _primitive_closure(ctx: MonoidContext, cap) -> ElementSet:
     members = {ctx.one} | set(ctx.ball_level(1))
     notes: list[str] = []
     done: set[frozenset] = set()

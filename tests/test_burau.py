@@ -10,6 +10,7 @@ congruence engine.  ``group_equal``, ``to_fraction``,
 seeded words."""
 
 import random
+import time
 from collections import Counter
 
 from garside import (build_structure, combine, fraction_of_signed,
@@ -71,9 +72,11 @@ def symbols(ctx, x):
 
 
 def fraction_image(ctx, f):
-    """The matrix of delta^(-k) * product for delta = s1s2s1."""
+    """The matrix of delta^(-k) times the tail factors for delta =
+    s1s2s1, read off the factors without reducing their product."""
     delta_inv = [("s1", -1), ("s2", -1), ("s1", -1)]
-    return image(delta_inv * f.k + symbols(ctx, f.product))
+    tail = [s for x in f.tail.factors for s in symbols(ctx, x)]
+    return image(delta_inv * f.k + tail)
 
 
 def elements(ctx, word):
@@ -163,3 +166,21 @@ def test_fractions_against_burau(b3):
         f1, f2 = rng.choice(forms), rng.choice(forms)
         assert fraction_image(b3, combine(b3, gs, f1, f2)) == mmul(
             fraction_image(b3, f1), fraction_image(b3, f2))
+
+
+def test_long_words_against_burau(b3):
+    gs = build_structure(b3, b3.element("s1s2s1"))
+    rng = random.Random(6496)
+    for positive in (0.5, 0.5, 0.8, 0.8):
+        words = [[(rng.choice(("s1", "s2")),
+                   1 if rng.random() < positive else -1)
+                  for _ in range(rng.randrange(64, 97))] for _ in range(2)]
+        t0 = time.perf_counter()
+        f1, f2 = (fraction_of_signed(b3, gs, elements(b3, w)) for w in words)
+        assert time.perf_counter() - t0 < 1.0
+        t0 = time.perf_counter()
+        f = combine(b3, gs, f1, f2)
+        assert time.perf_counter() - t0 < 1.0
+        for form, w in ((f1, words[0]), (f2, words[1])):
+            assert fraction_image(b3, form) == image(w), w
+        assert fraction_image(b3, f) == image(words[0] + words[1])

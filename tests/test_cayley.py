@@ -147,9 +147,9 @@ def test_mul_letter_by_non_letters_warm_and_fresh(name, delta):
             # the stripped key is a normal form: g^sign g^-sign cancels
             assert mul_letter(wgs, got, g, -sign) == key
         for x in sorted(warm.enumerate_ball(2)):
-            assert (to_fraction(warm, wgs, x, g).key
+            assert (to_fraction(warm, wgs, x, g)
                     == to_fraction(fresh, fgs, fresh.canonical(x.canon),
-                                   fg).key)
+                                   fg))
 
 
 def test_cached_distance_honours_the_node_cap_like_a_fresh_search():

@@ -255,6 +255,18 @@ def test_other_runtime_errors_exit_1(capsys, monkeypatch):
     assert err == "error: no power of the Garside element\n"
 
 
+def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
+    def fail(args):
+        raise MemoryError
+
+    monkeypatch.setattr(garside.cli, "cmd_word_problem", fail)
+    code, out, err = run(capsys, ["word-problem", "--fixture", "M1",
+                                  "--delta", "aa", "b' a", "a"])
+    assert code == 2 and out == ""
+    assert err == "resource cap exceeded: out of memory\n"
+    assert "Traceback" not in err
+
+
 def run_python(args, hashseed=None):
     """``python args`` in a fresh interpreter that imports this package."""
     src = pathlib.Path(garside.__file__).resolve().parents[1]

@@ -16,7 +16,7 @@ SEQ = NormalSequence((A, B), "span")
 RECORDS = [
     (Element, ("ab",), ("canon",), True),
     (NormalSequence, ((A,), "span"), ("factors", "span_label"), True),
-    (FractionForm, (1, SEQ, B), ("k", "tail", "product"), True),
+    (FractionForm, (1, SEQ), ("k", "tail"), True),
     (ElementSet, (frozenset([A]), "atoms", ("note",)),
      ("members", "label", "notes"), True),
     (DerivationStep, ("rewrite", 0, (A, A), (B, B)),

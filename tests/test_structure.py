@@ -115,6 +115,16 @@ def test_primitive_closure(m1, m2, m3, b3):
         assert len(primitive_closure(ctx)) == n + 1
 
 
+def test_primitive_closure_is_computed_once_per_cap():
+    ctx = MonoidContext(fixture("B3"))
+    P = primitive_closure(ctx)
+    assert primitive_closure(ctx) is P
+    capped = primitive_closure(ctx, cap=3)
+    assert capped is primitive_closure(ctx, cap=3)
+    assert len(capped) == 3 and any("cap 3" in n for n in capped.notes)
+    assert primitive_closure(ctx) is P
+
+
 def test_primitive_closure_free_monoid_incomplete():
     ctx = MonoidContext(fixture("free(2)"))
     P = primitive_closure(ctx)

@@ -21,9 +21,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from garside import (DELTA_INV, ElementSet, MonoidContext, build_automaton,
-                     build_structure, covers, divisors, fixture,
+                     build_structure, combine, covers, divisors, fixture,
                      fraction_of_signed, group_equal, normalize,
-                     normalize_all, parse_presentation)
+                     normalize_all, parse_presentation, to_fraction)
 from garside.delta import (_fraction_key, _public, _step, _strip,
                            garside_tables, mul_letter)
 from test_burau import image
@@ -151,7 +151,8 @@ def test_table_keys_equal_kernel_keys(presentation, delta, _, reach):
             assert key == want, (word, g, sign)
         assert _public(gs, _fraction_key(gs, word)) == expected[-1], word
         form = fraction_of_signed(ctx, gs, word)
-        assert (form.k, form.product) == _strip(gs, *expected[-1])
+        assert ((form.k, form.tail.product(ctx))
+                == _strip(gs, *expected[-1]))
 
 
 @pytest.mark.parametrize("presentation,delta,max_norm,_", GATED,
@@ -349,3 +350,22 @@ def test_b4_200_letter_words_in_milliseconds():
     other = ctx.element("s1" if w2[100][0] != "s1" else "s2")
     changed = e2[:100] + [(other, e2[100][1])] + e2[101:]
     assert not group_equal(ctx, gs, e1, changed)
+
+
+@pytest.mark.parametrize("name,delta", [("B3", "s1s2s1"),
+                                        ("free_comm(3)", "abc")])
+def test_folds_on_tables_reduce_no_word_longer_than_delta(name, delta):
+    # fraction forms hold Delta-normal forms, so folding a long word,
+    # combining two forms and forming a fraction reduce no long product
+    ctx, gs = structure(fixture(name), delta)
+    atoms = sorted(ctx.ball_level(1))
+    rng = random.Random(40)
+    # mostly positive, so that the forms are long
+    word = [(rng.choice(atoms), 1 if rng.random() < 0.8 else -1)
+            for _ in range(40)]
+    before = set(ctx._canon)
+    f = fraction_of_signed(ctx, gs, word)
+    combine(ctx, gs, fraction_of_signed(ctx, gs, word[:7]), f)
+    to_fraction(ctx, gs, gs.delta, atoms[0])
+    added = set(ctx._canon) - before
+    assert not [w for w in added if len(w) > gs.delta.norm], added
