@@ -6,7 +6,8 @@ automaton, growth, graph, distance, prove.  Presentations come from
 README for word syntaxes.
 
 Exit codes: 0 for completed runs (including runs whose mathematical
-checks report failures; those are findings), 1 for usage, parse and
+checks report failures; those are findings, and runs whose reader
+closed standard output early), 1 for usage, parse and
 other errors (reported as one line, never a traceback), 2 when a
 resource cap is hit.
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .congruence import MonoidContext, ResourceLimitExceeded
@@ -469,7 +471,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so that a closed pipe is met inside the try
+        # and not at interpreter shutdown
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, which is not a failure; what is left
+        # in the buffer goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ResourceLimitExceeded as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 2

@@ -90,13 +90,15 @@ class MonoidContext:
     for ``mcms`` the right multiples of an element by norm
     (``"multiples"``) and each word's letter successors
     (``"successors"``).  Without tables the ``GarsideStructure`` memoises
-    ``mul_letter``'s unstripped steps and each element's chain of
-    quotients by powers of delta; the tables memoise the slide of each
-    pair of simples.  Every class word and every canonical-form or
-    left-complement entry counts against ``max_cached_words``; the
-    rewriting systems are shared between contexts, and they, the Cayley
-    caches, the tables (|Div(delta)|^2 entries) and the structure's
-    memos count against no cap.  ``class_fallbacks`` counts the distinct
+    ``mul_letter``'s unstripped steps per (x.canon, g.canon, sign) and
+    each element's chain of quotients by powers of delta per canonical
+    word; the tables number the simples per canonical word and memoise
+    the slide of each pair of simples.  Every class word and every
+    canonical-form or left-complement entry counts against
+    ``max_cached_words``; the rewriting systems are shared between
+    contexts, and they, the Cayley caches, the tables (|Div(delta)|^2
+    entries) and the structure's memos count against no cap.
+    ``class_fallbacks`` counts the distinct
     pairs whose left division (``left_divides`` or ``complements``)
     enumerated classes because left cancellation could not be certified.
     """

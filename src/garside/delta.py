@@ -131,11 +131,11 @@ class GarsideStructure(Record):
         self.order = order          # e with phi^e = identity
         # the memos are not fields: == and repr do not see how warm they are
         self._delta_powers = {}
-        # mul_letter's unstripped steps: (x, g, sign) -> (m, y) with
-        # x g^sign = delta^(-m) y
+        # mul_letter's unstripped steps, keyed by canonical words:
+        # (x.canon, g.canon, sign) -> (m, y) with x g^sign = delta^(-m) y
         self._steps = {}
-        # _strip's quotients: y -> [y, y/delta, y/delta^2, ...], ended by
-        # None once delta no longer left divides
+        # _strip's quotients: y.canon -> [y, y/delta, y/delta^2, ...],
+        # ended by None once delta no longer left divides
         self._quotients = {}
         self._translations = tuple(str.maketrans(t) for t in phi_atoms)
         # the GarsideTables of div_delta, where it passes their gate
@@ -276,7 +276,8 @@ _UNSET = object()
 
 class GarsideTables:
     """Div(delta) as a lattice, with the simples numbered in shortlex
-    order: id 0 is the identity and the last id is delta.
+    order: id 0 is the identity and the last id is delta.  ``ids`` maps
+    the canonical word of each simple to its id.
 
     Where any two simples have a greatest common divisor in Div(delta)
     on each side, every Delta-normal form is read off tables on the ids
@@ -295,7 +296,7 @@ class GarsideTables:
     def __init__(self, elements, dual, meet, peel, atoms):
         n = len(elements)
         self.elements = elements
-        self.ids = {e: i for i, e in enumerate(elements)}
+        self.ids = {e.canon: i for i, e in enumerate(elements)}
         self.n = n
         self.delta = n - 1
         self.dual = dual
@@ -365,7 +366,7 @@ class GarsideTables:
 
     def form(self, x: Element) -> tuple:
         """The ids of the Delta-normal form of x."""
-        got = self.ids.get(x)
+        got = self.ids.get(x.canon)
         if got is not None:
             return (got,) if got else ()
         form = ()
@@ -469,9 +470,9 @@ def _strip(gs: GarsideStructure, k: int, x: Element):
     this k needs."""
     if k <= 0:
         return k, x
-    chain = gs._quotients.get(x)
+    chain = gs._quotients.get(x.canon)
     if chain is None:
-        chain = gs._quotients[x] = [x]
+        chain = gs._quotients[x.canon] = [x]
     i = 0
     while i < k:
         if i + 1 == len(chain):
@@ -529,19 +530,20 @@ def _mul(gs: GarsideStructure, key, g: Element, sign: int):
     Without tables an inverse g^(-1) is eliminated as c delta^(-m)
     where g c = delta^m, and delta^(-m) is commuted leftward through
     phi^(-m); the unstripped step does not depend on k, so it is
-    memoised per (x, g, sign).  With tables g is multiplied in factor
-    by factor, each inverse s^(-1) as s* delta^(-1)."""
+    memoised per (x.canon, g.canon, sign).  With tables g is multiplied
+    in factor by factor, each inverse s^(-1) as s* delta^(-1)."""
     tables = gs.tables
     if tables is None:
         k, x = key
-        step = gs._steps.get((x, g, sign))
+        memo = (x.canon, g.canon, sign)
+        step = gs._steps.get(memo)
         if step is None:
-            step = gs._steps[(x, g, sign)] = _step(gs, x, g, sign)
+            step = gs._steps[memo] = _step(gs, x, g, sign)
         m, y = step
         return _strip(gs, k + m, y)
     if sign != 1 and sign != -1:
         raise ValueError(f"bad sign {sign!r}")
-    i = tables.ids.get(g)
+    i = tables.ids.get(g.canon)
     if i is not None:
         return _times_simple(tables, key, i, sign)
     factors = tables.form(g)
@@ -593,11 +595,14 @@ def _reduced(ctx: MonoidContext, letters) -> list:
     for g, sign in letters:
         if sign != 1 and sign != -1:
             raise ValueError(f"bad sign {sign!r}")
-        g = ctx.canonical(g)
-        if out and out[-1] == (g, -sign):
-            out.pop()
-        else:
-            out.append((g, sign))
+        if g.__class__ is not Element:
+            g = ctx.canonical(g)
+        if out:
+            h, s = out[-1]
+            if s != sign and (h is g or h == g):
+                out.pop()
+                continue
+        out.append((g, sign))
     return out
 
 
@@ -634,8 +639,12 @@ def group_equal(ctx: MonoidContext, gs: GarsideStructure, w1, w2) -> bool:
     unequal, and no fraction is folded for them."""
     w1 = _reduced(ctx, w1)
     w2 = _reduced(ctx, w2)
-    if (sum(s * g.norm for g, s in w1)
-            != sum(s * g.norm for g, s in w2)):
+    degree = 0
+    for g, s in w1:
+        degree += s * len(g.canon)
+    for g, s in w2:
+        degree -= s * len(g.canon)
+    if degree:
         return False
     return _fraction_key(gs, w1) == _fraction_key(gs, w2)
 

@@ -61,7 +61,7 @@ def is_normal(ctx: MonoidContext, S, seq) -> bool:
     S = _coerce_set(ctx, S)
     tables = span_tables(ctx, S)
     if tables is not None:
-        ids = [tables.ids.get(ctx.canonical(f)) for f in factors]
+        ids = [tables.ids.get(ctx.canonical(f).canon) for f in factors]
         if not all(ids):
             return False
         return all(tables.left_weighted(ids[i], ids[i + 1])
@@ -190,10 +190,10 @@ def left_mult_update(ctx: MonoidContext, S, y, seq) -> NormalSequence:
         raise ValueError("input sequence is not normal over the given set")
     tables = span_tables(ctx, S)
     if tables is not None:
-        cur = tables.ids[y]
+        cur = tables.ids[y.canon]
         form = []
         for f in factors:
-            f = tables.ids[f]
+            f = tables.ids[f.canon]
             head, cur = tables.slide(cur, f) or (cur, f)
             form.append(head)
         if cur:

@@ -329,8 +329,8 @@ def covers(ctx: MonoidContext, S, x, y) -> bool:
     S = _coerce_set(ctx, S)
     tables = span_tables(ctx, S)
     if tables is not None:
-        i = tables.ids.get(x)
-        j = tables.ids.get(y)
+        i = tables.ids.get(x.canon)
+        j = tables.ids.get(y.canon)
         if i is not None and j is not None:
             return tables.left_weighted(i, j)
     return divisors_in(ctx, S, ctx.mul(x, y)) == divisors_in(ctx, S, x)

@@ -267,16 +267,21 @@ def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def run_python(args, hashseed=None):
-    """``python args`` in a fresh interpreter that imports this package."""
+def python_env(hashseed=None):
+    """The environment of a fresh interpreter that imports this package."""
     src = pathlib.Path(garside.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
     if hashseed is not None:
         env["PYTHONHASHSEED"] = str(hashseed)
+    return env
+
+
+def run_python(args, hashseed=None):
+    """``python args`` in a fresh interpreter that imports this package."""
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=True, env=python_env(hashseed), timeout=60)
 
 
 def run_module(argv, hashseed=None):
@@ -289,6 +294,22 @@ def test_python_m_garside_cli_runs_without_warnings():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout == "aa a\n"
+
+
+def test_a_closed_stdout_is_not_a_failure():
+    # a reader that stopped early, like ``| head -c 100``, before the
+    # answer is written: the command exits 0 and says nothing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "garside.cli", "normalize", "--fixture",
+             "M1", "aaa"], stdout=write_end, stderr=subprocess.PIPE,
+            text=True, env=python_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 # the layers below the command line, which a command imports as it runs

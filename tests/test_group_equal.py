@@ -6,10 +6,11 @@ oracles that share no code with the congruence engine."""
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from garside import build_structure, group_equal
-from garside.delta import mul_letter
+from garside import build_structure, fraction_of_signed, group_equal
+from garside.delta import _reduced, mul_letter
 
 # fixture -> its minimal Garside element
 MINIMAL = {"M1": "aa", "M2": "aa", "M3": "ac", "B3": "s1s2s1",
@@ -85,6 +86,57 @@ def test_group_equal_matches_an_unreduced_fold(ctx_factory):
         assert seen[False, True, True] >= 5, (name, seen)
         assert seen[False, False, True] + seen[False, False, False] >= 5, \
             (name, seen)
+
+
+def test_letters_given_as_internal_words(ctx_factory):
+    # free_comm(3) is commutative, so every reordering of a letter's
+    # word spells the same element; "ba" and "cb" are not canonical
+    ctx = ctx_factory("free_comm(3)")
+    gs = build_structure(ctx, ctx.element("abc"))
+    words = ["a", "b", "c", "ab", "ba", "cb", "bca", "cab"]
+    rng = random.Random(20014)
+    answers = Counter()
+    for _ in range(80):
+        w1 = [(rng.choice(words), rng.choice((1, -1)))
+              for _ in range(rng.randrange(0, 6))]
+        if rng.randrange(2):
+            w2 = [(g[::-1], s) for g, s in w1]
+            i = rng.randrange(len(w2) + 1)
+            g, s = rng.choice(words), rng.choice((1, -1))
+            w2[i:i] = [(g, s), (g[::-1], -s)]
+        else:
+            w2 = [(rng.choice(words), rng.choice((1, -1)))
+                  for _ in range(rng.randrange(0, 6))]
+        e1 = [(ctx.canonical(g), s) for g, s in w1]
+        e2 = [(ctx.canonical(g), s) for g, s in w2]
+        same = group_equal(ctx, gs, w1, w2)
+        assert same == group_equal(ctx, gs, e1, e2), (w1, w2)
+        assert (fraction_of_signed(ctx, gs, w1)
+                == fraction_of_signed(ctx, gs, e1)), w1
+        answers[same] += 1
+    assert answers[True] >= 20 and answers[False] >= 20, answers
+
+
+def test_a_word_cancels_against_its_element(ctx_factory):
+    ctx = ctx_factory("free_comm(3)")
+    gs = build_structure(ctx, ctx.element("abc"))
+    word = [("ba", 1), (ctx.element("ab"), -1)]
+    assert _reduced(ctx, word) == []
+    assert fraction_of_signed(ctx, gs, word) == fraction_of_signed(ctx, gs, [])
+    assert group_equal(ctx, gs, word, [])
+
+
+def test_a_bad_sign_is_refused_before_it_cancels(ctx_factory):
+    # unchecked, sign 0 would read as "not +1" and cancel "ab"
+    ctx = ctx_factory("free_comm(3)")
+    gs = build_structure(ctx, ctx.element("abc"))
+    for word in ([("ab", 1), ("ba", 0)], [(ctx.element("ab"), -1), ("ba", 2)]):
+        with pytest.raises(ValueError, match="bad sign"):
+            _reduced(ctx, word)
+        with pytest.raises(ValueError, match="bad sign"):
+            group_equal(ctx, gs, word, [])
+        with pytest.raises(ValueError, match="bad sign"):
+            fraction_of_signed(ctx, gs, word)
 
 
 def signed_words(gens, max_size=7):
