@@ -11,8 +11,11 @@ powering, so the coefficients satisfy the integer linear recurrence
 given by the matrix's characteristic polynomial.
 
 Distances between words are measured in the Cayley graph of the group
-of fractions over the automaton alphabet, by bidirectional search on
-fraction keys (k, x).
+of fractions over the automaton alphabet.  Where Div(delta) passes the
+gate of the Garside tables, the length of a^-1 b is read off its
+Delta-normal form (Charney, *Math. Ann.* 301, 1995; Charney and Meier,
+*Math. Z.* 248, 2004); elsewhere it comes from a bidirectional search
+on fraction keys (k, x).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .congruence import Element, MonoidContext, ResourceLimitExceeded
 from .reports import Record, VerificationReport
 from .structure import _coerce_set, covers, enumerate_simples
 from .normal import NormalSequence, left_mult_update, normalize_all
-from .delta import GarsideStructure, _key, _mul, mul_letter
+from .delta import GarsideStructure, _key, _mul, _times_simple, mul_letter
 
 __all__ = [
     "DELTA_INV",
@@ -334,6 +337,11 @@ def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
     internal) in the Cayley graph over the automaton alphabet, inverses
     allowed.
 
+    This is always the explicit bounded search, on every structure: it
+    is the oracle of ``_table_distance``, which ``synchronous_distance``
+    and ``ftp_probe`` use instead where the structure has Garside
+    tables.
+
     The search always runs from the lesser internal key of the pair to
     the greater, so the node counts it checks against ``node_cap`` are
     a function of the pair.  The cache keeps them next to the distance,
@@ -395,19 +403,68 @@ def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
     return dist
 
 
+def _table_length(tables, key1, key2) -> int:
+    """The word length of a^-1 b over Div(delta) minus the identity, for
+    internal keys a = (k_a, f_a) and b = (k_b, f_b) on tables.
+
+    a^-1 b = f_a^-1 delta^(k_a - k_b) f_b is folded from the identity.
+    For its key (k, f), with m leading delta factors in f, inf = m - k
+    and sup = len(f) - k, and the length is max(sup, 0) - min(inf, 0)
+    (Charney, *Math. Ann.* 301, 1995; Charney and Meier, *Math. Z.* 248,
+    2004)."""
+    (ka, fa), (kb, fb) = key1, key2
+    key = (0, ())
+    for i in reversed(fa):
+        key = _times_simple(tables, key, i, -1)
+    sign = 1 if ka > kb else -1
+    for _ in range(abs(ka - kb)):
+        key = _times_simple(tables, key, tables.delta, sign)
+    for i in fb:
+        key = _times_simple(tables, key, i, 1)
+    k, f = key
+    m = 0
+    while m < len(f) and f[m] == tables.delta:
+        m += 1
+    return max(len(f) - k, 0) - min(m - k, 0)
+
+
+def _table_distance(ctx, gs, key1, key2, max_dist=16, node_cap=None):
+    """``cayley_distance`` on the internal keys of a structure with
+    Garside tables, with no search: a length beyond ``max_dist`` raises
+    as the search does.  ``node_cap`` is not read; it is taken so that
+    ``_translated_distance`` calls either function the same way.
+    Lengths are memoised per pair in ``ctx.caches[("length",
+    delta.canon)]``, apart from the search's pair cache and, like it,
+    unbounded."""
+    if key1 == key2:
+        return 0
+    pair = (key1, key2) if key1 <= key2 else (key2, key1)
+    lengths = ctx.caches[("length", gs.delta.canon)]
+    dist = lengths.get(pair)
+    if dist is None:
+        dist = lengths[pair] = _table_length(gs.tables, *pair)
+    if dist > max_dist:
+        raise _no_path(max_dist)
+    return dist
+
+
 def synchronous_distance(ctx: MonoidContext, gs: GarsideStructure, u, v,
                          max_dist: int = 16,
-                         node_cap: int = 200_000, *, _floor=None) -> int:
+                         node_cap: int = 200_000) -> int:
     """Supremum over positions i of the Cayley distance between the
     i-th prefix products, clamping each word at its own length.
-    ``_floor`` is private to ``ftp_probe``: see ``_translated_distance``."""
+
+    With Garside tables each distance is a word length read off a
+    Delta-normal form (``_table_distance``), and ``node_cap`` does not
+    bind; otherwise it is a ``cayley_distance`` search.  Either way a
+    distance beyond ``max_dist`` raises ``ResourceLimitExceeded``."""
     u = tuple(u)
     v = tuple(v)
     for letter in u + v:
         if letter is not DELTA_INV:
             _letter_value(gs, letter)
     return _translated_distance(ctx, gs, _key(gs, (0, ctx.one)), u, v,
-                                max_dist, node_cap, _floor)
+                                max_dist, node_cap)
 
 
 def _translated_distance(ctx, gs, y_key, p, q, max_dist, node_cap,
@@ -419,8 +476,12 @@ def _translated_distance(ctx, gs, y_key, p, q, max_dist, node_cap,
     With a floor f the supremum is branch-and-bound: every letter is
     one Cayley edge, so the distance at position i exceeds the one at
     i - 1 by at most the number of words that moved.  A position whose
-    bound is <= f cannot lift the supremum above f and is not searched.
-    The result is exact when it exceeds f and is <= f otherwise."""
+    bound is <= f cannot lift the supremum above f and is not computed.
+    The result is exact when it exceeds f and is <= f otherwise.
+
+    The gate is tested once: with Garside tables every distance is
+    ``_table_distance``, else a ``cayley_distance`` search."""
+    distance = cayley_distance if gs.tables is None else _table_distance
     pk = [_key(gs, y_key)]
     for letter in p:
         pk.append(_append_key(gs, pk[-1], letter))
@@ -433,9 +494,8 @@ def _translated_distance(ctx, gs, y_key, p, q, max_dist, node_cap,
         bound += (i <= len(p)) + (i <= len(q))
         if floor is not None and bound <= floor:
             continue
-        bound = cayley_distance(ctx, gs, pk[min(i, len(p))],
-                                qk[min(i, len(q))], max_dist=max_dist,
-                                node_cap=node_cap)
+        bound = distance(ctx, gs, pk[min(i, len(p))], qk[min(i, len(q))],
+                         max_dist=max_dist, node_cap=node_cap)
         best = max(best, bound)
     return best
 
@@ -463,12 +523,19 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
 
     Only the maximum of the plain distances is reported, so it is
     computed branch-and-bound: a prefix position whose distance cannot
-    exceed the running maximum is not searched (see
+    exceed the running maximum is not computed (see
     ``_translated_distance``).  ``max_plain_leftmult`` stays exact, and
     ``plain_searches_clamped`` counts the plain searches that ran and
     were clamped; a skipped search has distance <= the running maximum
     <= the left-multiplication bound, so only one that would have hit
     the node cap is no longer counted.
+
+    Where the structure has Garside tables every distance is a word
+    length read off a Delta-normal form (Charney; Charney and Meier),
+    so the probe runs no search, builds no Cayley graph and ``node_cap``
+    does not bind; ``plain_searches_clamped`` then counts only lengths
+    beyond the left-multiplication bound.  Elsewhere each distance is a
+    ``cayley_distance`` search.
     """
     auto = build_automaton(ctx, gs)
     if span is None:
@@ -491,6 +558,11 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
 
     def forms_of(x):
         return sorted(normalize_all(ctx, S, x), key=NormalSequence.sort_key)
+
+    # the key of the identity, for the plain observations of part (b):
+    # their letters come from the probe's own normal forms, so they are
+    # not checked as synchronous_distance checks a caller's
+    one = _key(gs, (0, ctx.one))
 
     for x in sorted(ctx.enumerate_ball(radius)):
         forms = forms_of(x)
@@ -531,10 +603,9 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
                     if not plain_observations:
                         continue
                     try:
-                        dp = synchronous_distance(ctx, gs, p.factors, q,
-                                                  max_dist=bound_left,
-                                                  node_cap=node_cap,
-                                                  _floor=max_plain)
+                        dp = _translated_distance(ctx, gs, one, p.factors,
+                                                  q, bound_left, node_cap,
+                                                  max_plain)
                         max_plain = max(max_plain, dp)
                     except ResourceLimitExceeded:
                         plain_clamped += 1

@@ -86,7 +86,9 @@ class MonoidContext:
     passes their gate (``"garside_tables"``, per span), and for
     ``cayley_distance`` the pair distances (``("cayley", delta)``) and
     the Cayley graph with its fraction keys interned as ints and each
-    key's tuple of neighbour ids (``"cayley_graph"``, per delta), and
+    key's tuple of neighbour ids (``"cayley_graph"``, per delta), on
+    tables the word lengths read off normal forms per pair of keys
+    (``("length", delta.canon)``), and
     for ``mcms`` the right multiples of an element by norm
     (``"multiples"``) and each word's letter successors
     (``"successors"``).  Without tables the ``GarsideStructure`` memoises
@@ -96,8 +98,9 @@ class MonoidContext:
     the slide of each pair of simples.  Every class word and every
     canonical-form or left-complement entry counts against
     ``max_cached_words``; the rewriting systems are shared between
-    contexts, and they, the Cayley caches, the tables (|Div(delta)|^2
-    entries) and the structure's memos count against no cap.
+    contexts, and they, the Cayley and length caches, the tables
+    (|Div(delta)|^2 entries) and the structure's memos count against no
+    cap.
     ``class_fallbacks`` counts the distinct
     pairs whose left division (``left_divides`` or ``complements``)
     enumerated classes because left cancellation could not be certified.

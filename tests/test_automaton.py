@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,8 @@ from garside import (DELTA_INV, MonoidContext, NormalSequence,
 from garside.automaton import (_append, _translated_distance,
                                cayley_distance, charpoly)
 from garside.delta import _strip
+
+import oracles
 
 
 def structure(ctx, word):
@@ -236,7 +239,8 @@ def test_warm_caches_give_the_same_answers(name, delta, radius):
         assert bfs.class_of(min(cls)) == cls
 
 
-# (fixture, Garside element, radius) -> the full report details
+# (fixture, Garside element, radius) -> the full report details; "B4"
+# is the presentation oracles.B4
 PROBE_DETAILS = (
     ("B3", "s1s2s1", 4,
      {"k": 6, "elements": 26, "multiform_pairs": 0, "max_multiform": 0,
@@ -268,15 +272,33 @@ PROBE_DETAILS = (
       "bound_multiform": 8, "max_leftmult": 1, "bound_leftmult": 15,
       "max_sliding": 1, "bound_sliding": 1, "max_sliding_simple": 1,
       "max_plain_leftmult": 2, "plain_searches_clamped": 0}),
+    ("B4", "s1s2s1s3s2s1", 3,
+     {"k": 24, "elements": 31, "multiform_pairs": 0, "max_multiform": 0,
+      "bound_multiform": 46, "max_leftmult": 1, "bound_leftmult": 72,
+      "max_sliding": 1, "bound_sliding": 1, "max_sliding_simple": 1,
+      "max_plain_leftmult": 7, "plain_searches_clamped": 0}),
+    ("B3", "s1s2s1", 7,
+     {"k": 6, "elements": 133, "multiform_pairs": 0, "max_multiform": 0,
+      "bound_multiform": 10, "max_leftmult": 1, "bound_leftmult": 18,
+      "max_sliding": 1, "bound_sliding": 1, "max_sliding_simple": 1,
+      "max_plain_leftmult": 15, "plain_searches_clamped": 0}),
 )
 
 
 @pytest.mark.parametrize("name,delta,radius,details", PROBE_DETAILS)
 def test_ftp_probe_details_frozen(name, delta, radius, details):
-    ctx = MonoidContext(fixture(name))
-    rep = ftp_probe(ctx, structure(ctx, delta), radius)
+    ctx = MonoidContext(oracles.B4 if name == "B4" else fixture(name))
+    gs = structure(ctx, delta)
+    t0 = time.perf_counter()
+    rep = ftp_probe(ctx, gs, radius)
+    elapsed = time.perf_counter() - t0
     assert rep.passed
     assert rep.details == details
+    # on Garside tables every distance is read off a Delta-normal form:
+    # no Cayley graph is built, and the probe takes well under a second
+    assert ("cayley_graph" in ctx.caches) == (gs.tables is None)
+    if gs.tables is not None:
+        assert elapsed < 1.0
 
 
 def plain_observations(ctx, gs, radius):
@@ -341,11 +363,9 @@ def test_floored_supremum_is_exact_above_the_floor(ctx_factory, name, delta):
     def check(u, v, y_key, floor):
         if y_key == (0, ctx.one):
             exact = synchronous_distance(ctx, gs, u, v)
-            got = synchronous_distance(ctx, gs, u, v, _floor=floor)
         else:
             exact = _translated_distance(ctx, gs, y_key, u, v, 16, 200_000)
-            got = _translated_distance(ctx, gs, y_key, u, v, 16, 200_000,
-                                       floor)
+        got = _translated_distance(ctx, gs, y_key, u, v, 16, 200_000, floor)
         if exact > floor:
             assert got == exact
             outcomes.add("exact")

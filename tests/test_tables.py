@@ -20,11 +20,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from garside import (DELTA_INV, ElementSet, MonoidContext, build_automaton,
-                     build_structure, combine, covers, divisors, fixture,
-                     fraction_of_signed, group_equal, normalize,
-                     normalize_all, parse_presentation, to_fraction)
-from garside.delta import (_fraction_key, _public, _step, _strip,
+from garside import (DELTA_INV, ElementSet, MonoidContext,
+                     ResourceLimitExceeded, build_automaton, build_structure,
+                     combine, covers, divisors, fixture, fraction_of_signed,
+                     group_equal, normalize, normalize_all,
+                     parse_presentation, synchronous_distance, to_fraction)
+from garside.automaton import _append, _table_distance, cayley_distance
+from garside.delta import (_fraction_key, _key, _public, _step, _strip,
                            garside_tables, mul_letter)
 from test_burau import image
 
@@ -369,3 +371,98 @@ def test_folds_on_tables_reduce_no_word_longer_than_delta(name, delta):
     to_fraction(ctx, gs, gs.delta, atoms[0])
     added = set(ctx._canon) - before
     assert not [w for w in added if len(w) > gs.delta.norm], added
+
+
+# -- word lengths read off Delta-normal forms --------------------------
+
+
+def outcome(distance, *args, **limits):
+    """The distance, or the message of the ResourceLimitExceeded."""
+    try:
+        return distance(*args, **limits)
+    except ResourceLimitExceeded as exc:
+        return ("raised", str(exc))
+
+
+def public_ball_keys(gs):
+    """Stripped keys (k, x) for x in the radius-2 ball and k <= 2."""
+    return sorted({_strip(gs, k, x) for x in gs.ctx.enumerate_ball(2)
+                   for k in (0, 1, 2)})
+
+
+@pytest.mark.parametrize("presentation,delta,_,__", GATED, ids=GATED_IDS)
+def test_table_lengths_equal_the_cayley_search(presentation, delta, _, __):
+    # the search runs in a context of its own, so it shares no memo
+    ctx, gs = structure(presentation, delta)
+    ref, rgs = structure(presentation, delta)
+    keys = public_ball_keys(gs)
+    rkeys = [(k, ref.canonical(x.canon)) for k, x in keys]
+    internal = [_key(gs, key) for key in keys]
+    lengths = Counter()
+    for (a, ra), (b, rb) in itertools.product(zip(internal, rkeys),
+                                              repeat=2):
+        d = _table_distance(ctx, gs, a, b)
+        assert d == cayley_distance(ref, rgs, ra, rb), (a, b)
+        lengths[d] += 1
+        # max_dist binds as in the search
+        assert (outcome(_table_distance, ctx, gs, a, b, max_dist=d - 1)
+                == outcome(cayley_distance, ref, rgs, ra, rb,
+                           max_dist=d - 1))
+    assert set(lengths) == {0, 1, 2, 3, 4}
+
+
+def searched_synchronous_distance(gs, u, v, max_dist):
+    """synchronous_distance with every prefix distance a Cayley search,
+    the keys folded letter by letter through ``_append``."""
+    one = (0, gs.ctx.one)
+    keys = []
+    for word in (u, v):
+        keys.append([one])
+        for letter in word:
+            keys[-1].append(_append(gs, keys[-1][-1], letter))
+    pk, qk = keys
+    return max(cayley_distance(gs.ctx, gs, pk[min(i, len(u))],
+                               qk[min(i, len(v))], max_dist=max_dist)
+               for i in range(1, max(len(u), len(v), 1) + 1))
+
+
+@pytest.mark.parametrize("presentation,delta,_,__", GATED, ids=GATED_IDS)
+def test_synchronous_distance_on_tables_matches_a_search(presentation, delta,
+                                                         _, __):
+    ctx, gs = structure(presentation, delta)
+    ref, rgs = structure(presentation, delta)
+    letters = build_automaton(ctx, gs).letters
+    rletters = build_automaton(ref, rgs).letters
+    rng = random.Random(1995)
+    seen = Counter()
+    # on the larger alphabets (B4, type B3) words of at most two letters
+    # keep the search within distance 4
+    longest = 4 if len(letters) <= 8 else 2
+    for _ in range(60):
+        u, v = ([rng.randrange(len(letters))
+                 for _ in range(rng.randint(0, longest))] for _ in range(2))
+        for max_dist in (1, 2, 16):
+            got = outcome(synchronous_distance, ctx, gs,
+                          [letters[i] for i in u], [letters[i] for i in v],
+                          max_dist=max_dist)
+            assert got == outcome(
+                searched_synchronous_distance, rgs, [rletters[i] for i in u],
+                [rletters[i] for i in v], max_dist), (u, v, max_dist)
+            seen[got if isinstance(got, int) else got[1]] += 1
+    assert "no path of length <= 1 between the elements" in seen
+    assert max(d for d in seen if isinstance(d, int)) >= 3
+    # the explicit search was not run on the tables' side
+    assert "cayley_graph" not in ctx.caches
+
+
+def test_b4_synchronous_distance_beyond_the_node_cap_of_the_search():
+    # the bidirectional search exceeds its default 200000-node cap on
+    # this pair; the lengths are read off the normal forms at once
+    ctx, gs = structure(oracles.B4, "s1s2s1s3s2s1")
+    s1, s2 = ctx.element("s1"), ctx.element("s2")
+    t0 = time.perf_counter()
+    assert synchronous_distance(ctx, gs, [s1] * 6, [s2] * 6) == 12
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(ResourceLimitExceeded,
+                       match="no path of length <= 11 between"):
+        synchronous_distance(ctx, gs, [s1] * 6, [s2] * 6, max_dist=11)
