@@ -467,34 +467,48 @@ def synchronous_distance(ctx: MonoidContext, gs: GarsideStructure, u, v,
                                 max_dist, node_cap)
 
 
+def _chain(gs, start, word) -> list:
+    """The internal keys of start * word[:i] for i = 0 .. len(word)."""
+    keys = [start]
+    for letter in word:
+        keys.append(_append_key(gs, keys[-1], letter))
+    return keys
+
+
 def _translated_distance(ctx, gs, y_key, p, q, max_dist, node_cap,
                          floor=None):
     """Supremum over positions i of dist(y * p[:i], q[:i]), clamping
     each word at its own length; y_key is the fraction key (public or
-    internal) of the identity or of one alphabet letter.
+    internal) of the identity or of one alphabet letter.  The two
+    prefix-key chains are folded here and measured by
+    ``_chain_distance``."""
+    return _chain_distance(ctx, gs, _chain(gs, _key(gs, y_key), p),
+                           _chain(gs, _key(gs, (0, ctx.one)), q),
+                           max_dist, node_cap, floor)
+
+
+def _chain_distance(ctx, gs, pk, qk, max_dist, node_cap, floor=None):
+    """Supremum over positions i of dist(pk[i], qk[i]) on two prefix-key
+    chains (see ``_chain``), clamping each chain at its own end.
 
     With a floor f the supremum is branch-and-bound: every letter is
     one Cayley edge, so the distance at position i exceeds the one at
-    i - 1 by at most the number of words that moved.  A position whose
+    i - 1 by at most the number of chains that moved.  A position whose
     bound is <= f cannot lift the supremum above f and is not computed.
     The result is exact when it exceeds f and is <= f otherwise.
 
     The gate is tested once: with Garside tables every distance is
     ``_table_distance``, else a ``cayley_distance`` search."""
     distance = cayley_distance if gs.tables is None else _table_distance
-    pk = [_key(gs, y_key)]
-    for letter in p:
-        pk.append(_append_key(gs, pk[-1], letter))
-    qk = [_key(gs, (0, ctx.one))]
-    for letter in q:
-        qk.append(_append_key(gs, qk[-1], letter))
+    lp = len(pk) - 1
+    lq = len(qk) - 1
     best = 0
     bound = int(pk[0] != qk[0])
-    for i in range(1, max(len(p), len(q), 1) + 1):
-        bound += (i <= len(p)) + (i <= len(q))
+    for i in range(1, max(lp, lq, 1) + 1):
+        bound += (i <= lp) + (i <= lq)
         if floor is not None and bound <= floor:
             continue
-        bound = distance(ctx, gs, pk[min(i, len(p))], qk[min(i, len(q))],
+        bound = distance(ctx, gs, pk[min(i, lp)], qk[min(i, lq)],
                          max_dist=max_dist, node_cap=node_cap)
         best = max(best, bound)
     return best
@@ -524,7 +538,7 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
     Only the maximum of the plain distances is reported, so it is
     computed branch-and-bound: a prefix position whose distance cannot
     exceed the running maximum is not computed (see
-    ``_translated_distance``).  ``max_plain_leftmult`` stays exact, and
+    ``_chain_distance``).  ``max_plain_leftmult`` stays exact, and
     ``plain_searches_clamped`` counts the plain searches that ran and
     were clamped; a skipped search has distance <= the running maximum
     <= the left-multiplication bound, so only one that would have hit
@@ -536,7 +550,17 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
     does not bind; ``plain_searches_clamped`` then counts only lengths
     beyond the left-multiplication bound.  Elsewhere each distance is a
     ``cayley_distance`` search.
+
+    Each piece of work is done once per call: the normal forms of each
+    element and each form's prefix-key chain from the identity (kept in
+    memos local to the call, freed on return), and each form's
+    y-translated chain for each letter y.  Where the slid form is one
+    of the targets of y * x, the sliding distance is that target's
+    left-multiplication distance, the same function on the same
+    arguments, and is not measured again.
     """
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     auto = build_automaton(ctx, gs)
     if span is None:
         S = gs.div_delta
@@ -555,24 +579,43 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
     plain_clamped = 0
     checked = 0
     multi_pairs = 0
+    one = _key(gs, (0, ctx.one))
+    # per x.canon, the normal forms of x in order and their prefix-key
+    # chains from the identity: y * x and delta \ x recur across the ball
+    forms_memo = {}
+    chains_memo = {}
+    # the letters of part (a) checked so far, as synchronous_distance
+    # checks a caller's
+    letters = set()
 
     def forms_of(x):
-        return sorted(normalize_all(ctx, S, x), key=NormalSequence.sort_key)
+        got = forms_memo.get(x.canon)
+        if got is None:
+            got = forms_memo[x.canon] = sorted(normalize_all(ctx, S, x),
+                                               key=NormalSequence.sort_key)
+        return got
 
-    # the key of the identity, for the plain observations of part (b):
-    # their letters come from the probe's own normal forms, so they are
-    # not checked as synchronous_distance checks a caller's
-    one = _key(gs, (0, ctx.one))
+    def chains_of(x):
+        got = chains_memo.get(x.canon)
+        if got is None:
+            got = chains_memo[x.canon] = [_chain(gs, one, f.factors)
+                                          for f in forms_of(x)]
+        return got
 
     for x in sorted(ctx.enumerate_ball(radius)):
         forms = forms_of(x)
         checked += 1
         for i, p in enumerate(forms):
-            for q in forms[i + 1:]:
+            for j in range(i + 1, len(forms)):
+                q = forms[j]
                 multi_pairs += 1
-                d = synchronous_distance(ctx, gs, p.factors, q.factors,
-                                         max_dist=max_dist,
-                                         node_cap=node_cap)
+                for letter in p.factors + q.factors:
+                    if letter not in letters:
+                        _letter_value(gs, letter)
+                        letters.add(letter)
+                chains = chains_of(x)
+                d = _chain_distance(ctx, gs, chains[i], chains[j],
+                                    max_dist, node_cap)
                 max_multi = max(max_multi, d)
                 if d > bound_multi:
                     return VerificationReport(
@@ -588,24 +631,28 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
                 y_key = _key(gs, (1, ctx.one))
                 rest = ctx.left_divides(gs.delta, x)
                 if rest is None:
-                    targets = [(DELTA_INV,) + f.factors for f in forms_of(x)]
+                    target_chains = [_chain(gs, one, (DELTA_INV,) + f.factors)
+                                     for f in forms]
                 else:
-                    targets = [f.factors for f in forms_of(rest)]
+                    target_chains = chains_of(rest)
             else:
                 y_key = _key(gs, (0, y))
-                targets = [f.factors for f in forms_of(ctx.mul(y, x))]
-            for p in forms:
+                yx = ctx.mul(y, x)
+                targets = forms_of(yx)
+                target_chains = chains_of(yx)
+            for p, plain_chain in zip(forms, chains_of(x)):
+                # the y-translated chain of p, for every target and the
+                # sliding form
+                pk = _chain(gs, y_key, p.factors)
                 dists = []
-                for q in targets:
-                    d = _translated_distance(ctx, gs, y_key, p.factors, q,
-                                             max_dist, node_cap)
-                    dists.append(d)
+                for qk in target_chains:
+                    dists.append(_chain_distance(ctx, gs, pk, qk, max_dist,
+                                                 node_cap))
                     if not plain_observations:
                         continue
                     try:
-                        dp = _translated_distance(ctx, gs, one, p.factors,
-                                                  q, bound_left, node_cap,
-                                                  max_plain)
+                        dp = _chain_distance(ctx, gs, plain_chain, qk,
+                                             bound_left, node_cap, max_plain)
                         max_plain = max(max_plain, dp)
                     except ResourceLimitExceeded:
                         plain_clamped += 1
@@ -619,10 +666,15 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
                                  "distance": dmin,
                                  "allowed": bound_left})
                 if y is not DELTA_INV:
-                    slid = left_mult_update(ctx, S, y, p)
-                    d = _translated_distance(ctx, gs, y_key, p.factors,
-                                             slid.factors, max_dist,
-                                             node_cap)
+                    slid = left_mult_update(ctx, S, y, p).factors
+                    # a slid form among the targets was measured above,
+                    # on the same arguments
+                    d = next((dq for q, dq in zip(targets, dists)
+                              if q.factors == slid), None)
+                    if d is None:
+                        d = _chain_distance(ctx, gs, pk,
+                                            _chain(gs, one, slid),
+                                            max_dist, node_cap)
                     max_sliding_simple = max(max_sliding_simple, d)
                     if y not in S.members:
                         continue

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from .congruence import Element, MonoidContext
 from .reports import FrozenRecord, Record, VerificationReport
-from .structure import (ElementSet, divisors, divisors_in,
-                        enumerate_simples, is_spanning, mcms,
+from .structure import (ElementSet, _codim1_divisors, divisors,
+                        divisors_in, enumerate_simples, is_spanning, mcms,
                         primitive_closure, right_divisors)
 from .normal import NormalSequence, _sequence, normalize, normalize_all
 
@@ -85,9 +85,23 @@ class GarsideSearchResult(Record):
         return bool(self.minimal)
 
 
+def _atoms_divide(ctx: MonoidContext, d: Element, atoms) -> bool:
+    """Does every atom divide d on both sides?  The divisors of a
+    Garside element span, so they hold every atom, and its left and
+    right divisors agree: a necessary condition for ``is_garside``, and
+    a cheap one."""
+    if not all(ctx.divides(a, d) for a in atoms):
+        return False
+    quotients = _codim1_divisors(ctx, d)
+    return all(any(ctx.mul(p, a) == d for p in quotients) for a in atoms)
+
+
 def find_minimal_garside(ctx: MonoidContext, max_norm: int = 4) -> GarsideSearchResult:
     """Garside elements of norm at most max_norm with no proper Garside
-    divisor, in shortlex order, plus the primitive-mcm probe."""
+    divisor, in shortlex order, plus the primitive-mcm probe.  A
+    candidate that some atom fails to divide on either side is not a
+    Garside element (``_atoms_divide``) and is not checked further."""
+    atoms = sorted(ctx.ball_level(1))
     found = []
     checked = 0
     for n in range(1, max_norm + 1):
@@ -95,7 +109,7 @@ def find_minimal_garside(ctx: MonoidContext, max_norm: int = 4) -> GarsideSearch
             checked += 1
             if any(ctx.divides(g, d) for g in found):
                 continue
-            if is_garside(ctx, d).passed:
+            if _atoms_divide(ctx, d, atoms) and is_garside(ctx, d).passed:
                 found.append(d)
     probe = []
     prims = sorted(x for x in primitive_closure(ctx) if x.norm)
@@ -105,7 +119,8 @@ def find_minimal_garside(ctx: MonoidContext, max_norm: int = 4) -> GarsideSearch
             for z in sorted(mcms(ctx, x, y).mcms):
                 if z not in seen:
                     seen.add(z)
-                    probe.append((z, is_garside(ctx, z).passed))
+                    probe.append((z, _atoms_divide(ctx, z, atoms)
+                                  and is_garside(ctx, z).passed))
     probe.sort(key=lambda t: t[0])
     return GarsideSearchResult(tuple(sorted(found)), checked, max_norm,
                                tuple(probe))

@@ -12,13 +12,23 @@ least word of their class; arguments may be elements or internal words.
 searches every pair of ball levels by norm for a cancellation failure,
 and is the reference for the whole reports of
 ``check_cancellative_bounded``, witness included.
+
+``ftp_probe_per_call`` is the reference loop of ``ftp_probe``: it uses
+the package's distances, but recomputes every normal form, folds both
+prefix-key chains afresh for every distance and measures every sliding
+form, where ``ftp_probe`` does each of these once per call.
 """
 
 import random
 from functools import lru_cache
 
-from garside import (Element, Presentation, VerificationReport,
-                     parse_presentation)
+from garside import (DELTA_INV, Element, NormalSequence, Presentation,
+                     ResourceLimitExceeded, VerificationReport,
+                     build_automaton, left_mult_update, normalize_all,
+                     parse_presentation, synchronous_distance)
+from garside.automaton import _translated_distance
+from garside.delta import _key
+from garside.structure import _coerce_set
 
 LENGTH_ONE = Presentation(["s1", "s2", "s3"],
                           [("s1s2s1", "s2s1s2"), ("s3", "s1")])
@@ -252,3 +262,113 @@ def cancellation_scan(ctx, n) -> VerificationReport:
         witness={"x": ctx.show(x), "y": ctx.show(y),
                  "y2": ctx.show(y2), "side": side},
         details={"radius": n})
+
+
+def ftp_probe_per_call(ctx, gs, radius, span=None, max_dist=24,
+                       node_cap=200_000, plain_observations=True):
+    """``ftp_probe``'s report, each distance computed on its own."""
+    auto = build_automaton(ctx, gs)
+    if span is None:
+        S = gs.div_delta
+        delta_mode = True
+    else:
+        S = _coerce_set(ctx, span)
+        delta_mode = False
+    k = len(S)
+    bound_multi = 2 * (k - 1)
+    bound_left = 3 * k
+    max_multi = max_left = max_sliding = max_sliding_simple = 0
+    max_plain = plain_clamped = checked = multi_pairs = 0
+
+    def forms_of(x):
+        return sorted(normalize_all(ctx, S, x), key=NormalSequence.sort_key)
+
+    one = _key(gs, (0, ctx.one))
+    for x in sorted(ctx.enumerate_ball(radius)):
+        forms = forms_of(x)
+        checked += 1
+        for i, p in enumerate(forms):
+            for q in forms[i + 1:]:
+                multi_pairs += 1
+                d = synchronous_distance(ctx, gs, p.factors, q.factors,
+                                         max_dist=max_dist,
+                                         node_cap=node_cap)
+                max_multi = max(max_multi, d)
+                if d > bound_multi:
+                    return VerificationReport(
+                        "fellow-traveller", "fail", bound=radius,
+                        witness={"element": ctx.show(x),
+                                 "forms": [p.to_json(ctx), q.to_json(ctx)],
+                                 "distance": d,
+                                 "allowed": bound_multi})
+        if not delta_mode:
+            continue
+        for y in auto.letters:
+            if y is DELTA_INV:
+                y_key = _key(gs, (1, ctx.one))
+                rest = ctx.left_divides(gs.delta, x)
+                if rest is None:
+                    targets = [(DELTA_INV,) + f.factors for f in forms_of(x)]
+                else:
+                    targets = [f.factors for f in forms_of(rest)]
+            else:
+                y_key = _key(gs, (0, y))
+                targets = [f.factors for f in forms_of(ctx.mul(y, x))]
+            for p in forms:
+                dists = []
+                for q in targets:
+                    dists.append(_translated_distance(
+                        ctx, gs, y_key, p.factors, q, max_dist, node_cap))
+                    if not plain_observations:
+                        continue
+                    try:
+                        max_plain = max(max_plain, _translated_distance(
+                            ctx, gs, one, p.factors, q, bound_left,
+                            node_cap, max_plain))
+                    except ResourceLimitExceeded:
+                        plain_clamped += 1
+                dmin = min(dists)
+                max_left = max(max_left, dmin)
+                if dmin > bound_left:
+                    return VerificationReport(
+                        "fellow-traveller", "fail", bound=radius,
+                        witness={"element": ctx.show(x),
+                                 "letter": auto.letter_name(y),
+                                 "distance": dmin,
+                                 "allowed": bound_left})
+                if y is DELTA_INV:
+                    continue
+                slid = left_mult_update(ctx, S, y, p)
+                d = _translated_distance(ctx, gs, y_key, p.factors,
+                                         slid.factors, max_dist, node_cap)
+                max_sliding_simple = max(max_sliding_simple, d)
+                if y not in S.members:
+                    continue
+                max_sliding = max(max_sliding, d)
+                if d > 1:
+                    return VerificationReport(
+                        "fellow-traveller", "fail", bound=radius,
+                        witness={"element": ctx.show(x),
+                                 "letter": ctx.show(y),
+                                 "sliding_distance": d,
+                                 "allowed": 1})
+    details = {
+        "k": k,
+        "elements": checked,
+        "multiform_pairs": multi_pairs,
+        "max_multiform": max_multi,
+        "bound_multiform": bound_multi,
+    }
+    if delta_mode:
+        details.update({
+            "max_leftmult": max_left,
+            "bound_leftmult": bound_left,
+            "max_sliding": max_sliding,
+            "bound_sliding": 1,
+            "max_sliding_simple": max_sliding_simple,
+        })
+        if plain_observations:
+            details["max_plain_leftmult"] = max_plain
+            details["plain_searches_clamped"] = plain_clamped
+    return VerificationReport("fellow-traveller", "pass", bound=radius,
+                              details=details)

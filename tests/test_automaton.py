@@ -282,6 +282,16 @@ PROBE_DETAILS = (
       "bound_multiform": 10, "max_leftmult": 1, "bound_leftmult": 18,
       "max_sliding": 1, "bound_sliding": 1, "max_sliding_simple": 1,
       "max_plain_leftmult": 15, "plain_searches_clamped": 0}),
+    ("B3", "s1s2s1", 5,
+     {"k": 6, "elements": 46, "multiform_pairs": 0, "max_multiform": 0,
+      "bound_multiform": 10, "max_leftmult": 1, "bound_leftmult": 18,
+      "max_sliding": 1, "bound_sliding": 1, "max_sliding_simple": 1,
+      "max_plain_leftmult": 11, "plain_searches_clamped": 0}),
+    ("M3", "ac", 3,
+     {"k": 5, "elements": 16, "multiform_pairs": 0, "max_multiform": 0,
+      "bound_multiform": 8, "max_leftmult": 2, "bound_leftmult": 15,
+      "max_sliding": 1, "bound_sliding": 1, "max_sliding_simple": 2,
+      "max_plain_leftmult": 7, "plain_searches_clamped": 0}),
 )
 
 
@@ -299,6 +309,39 @@ def test_ftp_probe_details_frozen(name, delta, radius, details):
     assert ("cayley_graph" in ctx.caches) == (gs.tables is None)
     if gs.tables is not None:
         assert elapsed < 1.0
+
+
+# (fixture, Garside element, radius, keyword arguments); "primitives"
+# stands for the primitive closure as the span
+ORACLE_PROBES = (
+    ("B3", "s1s2s1", 4, {}), ("free_comm(3)", "abc", 3, {}),
+    ("M3", "ac", 2, {}), ("M1", "aa", 5, {}), ("M2", "aa", 3, {}),
+    ("M2", "ab", 2, {}), ("B3", "s1s2s1", 5, {}), ("M3", "ac", 3, {}),
+    ("M1", "aa", 6, {}), ("M2", "aa", 4, {}),
+    ("free_comm(3)", "abc", 3, {"plain_observations": False}),
+    ("M1", "aa", 4, {"span": "primitives"}),
+)
+
+
+@pytest.mark.parametrize("name,delta,radius,kwargs", ORACLE_PROBES)
+def test_ftp_probe_matches_the_per_call_loop(name, delta, radius, kwargs):
+    reports = []
+    for probe in (ftp_probe, oracles.ftp_probe_per_call):
+        ctx = MonoidContext(fixture(name))
+        kw = dict(kwargs)
+        if kw.get("span") == "primitives":
+            kw["span"] = primitive_closure(ctx)
+        reports.append(probe(ctx, structure(ctx, delta), radius, **kw))
+    got, want = reports
+    assert got.passed and want.passed
+    assert got.details == want.details
+    if kwargs.get("span"):
+        assert got.details["multiform_pairs"] == 4
+
+
+def test_ftp_probe_rejects_a_negative_radius(m1):
+    with pytest.raises(ValueError, match="radius"):
+        ftp_probe(m1, structure(m1, "aa"), -1)
 
 
 def plain_observations(ctx, gs, radius):
