@@ -49,3 +49,8 @@ def __getattr__(name):
     value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
     globals()[name] = value
     return value
+
+
+def __dir__():
+    # the public names are listed before they load
+    return sorted({*globals(), *__all__})

@@ -27,7 +27,7 @@ from .congruence import Element, MonoidContext, ResourceLimitExceeded
 from .reports import Record, VerificationReport
 from .structure import _coerce_set, covers, enumerate_simples
 from .normal import NormalSequence, left_mult_update, normalize_all
-from .delta import GarsideStructure, _key, _mul, _times_simple, mul_letter
+from .delta import GarsideStructure, _fold, _key, mul_letter
 
 __all__ = [
     "DELTA_INV",
@@ -274,8 +274,8 @@ def _append(gs, key, letter, sign=1):
 def _append_key(gs, key, letter):
     """``_append`` on internal keys, sign 1."""
     if letter is DELTA_INV:
-        return _mul(gs, key, gs.delta, -1)
-    return _mul(gs, key, letter, 1)
+        return _fold(gs, key, ((gs.delta, -1),))
+    return _fold(gs, key, ((letter, 1),))
 
 
 class _CayleyGraph:
@@ -306,7 +306,7 @@ class _CayleyGraph:
             gs = self.gs
             key = self.keys[node]
             got = self.adjacency[node] = tuple(
-                self.intern(_mul(gs, key, letter, sign))
+                self.intern(_fold(gs, key, ((letter, sign),)))
                 for letter in self.letters for sign in (1, -1))
         return got
 
@@ -403,7 +403,7 @@ def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
     return dist
 
 
-def _table_length(tables, key1, key2) -> int:
+def _table_length(gs, key1, key2) -> int:
     """The word length of a^-1 b over Div(delta) minus the identity, for
     internal keys a = (k_a, f_a) and b = (k_b, f_b) on tables.
 
@@ -413,15 +413,12 @@ def _table_length(tables, key1, key2) -> int:
     (Charney, *Math. Ann.* 301, 1995; Charney and Meier, *Math. Z.* 248,
     2004)."""
     (ka, fa), (kb, fb) = key1, key2
-    key = (0, ())
-    for i in reversed(fa):
-        key = _times_simple(tables, key, i, -1)
-    sign = 1 if ka > kb else -1
-    for _ in range(abs(ka - kb)):
-        key = _times_simple(tables, key, tables.delta, sign)
-    for i in fb:
-        key = _times_simple(tables, key, i, 1)
-    k, f = key
+    tables = gs.tables
+    simple = tables.elements
+    word = [(simple[i], -1) for i in reversed(fa)]
+    word += [(gs.delta, 1 if ka > kb else -1)] * abs(ka - kb)
+    word += [(simple[i], 1) for i in fb]
+    k, f = _fold(gs, (0, ()), word)
     m = 0
     while m < len(f) and f[m] == tables.delta:
         m += 1
@@ -442,7 +439,7 @@ def _table_distance(ctx, gs, key1, key2, max_dist=16, node_cap=None):
     lengths = ctx.caches[("length", gs.delta.canon)]
     dist = lengths.get(pair)
     if dist is None:
-        dist = lengths[pair] = _table_length(gs.tables, *pair)
+        dist = lengths[pair] = _table_length(gs, *pair)
     if dist > max_dist:
         raise _no_path(max_dist)
     return dist

@@ -92,11 +92,12 @@ class MonoidContext:
     for ``mcms`` the right multiples of an element by norm
     (``"multiples"``) and each word's letter successors
     (``"successors"``).  Without tables the ``GarsideStructure`` memoises
-    ``mul_letter``'s unstripped steps per (x.canon, g.canon, sign) and
-    each element's chain of quotients by powers of delta per canonical
-    word; the tables number the simples per canonical word and memoise
-    the slide of each pair of simples.  Every class word and every
-    canonical-form or left-complement entry counts against
+    per letter and sign the (m, phi^t(c)) with which the fraction-key
+    fold multiplies that letter in (``delta._fold``; g^-1 = c delta^-m),
+    and each element's chain of quotients by powers of delta per
+    canonical word; the tables number the simples per canonical word
+    and memoise the slide of each pair of simples.  Every class word and
+    every canonical-form or left-complement entry counts against
     ``max_cached_words``; the rewriting systems are shared between
     contexts, and they, the Cayley and length caches, the tables
     (|Div(delta)|^2 entries) and the structure's memos count against no

@@ -10,6 +10,13 @@ relations alone.  A group element is the fraction key (k, x) meaning
 d^(-k) x with k minimal, which gives a normal form and a word problem
 for the enveloping group of fractions.
 
+Keys are multiplied by one fold, ``_fold``, on either path.  It carries
+d^(-k) phi^(-t)(x): since y d^(-1) = d^(-1) phi^(-1)(y), a letter g
+multiplies x by phi^t(g), and an inverse g^(-1), written c d^(-m) with
+g c = d^m, multiplies x by phi^t(c) and adds m to k and to t.  So each
+letter is one right multiplication, phi is applied once per word, and
+leading powers of d are stripped as the fold goes (phi fixes d).
+
 Where Div(d) is a lattice (the gate of ``garside_tables``),
 the group layer computes internally on keys (k, f) instead, f the tuple
 of table ids of the Delta-normal form of x: a letter is multiplied in
@@ -146,9 +153,9 @@ class GarsideStructure(Record):
         self.order = order          # e with phi^e = identity
         # the memos are not fields: == and repr do not see how warm they are
         self._delta_powers = {}
-        # mul_letter's unstripped steps, keyed by canonical words:
-        # (x.canon, g.canon, sign) -> (m, y) with x g^sign = delta^(-m) y
-        self._steps = {}
+        # _fold's letters: (g.canon, sign) -> (m, twisted) with
+        # g^sign = c delta^(-m) and twisted[t] the word of phi^t(c)
+        self._letters = {}
         # _strip's quotients: y.canon -> [y, y/delta, y/delta^2, ...],
         # ended by None once delta no longer left divides
         self._quotients = {}
@@ -306,7 +313,8 @@ class GarsideTables:
     """
 
     __slots__ = ("elements", "ids", "n", "delta", "dual", "dual_inv",
-                 "phi", "phi_inv", "meet", "_atoms", "_peel", "_slides")
+                 "phi", "phi_inv", "twists", "meet", "_atoms", "_peel",
+                 "_slides")
 
     def __init__(self, elements, dual, meet, peel, atoms):
         n = len(elements)
@@ -319,9 +327,14 @@ class GarsideTables:
         for i, d in enumerate(dual):
             self.dual_inv[d] = i
         self.phi = [dual[d] for d in dual]
-        self.phi_inv = [0] * n
-        for i, p in enumerate(self.phi):
-            self.phi_inv[p] = i
+        # twists[t] is the row of phi^t, for t below the order of phi
+        identity = list(range(n))
+        self.twists = [identity]
+        row = self.phi
+        while row != identity:
+            self.twists.append(row)
+            row = [self.phi[i] for i in row]
+        self.phi_inv = self.twists[-1]
         self.meet = meet
         self._atoms = atoms    # letter -> id of its atom
         self._peel = peel      # id -> left quotient rows of its letters
@@ -535,64 +548,81 @@ def mul_letter(gs: GarsideStructure, key, g: Element, sign: int):
     """Right-multiply the fraction key (k, x), i.e. delta^(-k) x, by
     g^sign and strip the result."""
     if gs.tables is None:
-        return _mul(gs, key, g, sign)
-    return _public(gs, _mul(gs, _key(gs, key), g, sign))
+        return _fold(gs, key, ((g, sign),))
+    return _public(gs, _fold(gs, _key(gs, key), ((g, sign),)))
 
 
-def _mul(gs: GarsideStructure, key, g: Element, sign: int):
-    """``mul_letter`` on internal keys.
+def _fold(gs: GarsideStructure, key, letters):
+    """The internal key times a signed word (pairs (element, +-1)),
+    stripped.
 
-    Without tables an inverse g^(-1) is eliminated as c delta^(-m)
-    where g c = delta^m, and delta^(-m) is commuted leftward through
-    phi^(-m); the unstripped step does not depend on k, so it is
-    memoised per (x.canon, g.canon, sign).  With tables g is multiplied
-    in factor by factor, each inverse s^(-1) as s* delta^(-1)."""
+    The fold carries delta^(-k) phi^(-t)(x) and applies phi^(-t) once,
+    at the end.  Since y delta^(-m) = delta^(-m) phi^(-m)(y), a letter
+    g multiplies x by phi^t(g), and an inverse g^(-1) = c delta^(-m),
+    where g c = delta^m, multiplies x by phi^t(c) and adds m to k and
+    to t.  phi fixes delta, so delta is stripped from x as the fold
+    goes.  Without tables (m, phi^t(c)) is memoised per letter
+    (``_letter``); with them each factor s of g's Delta-normal form is
+    one ``GarsideTables.times`` through the row of phi^t, an inverse
+    s^(-1) as s* delta^(-1)."""
+    k, x = key
+    t = 0
     tables = gs.tables
     if tables is None:
-        k, x = key
-        memo = (x.canon, g.canon, sign)
-        step = gs._steps.get(memo)
-        if step is None:
-            step = gs._steps[memo] = _step(gs, x, g, sign)
-        m, y = step
-        return _strip(gs, k + m, y)
-    if sign != 1 and sign != -1:
-        raise ValueError(f"bad sign {sign!r}")
-    i = tables.ids.get(g.canon)
-    if i is not None:
-        return _times_simple(tables, key, i, sign)
-    factors = tables.form(g)
-    for i in (factors if sign == 1 else reversed(factors)):
-        key = _times_simple(tables, key, i, sign)
-    return key
+        # x's word is canonical, so each letter is reduced incrementally
+        reduced = gs.ctx._reduced
+        memo = gs._letters
+        for g, sign in letters:
+            got = memo.get((g.canon, sign))
+            if got is None:
+                got = memo[(g.canon, sign)] = _letter(gs, g, sign)
+            m, twisted = got
+            w = x.canon
+            x = reduced(w + twisted[t], len(w))
+            if m:
+                k += m
+                t = (t + m) % gs.order
+            if k:
+                k, x = _strip(gs, k, x)
+        return (k, gs.phi(x, -t)) if t else (k, x)
+    ids = tables.ids
+    dual = tables.dual
+    twists = tables.twists
+    row = twists[0]
+    for g, sign in letters:
+        i = ids.get(g.canon)
+        factors = (i,) if i is not None else tables.form(g)
+        if sign == 1:
+            for i in factors:
+                x = tables.times(x, row[i])
+        elif sign == -1:
+            for i in reversed(factors):
+                x = tables.times(x, row[dual[i]])
+                t = (t + 1) % len(twists)
+                row = twists[t]
+            k += len(factors)
+        else:
+            raise ValueError(f"bad sign {sign!r}")
+        if k and x and x[0] == tables.delta:
+            k, x = _strip_form(tables, k, x)
+    if not t:
+        return k, x
+    row = twists[-t]
+    return k, tuple([row[i] for i in x])
 
 
-def _times_simple(tables, key, i: int, sign: int):
-    """The internal key times s_i^sign: x s^(-1) = x s* delta^(-1) =
-    delta^(-1) phi^(-1)(x s*)."""
-    k, form = key
+def _letter(gs: GarsideStructure, g: Element, sign: int):
+    """(m, twisted) with g^sign = c delta^(-m) and twisted the canonical
+    words of c, phi(c), ..., phi^(e-1)(c): c = g and m = 0 for a
+    letter, and for an inverse the least m with g c = delta^m."""
     if sign == 1:
-        form = tables.times(form, i)
-    else:
-        phi_inv = tables.phi_inv
-        form = tuple([phi_inv[j]
-                      for j in tables.times(form, tables.dual[i])])
-        k += 1
-    if k and form and form[0] == tables.delta:
-        return _strip_form(tables, k, form)
-    return k, form
-
-
-def _step(gs: GarsideStructure, x: Element, g: Element, sign: int):
-    """(m, y) with x g^sign = delta^(-m) y."""
-    ctx = gs.ctx
-    if sign == 1:
-        return 0, ctx.mul(x, g)
-    if sign == -1:
+        m, c = 0, g
+    elif sign == -1:
         m = gs.embedding_exponent(g)
-        comp = ctx.left_divides(g, gs.delta_power(m))
-        return m, gs.phi(ctx.mul(x, comp), -m)
-    raise ValueError(f"bad sign {sign!r}")
+        c = gs.ctx.left_divides(g, gs.delta_power(m))
+    else:
+        raise ValueError(f"bad sign {sign!r}")
+    return m, tuple(gs.phi(c, t).canon for t in range(gs.order))
 
 
 def to_fraction(ctx: MonoidContext, gs: GarsideStructure, numerator,
@@ -614,7 +644,7 @@ def _reduced(ctx: MonoidContext, letters) -> list:
             g = ctx.canonical(g)
         if out:
             h, s = out[-1]
-            if s != sign and (h is g or h == g):
+            if s != sign and h.canon == g.canon:
                 out.pop()
                 continue
         out.append((g, sign))
@@ -624,10 +654,7 @@ def _reduced(ctx: MonoidContext, letters) -> list:
 def _fraction_key(gs: GarsideStructure, reduced) -> tuple:
     """The stripped internal fraction key of a freely reduced signed
     word."""
-    key = (0, gs.ctx.one if gs.tables is None else ())
-    for g, sign in reduced:
-        key = _mul(gs, key, g, sign)
-    return key
+    return _fold(gs, (0, gs.ctx.one if gs.tables is None else ()), reduced)
 
 
 def fraction_of_signed(ctx: MonoidContext, gs: GarsideStructure,

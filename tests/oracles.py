@@ -17,13 +17,18 @@ and is the reference for the whole reports of
 the package's distances, but recomputes every normal form, folds both
 prefix-key chains afresh for every distance and measures every sliding
 form, where ``ftp_probe`` does each of these once per call.
+
+``_step`` is a per-letter step of a fraction key on the kernel that
+multiplies an inverse in through its complement in a power of delta and
+applies phi^(-m) at once: the reference of ``delta._fold``, which
+defers phi to the end of the word.
 """
 
 import random
 from functools import lru_cache
 
-from garside import (DELTA_INV, Element, NormalSequence, Presentation,
-                     ResourceLimitExceeded, VerificationReport,
+from garside import (DELTA_INV, Element, GarsideStructure, NormalSequence,
+                     Presentation, ResourceLimitExceeded, VerificationReport,
                      build_automaton, left_mult_update, normalize_all,
                      parse_presentation, synchronous_distance)
 from garside.automaton import _translated_distance
@@ -372,3 +377,15 @@ def ftp_probe_per_call(ctx, gs, radius, span=None, max_dist=24,
             details["plain_searches_clamped"] = plain_clamped
     return VerificationReport("fellow-traveller", "pass", bound=radius,
                               details=details)
+
+
+def _step(gs: GarsideStructure, x: Element, g: Element, sign: int):
+    """(m, y) with x g^sign = delta^(-m) y."""
+    ctx = gs.ctx
+    if sign == 1:
+        return 0, ctx.mul(x, g)
+    if sign == -1:
+        m = gs.embedding_exponent(g)
+        comp = ctx.left_divides(g, gs.delta_power(m))
+        return m, gs.phi(ctx.mul(x, comp), -m)
+    raise ValueError(f"bad sign {sign!r}")

@@ -368,6 +368,15 @@ def test_public_names_resolve_to_their_defining_modules():
         garside.no_such_name
 
 
+def test_dir_lists_the_public_names_before_they_load():
+    code = ("import sys, garside\n"
+            "missing = set(garside.__all__) - set(dir(garside))\n"
+            "assert not missing, sorted(missing)\n"
+            "assert 'garside.delta' not in sys.modules")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_analyze_output_does_not_depend_on_the_hash_seed(tmp_path):
     # a b = a a is not left cancellative; its primitive closure notes an
     # incomplete mcm search, once, for the first pair it tries

@@ -9,8 +9,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from garside import build_structure, fraction_of_signed, group_equal
-from garside.delta import _reduced, mul_letter
+from garside import (MonoidContext, build_structure, fixture,
+                     fraction_of_signed, group_equal)
+from garside.delta import _fraction_key, _public, _reduced, mul_letter
 
 # fixture -> its minimal Garside element
 MINIMAL = {"M1": "aa", "M2": "aa", "M3": "ac", "B3": "s1s2s1",
@@ -86,6 +87,38 @@ def test_group_equal_matches_an_unreduced_fold(ctx_factory):
         assert seen[False, True, True] >= 5, (name, seen)
         assert seen[False, False, True] + seen[False, False, False] >= 5, \
             (name, seen)
+
+
+def answers_and_keys(name, d, queries, warm):
+    """``group_equal`` on each query pair, with the public fraction key
+    of each word, on a fresh context; with ``warm`` the context first
+    answers the same queries in reverse order."""
+    ctx = MonoidContext(fixture(name))
+    gs = build_structure(ctx, ctx.element(d))
+    if warm:
+        for w1, w2 in reversed(queries):
+            group_equal(ctx, gs, w1, w2)
+    return [(group_equal(ctx, gs, w1, w2),
+             [_public(gs, _fraction_key(gs, _reduced(ctx, w)))
+              for w in (w1, w2)])
+            for w1, w2 in queries]
+
+
+@pytest.mark.parametrize("name,d", [("M2", "ab"), ("M3", "ac"),
+                                    ("B3", "s1s2s1")])
+def test_answers_do_not_depend_on_how_warm_the_caches_are(name, d):
+    ctx = MonoidContext(fixture(name))
+    rng = random.Random(1972)
+    letters = sorted(ctx.ball_level(1)) + [ctx.element(d)]
+    queries = []
+    for _ in range(80):
+        w1 = [(rng.choice(letters), rng.choice((1, -1)))
+              for _ in range(rng.randrange(0, 8))]
+        queries.append((w1, variant(rng, ctx, letters, w1)))
+    fresh = answers_and_keys(name, d, queries, warm=False)
+    assert answers_and_keys(name, d, queries, warm=True) == fresh
+    answers = Counter(same for same, _ in fresh)
+    assert answers[True] >= 10 and answers[False] >= 10, answers
 
 
 def test_letters_given_as_internal_words(ctx_factory):

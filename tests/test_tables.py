@@ -3,11 +3,13 @@
 Where Div(delta) is a lattice, ``build_structure`` attaches tables on
 the simples, and fraction keys, normal forms, covering and the
 automaton are read off them.  Here every such answer is compared with
-the kernel path: fraction keys folded by ``_step`` and ``_strip``
-directly, and normal forms and covering on a context of its own that
-never built a structure, so that it has no tables.  Long words are
-checked against oracles that share no code with the package: the
-reduced Burau representation on B3 (``test_burau``) and exponent
+the kernel path: fraction keys folded by ``oracles._step`` and
+``_strip`` letter by letter, and normal forms and covering on a
+context of its own that never built a structure, so that it has no
+tables.  The fold that defers phi is checked against the same steps
+where phi is not the identity, on the kernel and on the tables.  Long
+words are checked against oracles that share no code with the package:
+the reduced Burau representation on B3 (``test_burau``) and exponent
 vectors on free_comm(3), whose group is Z^3."""
 
 import itertools
@@ -25,9 +27,11 @@ from garside import (DELTA_INV, ElementSet, MonoidContext,
                      combine, covers, divisors, fixture, fraction_of_signed,
                      group_equal, normalize, normalize_all,
                      parse_presentation, synchronous_distance, to_fraction)
-from garside.automaton import _append, _table_distance, cayley_distance
-from garside.delta import (_fraction_key, _key, _public, _step, _strip,
+from garside.automaton import (_append, _cayley_graph, _table_distance,
+                               cayley_distance)
+from garside.delta import (_fold, _fraction_key, _key, _public, _strip,
                            garside_tables, mul_letter)
+from oracles import _step
 from test_burau import image
 
 B5_FILE = pathlib.Path(__file__).parent / "data" / "b5.txt"
@@ -65,16 +69,103 @@ def structure(presentation, delta):
     return ctx, build_structure(ctx, ctx.element(delta))
 
 
+def kernel_step(gs, key, g, sign):
+    """The stripped key (k, x) times g^sign by ``oracles._step``, which
+    applies phi at each inverse letter."""
+    m, y = _step(gs, key[1], g, sign)
+    return _strip(gs, key[0] + m, y)
+
+
 def kernel_keys(gs, word):
     """The stripped key (k, x) after each letter of a signed word,
-    folded by the kernel's ``_step`` and ``_strip``."""
+    folded by ``kernel_step``."""
     key = (0, gs.ctx.one)
     keys = [key]
     for g, sign in word:
-        m, y = _step(gs, key[1], g, sign)
-        key = _strip(gs, key[0] + m, y)
+        key = kernel_step(gs, key, g, sign)
         keys.append(key)
     return keys
+
+
+# phi != id: M2 with delta = ab has no tables (phi of order 3), and B3
+# and BKL(B3) are folded with their tables and with them set aside
+# (orders 2 and 3); the largest norm of a word's positive letters
+TWISTED = (
+    (fixture("M2"), "ab", 3, 10),
+    (fixture("B3"), "s1s2s1", 2, 14),
+    (BKL_B3, "ab", 3, 10),
+)
+
+
+def twisted_words(rng, gs, reach, count):
+    """Random signed words of atoms, non-atom simples, delta and
+    elements that are not simple, each inverse letter drawn as often as
+    its letter, plus runs of delta^-1 between atoms."""
+    ctx = gs.ctx
+    atoms = sorted(ctx.ball_level(1))
+    simples = sorted(x for x in gs.simples if x.norm > 1)
+    others = sorted(x for x in ctx.ball_level(2) | ctx.ball_level(3)
+                    if x not in gs.simples.members)
+    assert simples and others and gs.delta in simples
+    letters = atoms + simples + others + [gs.delta]
+    words = []
+    while len(words) < count:
+        word = [(rng.choice(letters), rng.choice((1, -1)))
+                for _ in range(rng.randrange(1, 7))]
+        if sum(g.norm for g, s in word if s > 0) <= reach:
+            words.append(word)
+    for a in atoms:
+        words.append([(a, 1), (gs.delta, -1), (a, 1), (gs.delta, -1),
+                      (gs.delta, -1), (a, -1), (a, 1)])
+    return words
+
+
+@pytest.mark.parametrize("presentation,delta,order,reach", TWISTED,
+                         ids=[p.name for p, *_ in TWISTED])
+def test_the_deferred_twist_equals_the_per_letter_steps(
+        presentation, delta, order, reach):
+    ctx = MonoidContext(presentation)
+    gated = build_structure(ctx, ctx.element(delta))
+    gs = build_structure(ctx, gated.delta)
+    gs.tables = None
+    assert gs.order == order
+    words = twisted_words(random.Random(1995), gs, reach, 80)
+    twisted = 0
+    for word in words:
+        expected = kernel_keys(gs, word)
+        key = (0, ctx.one)
+        for (g, sign), want in zip(word, expected[1:]):
+            key = mul_letter(gs, key, g, sign)
+            assert key == want, (word, g, sign)
+        assert _fold(gs, (0, ctx.one), word) == expected[-1], word
+        if gated.tables is not None:
+            assert (_public(gated, _fold(gated, (0, ()), word))
+                    == expected[-1]), word
+            key = (0, ctx.one)
+            for (g, sign), want in zip(word, expected[1:]):
+                key = mul_letter(gated, key, g, sign)
+                assert key == want, (word, g, sign)
+        twisted += sum(gs.embedding_exponent(g) for g, s in word
+                       if s < 0) % order != 0
+    # many words end with phi^t pending, t not a multiple of the order
+    assert twisted >= len(words) // 3, twisted
+
+
+def test_cayley_neighbours_under_a_twist():
+    # the graph of the ftp probe on M2 with delta = ab, phi of order 3
+    ctx, gs = structure(fixture("M2"), "ab")
+    graph = _cayley_graph(ctx, gs)
+    frontier = [graph.intern((0, ctx.one))]
+    for _ in range(3):
+        nodes, frontier = frontier, []
+        for node in nodes:
+            key = graph.keys[node]
+            want = [kernel_step(gs, key, g, sign)
+                    for g in graph.letters for sign in (1, -1)]
+            got = graph.neighbours(node)
+            assert [graph.keys[n] for n in got] == want, key
+            frontier += got
+    assert len(graph.keys) > 30
 
 
 def test_the_gate_fails_where_mcms_are_not_unique():
