@@ -676,11 +676,32 @@ def combine(ctx: MonoidContext, gs: GarsideStructure, f1: FractionForm,
 def group_equal(ctx: MonoidContext, gs: GarsideStructure, w1, w2) -> bool:
     """Word problem for the group of fractions on signed words.
 
-    Relations preserve length, so the degree sum(sign * norm(g)) is a
-    homomorphism onto the integers: words of different degree are
-    unequal, and no fraction is folded for them."""
+    Both words are freely reduced, and every sign checked, before
+    anything is dropped.  A group is cancellative, so p u s = p v s
+    exactly when u = v: the longest common prefix and then the longest
+    common suffix of the reduced words are dropped, the suffix bounded
+    so that the two never overlap, and only the middles u and v, which
+    are reduced too, are compared.  Relations preserve length, so the
+    degree sum(sign * norm(g)) is a homomorphism onto the integers:
+    middles of different degree are unequal, and no fraction is folded
+    for them; otherwise the two middles are folded."""
     w1 = _reduced(ctx, w1)
     w2 = _reduced(ctx, w2)
+    n = min(len(w1), len(w2))
+    i = 0
+    while i < n:
+        (g, s), (h, t) = w1[i], w2[i]
+        if s != t or g.canon != h.canon:
+            break
+        i += 1
+    j = 0
+    while j < n - i:
+        (g, s), (h, t) = w1[-1 - j], w2[-1 - j]
+        if s != t or g.canon != h.canon:
+            break
+        j += 1
+    w1 = w1[i:len(w1) - j]
+    w2 = w2[i:len(w2) - j]
     degree = 0
     for g, s in w1:
         degree += s * len(g.canon)

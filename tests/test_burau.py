@@ -7,7 +7,7 @@ are.  The oracle is plain integer arithmetic on Laurent polynomials,
 with the inverse matrices written out; it shares no code with the
 congruence engine.  ``group_equal``, ``to_fraction``,
 ``fraction_of_signed`` and ``combine`` are checked against it on
-seeded words."""
+seeded words, ``group_equal`` also on pairs with long common affixes."""
 
 import random
 import time
@@ -184,3 +184,23 @@ def test_long_words_against_burau(b3):
         for form, w in ((f1, words[0]), (f2, words[1])):
             assert fraction_image(b3, form) == image(w), w
         assert fraction_image(b3, f) == image(words[0] + words[1])
+
+
+def test_common_affixes_against_burau(b3):
+    # group_equal drops the common prefix and suffix of the reduced
+    # words; the matrices multiply them out in full
+    gs = build_structure(b3, b3.element("s1s2s1"))
+    rng = random.Random(2018)
+    seen = Counter()
+    for _ in range(100):
+        prefix, suffix = random_word(rng, 40), random_word(rng, 40)
+        u = random_word(rng, rng.randrange(0, 7))
+        v = variant(rng, u)
+        w1, w2 = prefix + u + suffix, prefix + v + suffix
+        expected = image(w1) == image(w2)
+        assert group_equal(b3, gs, elements(b3, w1),
+                           elements(b3, w2)) == expected, (w1, w2)
+        degree = sum(s for _, s in u) == sum(s for _, s in v)
+        seen[expected, degree] += 1
+    assert seen[True, True] >= 15, seen
+    assert seen[False, True] >= 10 and seen[False, False] >= 10, seen

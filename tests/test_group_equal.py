@@ -1,7 +1,9 @@
-"""The group word problem on reduced words: ``group_equal`` answers
-False for words of different degree without folding, and folds freely
-reduced words otherwise.  Checked against an unreduced fold and against
-oracles that share no code with the congruence engine."""
+"""The group word problem on reduced words: ``group_equal`` freely
+reduces both words, drops their longest common prefix and suffix (a
+group is cancellative), answers False for middles of different degree
+without folding, and folds only the two middles otherwise.  Checked
+against an unreduced fold of the whole words and against oracles that
+share no code with the congruence engine."""
 
 import random
 from collections import Counter
@@ -9,7 +11,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from garside import (MonoidContext, build_structure, fixture,
+from garside import (MonoidContext, build_structure, delta, fixture,
                      fraction_of_signed, group_equal)
 from garside.delta import _fraction_key, _public, _reduced, mul_letter
 
@@ -38,8 +40,8 @@ def expand(ctx, g, sign):
 def variant(rng, ctx, letters, w1):
     """A second word for w1: unrelated, w1 with an inserted g g^-1 pair,
     w1 with a letter written over the atoms (same element, another raw
-    length), w1 with one letter replaced by another of the same norm, or w1 with one letter more
-    (another degree)."""
+    length), w1 with one letter replaced by another of the same norm,
+    or w1 with one letter more (another degree)."""
     choice = rng.randrange(5)
     w = list(w1)
     i = rng.randrange(len(w) + 1)
@@ -170,6 +172,130 @@ def test_a_bad_sign_is_refused_before_it_cancels(ctx_factory):
             group_equal(ctx, gs, word, [])
         with pytest.raises(ValueError, match="bad sign"):
             fraction_of_signed(ctx, gs, word)
+
+
+# fixture, Garside element and whether it has Garside tables: M2 with
+# delta = ab has phi of order 3
+STRIP_FIXTURES = [("M1", "aa", False), ("M3", "ac", False),
+                  ("M2", "ab", False), ("B3", "s1s2s1", True),
+                  ("free_comm(3)", "abc", True)]
+
+
+def affix(rng, letters, d):
+    """A signed word of 10 to 40 parts, each a letter of either sign,
+    d^+-1 (the Garside element) or a cancelling pair g g^-1."""
+    w = []
+    for _ in range(rng.randrange(10, 41)):
+        r = rng.random()
+        if r < 0.1:
+            w.append((d, rng.choice((1, -1))))
+        elif r < 0.2:
+            g, s = rng.choice(letters), rng.choice((1, -1))
+            w += [(g, s), (g, -s)]
+        else:
+            w.append((rng.choice(letters), rng.choice((1, -1))))
+    return w
+
+
+def strip_setup(name, d, tables):
+    ctx = MonoidContext(fixture(name))
+    gs = build_structure(ctx, ctx.element(d))
+    assert (gs.tables is not None) == tables
+    return ctx, gs, sorted(ctx.ball_level(1)) + [gs.delta]
+
+
+def trivial(ctx, gs):
+    """A word for the identity that free reduction leaves as it is:
+    delta over its atoms, then delta^-1."""
+    return expand(ctx, gs.delta, 1) + [(gs.delta, -1)]
+
+
+@pytest.mark.parametrize("name,d,tables", STRIP_FIXTURES)
+def test_common_affixes_against_an_unreduced_fold(name, d, tables):
+    ctx, gs, letters = strip_setup(name, d, tables)
+    rng = random.Random(2018)
+    answers = Counter()
+    for _ in range(60):
+        p, s = affix(rng, letters, gs.delta), affix(rng, letters, gs.delta)
+        u = [(rng.choice(letters), rng.choice((1, -1)))
+             for _ in range(rng.randrange(0, 5))]
+        v = variant(rng, ctx, letters, u)
+        w1, w2 = p + u + s, p + v + s
+        expected = unreduced_key(ctx, gs, w1) == unreduced_key(ctx, gs, w2)
+        assert group_equal(ctx, gs, w1, w2) == expected, (w1, w2)
+        answers[expected] += 1
+    assert answers[True] >= 5 and answers[False] >= 5, answers
+
+
+@pytest.mark.parametrize("name,d,tables", STRIP_FIXTURES)
+def test_common_affix_edge_cases(name, d, tables):
+    ctx, gs, letters = strip_setup(name, d, tables)
+    rng = random.Random(2019)
+    p, s = affix(rng, letters, gs.delta), affix(rng, letters, gs.delta)
+    a = letters[0]
+    g = rng.choice(letters)
+    one = trivial(ctx, gs)
+    cases = [
+        (p + s, p + s, True),                        # identical words
+        (p + [(g, 1), (g, -1)] + s, p + s, True),    # two empty middles
+        (p, p + one, True),                          # a proper prefix
+        (p, p + [(a, 1)], False),
+        (p + one + s, p + s, True),                  # one middle empty
+        (p + [(a, -1)] + s, p + s, False),
+        ([(a, 1), (a, 1)], [(a, 1)], False),         # prefix and suffix
+        ([(a, 1)], [(a, 1), (a, 1)], False),         # would overlap
+        ([(a, 1)] + one + [(a, 1)], [(a, 1), (a, 1)], True),
+        ([(a, 1), (a, 1)] + one, [(a, 1)] + one, False),
+        ([], one, True),
+    ]
+    for w1, w2, same in cases:
+        assert (unreduced_key(ctx, gs, w1)
+                == unreduced_key(ctx, gs, w2)) == same, (w1, w2)
+        assert group_equal(ctx, gs, w1, w2) == same, (w1, w2)
+        assert group_equal(ctx, gs, w2, w1) == same, (w2, w1)
+
+
+@pytest.mark.parametrize("name,d,tables,u,v,same", [
+    ("M3", "ac", False, "ac", "ca", True),
+    ("M3", "ac", False, "ac", "ba", False),
+    ("M3", "ac", False, "ac", "b", False),
+    ("B3", "s1s2s1", True, ["s1", "s2", "s1"], ["s2", "s1", "s2"], True),
+    ("B3", "s1s2s1", True, ["s1", "s2"], ["s2", "s1"], False),
+])
+def test_only_the_middles_are_folded(monkeypatch, name, d, tables, u, v,
+                                     same):
+    ctx, gs, letters = strip_setup(name, d, tables)
+    folded = []
+    fold = delta._fold
+
+    def counting(gs, key, word):
+        word = list(word)
+        folded.append(len(word))
+        return fold(gs, key, word)
+
+    monkeypatch.setattr(delta, "_fold", counting)
+    # positive affixes and middles: nothing cancels, so the strip takes
+    # exactly p and s (u and v differ in their first and last letters)
+    rng = random.Random(2020)
+    p = [(rng.choice(letters), 1) for _ in range(30)]
+    s = [(rng.choice(letters), 1) for _ in range(30)]
+    mu = [(ctx.element(g), 1) for g in u]
+    mv = [(ctx.element(g), 1) for g in v]
+    assert group_equal(ctx, gs, p + mu + s, p + mv + s) == same
+    # middles of different degree are refused before any fold
+    assert sum(folded) == (len(u) + len(v) if len(u) == len(v) else 0)
+
+
+def test_a_bad_sign_in_a_common_affix_is_refused(ctx_factory):
+    ctx = ctx_factory("free_comm(3)")
+    gs = build_structure(ctx, ctx.element("abc"))
+    a, b, c = (ctx.element(g) for g in "abc")
+    bad = [(a, 1), (b, 0), (c, 1)]
+    for w1, w2 in ((bad, list(bad)),                    # the whole word
+                   (bad + [(a, 1)], bad + [(b, 1)]),    # the prefix
+                   ([(a, 1)] + bad, [(b, 1)] + bad)):   # the suffix
+        with pytest.raises(ValueError, match="bad sign"):
+            group_equal(ctx, gs, w1, w2)
 
 
 def signed_words(gens, max_size=7):
