@@ -27,7 +27,7 @@ from .congruence import Element, MonoidContext, ResourceLimitExceeded
 from .reports import Record, VerificationReport
 from .structure import _coerce_set, covers, enumerate_simples
 from .normal import NormalSequence, left_mult_update, normalize_all
-from .delta import GarsideStructure, _fold, _key, mul_letter
+from .delta import GarsideStructure, _fold, _key, _table_length, mul_letter
 
 __all__ = [
     "DELTA_INV",
@@ -401,28 +401,6 @@ def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
         raise _no_path(max_dist)
     cache[pair] = (dist, tuple(checked))
     return dist
-
-
-def _table_length(gs, key1, key2) -> int:
-    """The word length of a^-1 b over Div(delta) minus the identity, for
-    internal keys a = (k_a, f_a) and b = (k_b, f_b) on tables.
-
-    a^-1 b = f_a^-1 delta^(k_a - k_b) f_b is folded from the identity.
-    For its key (k, f), with m leading delta factors in f, inf = m - k
-    and sup = len(f) - k, and the length is max(sup, 0) - min(inf, 0)
-    (Charney, *Math. Ann.* 301, 1995; Charney and Meier, *Math. Z.* 248,
-    2004)."""
-    (ka, fa), (kb, fb) = key1, key2
-    tables = gs.tables
-    simple = tables.elements
-    word = [(simple[i], -1) for i in reversed(fa)]
-    word += [(gs.delta, 1 if ka > kb else -1)] * abs(ka - kb)
-    word += [(simple[i], 1) for i in fb]
-    k, f = _fold(gs, (0, ()), word)
-    m = 0
-    while m < len(f) and f[m] == tables.delta:
-        m += 1
-    return max(len(f) - k, 0) - min(m - k, 0)
 
 
 def _table_distance(ctx, gs, key1, key2, max_dist=16, node_cap=None):

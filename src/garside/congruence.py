@@ -96,7 +96,8 @@ class MonoidContext:
     fold multiplies that letter in (``delta._fold``; g^-1 = c delta^-m),
     and each element's chain of quotients by powers of delta per
     canonical word; the tables number the simples per canonical word
-    and memoise the slide of each pair of simples.  Every class word and
+    and hold the slide of each pair, all built at their gate, and a
+    span's normal forms on them reduce no word.  Every class word and
     every canonical-form or left-complement entry counts against
     ``max_cached_words``; the rewriting systems are shared between
     contexts, and they, the Cayley and length caches, the tables

@@ -23,7 +23,8 @@ of table ids of the Delta-normal form of x: a letter is multiplied in
 by sliding that form, and no word longer than d is reduced.  Answers
 are the same.  A ``FractionForm`` holds the form, not x; keys take the
 public form (k, x) only at ``mul_letter`` and the arguments of
-``automaton.cayley_distance``.
+``automaton.cayley_distance``.  The ids stay in this module: the span
+layer calls four ``GarsideTables`` methods on elements and words.
 
 "Delta-simple" and "Delta-normal" mean simple/normal with respect to
 the span Div(delta); the simple elements usually form a strictly
@@ -37,7 +38,7 @@ from .reports import FrozenRecord, Record, VerificationReport
 from .structure import (ElementSet, _codim1_divisors, divisors,
                         divisors_in, enumerate_simples, is_spanning, mcms,
                         primitive_closure, right_divisors)
-from .normal import NormalSequence, _sequence, normalize, normalize_all
+from .normal import NormalSequence, normalize, normalize_all
 
 __all__ = [
     "is_garside",
@@ -293,39 +294,34 @@ def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
 # -- Garside tables ------------------------------------------------------
 
 
-_UNSET = object()
-
-
 class GarsideTables:
     """Div(delta) as a lattice, with the simples numbered in shortlex
     order: id 0 is the identity and the last id is delta.  ``ids`` maps
-    the canonical word of each simple to its id.
+    the canonical word of each simple to its id.  Only this module
+    reads the ids; the span layer calls ``normal_form``, ``is_normal``,
+    ``covers`` and ``slid``, which take elements or words.
 
     Where any two simples have a greatest common divisor in Div(delta)
     on each side, every Delta-normal form is read off tables on the ids
     (Dehornoy et al., *Foundations of Garside Theory*, 2015, ch. I and
     III): ``dual`` is the complement s -> s* with s s* = delta, ``phi``
-    its square, ``meet`` the left gcd, and ``slide`` makes a pair s|t
-    left-weighted, s(s* ^ t) | (s* ^ t)^-1 t.  A pair is left-weighted,
-    i.e. s covers t over Div(delta), exactly when s* ^ t = 1.  Every
-    entry is computed from words of norm at most norm(delta); the
-    tables hold |Div(delta)|^2 entries and count against no cap.
+    its square, and the slide of a pair s|t makes it left-weighted,
+    s(s* ^ t) | (s* ^ t)^-1 t.  A pair is left-weighted, i.e. s covers
+    t over Div(delta), exactly when s* ^ t = 1; its slide is then None.
+    ``garside_tables`` builds every slide from words of norm at most
+    norm(delta); the |Div(delta)|^2 entries count against no cap.
     """
 
-    __slots__ = ("elements", "ids", "n", "delta", "dual", "dual_inv",
-                 "phi", "phi_inv", "twists", "meet", "_atoms", "_peel",
-                 "_slides")
+    __slots__ = ("elements", "ids", "n", "delta", "dual", "phi", "phi_inv",
+                 "twists", "_atoms", "_slides")
 
-    def __init__(self, elements, dual, meet, peel, atoms):
+    def __init__(self, elements, dual, slides, atoms):
         n = len(elements)
         self.elements = elements
         self.ids = {e.canon: i for i, e in enumerate(elements)}
         self.n = n
         self.delta = n - 1
         self.dual = dual
-        self.dual_inv = [0] * n
-        for i, d in enumerate(dual):
-            self.dual_inv[d] = i
         self.phi = [dual[d] for d in dual]
         # twists[t] is the row of phi^t, for t below the order of phi
         identity = list(range(n))
@@ -335,32 +331,8 @@ class GarsideTables:
             self.twists.append(row)
             row = [self.phi[i] for i in row]
         self.phi_inv = self.twists[-1]
-        self.meet = meet
         self._atoms = atoms    # letter -> id of its atom
-        self._peel = peel      # id -> left quotient rows of its letters
-        self._slides = [_UNSET] * (n * n)
-
-    def left_weighted(self, i, j) -> bool:
-        return self.meet[self.dual[i] * self.n + j] == 0
-
-    def _quotient(self, a, b):
-        """The id of a^-1 b, for a left dividing b."""
-        for row in self._peel[a]:
-            b = row[b]
-        return b
-
-    def slide(self, i, j):
-        """The pair s_i|s_j made left-weighted, as ids (s_i m, m^-1 s_j)
-        with m = s_i* ^ s_j, or None where m = 1.  Since (s_i m)* =
-        m^-1 s_i*, the product s_i m is read off a quotient too."""
-        key = i * self.n + j
-        got = self._slides[key]
-        if got is _UNSET:
-            m = self.meet[self.dual[i] * self.n + j]
-            got = self._slides[key] = None if not m else (
-                self.dual_inv[self._quotient(m, self.dual[i])],
-                self._quotient(m, j))
-        return got
+        self._slides = slides  # i * n + j -> the slide of s_i|s_j
 
     def times(self, form, t) -> tuple:
         """The normal form of form * s_t: s_t is appended and the pairs
@@ -371,8 +343,6 @@ class GarsideTables:
         slides = self._slides
         n = self.n
         got = slides[form[-1] * n + t]
-        if got is _UNSET:
-            got = self.slide(form[-1], t)
         if got is None:
             return form + (t,)
         f = list(form)
@@ -380,8 +350,6 @@ class GarsideTables:
         i = len(f) - 1
         while i:
             got = slides[f[i - 1] * n + f[i]]
-            if got is _UNSET:
-                got = self.slide(f[i - 1], f[i])
             if got is None:
                 break
             f[i - 1], f[i] = got
@@ -392,16 +360,52 @@ class GarsideTables:
             f.pop()
         return tuple(f)
 
-    def form(self, x: Element) -> tuple:
-        """The ids of the Delta-normal form of x."""
-        got = self.ids.get(x.canon)
+    def form(self, word: str) -> tuple:
+        """The ids of the Delta-normal form of a word, canonical or not."""
+        got = self.ids.get(word)
         if got is not None:
             return (got,) if got else ()
         form = ()
         atoms = self._atoms
-        for c in x.canon:
+        for c in word:
             form = self.times(form, atoms[c])
         return form
+
+    def _sequence(self, form, label) -> NormalSequence:
+        return NormalSequence(tuple(self.elements[i] for i in form), label)
+
+    def normal_form(self, word: str, label) -> NormalSequence:
+        """The Delta-normal form of a word, which is never reduced."""
+        return self._sequence(self.form(word), label)
+
+    def is_normal(self, factors) -> bool:
+        """Are the elements non-identity simples, each pair of
+        neighbours left-weighted?"""
+        ids = [self.ids.get(f.canon) for f in factors]
+        return all(ids) and all(self._slides[i * self.n + j] is None
+                                for i, j in zip(ids, ids[1:]))
+
+    def covers(self, x: Element, y: Element):
+        """Is the pair x|y left-weighted?  None unless both are simple."""
+        i = self.ids.get(x.canon)
+        j = self.ids.get(y.canon)
+        if i is None or j is None:
+            return None
+        return self._slides[i * self.n + j] is None
+
+    def slid(self, y: Element, factors, label) -> NormalSequence:
+        """The normal form of y times a normal sequence, y simple: the
+        carry is slid through the factors, one slide each, and stays
+        simple."""
+        cur = self.ids[y.canon]
+        form = []
+        for f in factors:
+            f = self.ids[f.canon]
+            head, cur = self._slides[cur * self.n + f] or (cur, f)
+            form.append(head)
+        if cur:
+            form.append(cur)
+        return self._sequence(form, label)
 
 
 def garside_tables(ctx: MonoidContext, div: ElementSet, simples: ElementSet,
@@ -413,19 +417,20 @@ def garside_tables(ctx: MonoidContext, div: ElementSet, simples: ElementSet,
     an atom is unique within Div(delta), and the left divisor sets
     (and the right ones) of any two simples intersect in the divisor
     set of a simple.  The sets are int bitmasks, so each pair is one
-    dict lookup per side."""
+    dict lookup per side.  Past the gate every slide is built from the
+    left gcds and the left quotients."""
     if simples.members != div.members:
         return None
     elements = sorted(div.members)
     n = len(elements)
-    ids = {e: i for i, e in enumerate(elements)}
-    atoms = sorted(ctx.ball_level(1))
-    # quotients[a][b]: the id of a^-1 b for an atom a, else -1
+    ids = {e.canon: i for i, e in enumerate(elements)}
+    # quotients[c][b]: the id of c^-1 b for an atom c, else -1; the
+    # extra last entry is -1 too, so that a row read at -1 gives -1
     quotients = {}
-    for a in atoms:
-        row = [-1] * n
+    for a in sorted(ctx.ball_level(1)):
+        row = [-1] * (n + 1)
         for y, e in enumerate(elements):
-            b = ids.get(ctx.mul(a, e))
+            b = ids.get(ctx.mul(a, e).canon)
             if b is not None:
                 if row[b] >= 0:
                     return None
@@ -438,7 +443,7 @@ def garside_tables(ctx: MonoidContext, div: ElementSet, simples: ElementSet,
             if row[b] >= 0:
                 mask |= right[row[b]]
         right[b] = mask
-    left = [sum(1 << ids[d] for d in divisors_in(ctx, div, e))
+    left = [sum(1 << ids[d.canon] for d in divisors_in(ctx, div, e))
             for e in elements]
     # each set holds its element, so no two elements share one
     left_of = {m: i for i, m in enumerate(left)}
@@ -451,10 +456,29 @@ def garside_tables(ctx: MonoidContext, div: ElementSet, simples: ElementSet,
             if m is None or ri & right[j] not in right_of:
                 return None
             meet[i * n + j] = meet[j * n + i] = m
-    peel = [tuple(quotients[c] for c in e.canon) for e in elements]
-    atom_ids = {a.canon: ids[a] for a in atoms}
-    tables = GarsideTables(elements, [ids[star[e]] for e in elements], meet,
-                           peel, atom_ids)
+    # below[m][b]: the id of m^-1 b, else -1.  A prefix of a canonical
+    # word is canonical, so m = p c with p shortlex before m and c an
+    # atom, m^-1 b = c^-1 (p^-1 b), and a set without p is no Div(delta)
+    below = [list(range(n)) + [-1]]
+    for e in elements[1:]:
+        p = ids.get(e.canon[:-1])
+        if p is None:
+            return None
+        row = quotients[e.canon[-1]]
+        below.append([row[b] for b in below[p]])
+    dual = [ids[star[e].canon] for e in elements]
+    dual_inv = sorted(range(n), key=dual.__getitem__)  # the inverse of dual
+    # the slide of s_i|s_j with m = s_i* ^ s_j: (s_i m)* = m^-1 s_i*
+    slides = [None] * (n * n)
+    for i, d in enumerate(dual):
+        for j in range(n):
+            m = meet[d * n + j]
+            if m:
+                q = below[m]
+                slides[i * n + j] = (dual_inv[q[d]], q[j])
+    tables = GarsideTables(
+        elements, dual, slides,
+        {c: ids[ctx.canonical(c).canon] for c in ctx.presentation.chars})
     ctx.caches["garside_tables"][div.members] = tables
     return tables
 
@@ -524,7 +548,7 @@ def _key(gs: GarsideStructure, key):
     tables = gs.tables
     if tables is None or key[1].__class__ is not Element:
         return key
-    return _strip_form(tables, key[0], tables.form(key[1]))
+    return _strip_form(tables, key[0], tables.form(key[1].canon))
 
 
 def _public(gs: GarsideStructure, key):
@@ -532,7 +556,7 @@ def _public(gs: GarsideStructure, key):
     tables = gs.tables
     if tables is None:
         return key
-    return key[0], _sequence(tables, key[1], "").product(gs.ctx)
+    return key[0], tables._sequence(key[1], "").product(gs.ctx)
 
 
 def _form(gs: GarsideStructure, key) -> FractionForm:
@@ -541,14 +565,12 @@ def _form(gs: GarsideStructure, key) -> FractionForm:
     tables = gs.tables
     if tables is None:
         return FractionForm(k, gs.normalize(x))
-    return FractionForm(k, _sequence(tables, x, gs.div_delta.label))
+    return FractionForm(k, tables._sequence(x, gs.div_delta.label))
 
 
 def mul_letter(gs: GarsideStructure, key, g: Element, sign: int):
     """Right-multiply the fraction key (k, x), i.e. delta^(-k) x, by
     g^sign and strip the result."""
-    if gs.tables is None:
-        return _fold(gs, key, ((g, sign),))
     return _public(gs, _fold(gs, _key(gs, key), ((g, sign),)))
 
 
@@ -591,7 +613,7 @@ def _fold(gs: GarsideStructure, key, letters):
     row = twists[0]
     for g, sign in letters:
         i = ids.get(g.canon)
-        factors = (i,) if i is not None else tables.form(g)
+        factors = (i,) if i is not None else tables.form(g.canon)
         if sign == 1:
             for i in factors:
                 x = tables.times(x, row[i])
@@ -609,6 +631,25 @@ def _fold(gs: GarsideStructure, key, letters):
         return k, x
     row = twists[-t]
     return k, tuple([row[i] for i in x])
+
+
+def _table_length(gs, key1, key2) -> int:
+    """The word length of a^-1 b over Div(delta) minus the identity, for
+    internal keys a = (k_a, f_a) and b = (k_b, f_b) on tables.
+
+    a^-1 b = f_a^-1 delta^(k_a - k_b) f_b is folded from the identity.
+    For its key (k, f), with m leading delta factors in f, inf = m - k
+    and sup = len(f) - k, and the length is max(sup, 0) - min(inf, 0)
+    (Charney, *Math. Ann.* 301, 1995; Charney and Meier, *Math. Z.* 248,
+    2004).  The key is stripped, so m = 0 unless k = 0: the length is
+    max(len(f), k)."""
+    (ka, fa), (kb, fb) = key1, key2
+    simple = gs.tables.elements
+    word = [(simple[i], -1) for i in reversed(fa)]
+    word += [(gs.delta, 1 if ka > kb else -1)] * abs(ka - kb)
+    word += [(simple[i], 1) for i in fb]
+    k, f = _fold(gs, (0, ()), word)
+    return max(len(f), k)
 
 
 def _letter(gs: GarsideStructure, g: Element, sign: int):

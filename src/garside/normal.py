@@ -61,11 +61,7 @@ def is_normal(ctx: MonoidContext, S, seq) -> bool:
     S = _coerce_set(ctx, S)
     tables = span_tables(ctx, S)
     if tables is not None:
-        ids = [tables.ids.get(ctx.canonical(f).canon) for f in factors]
-        if not all(ids):
-            return False
-        return all(tables.left_weighted(ids[i], ids[i + 1])
-                   for i in range(len(ids) - 1))
+        return tables.is_normal([ctx.canonical(f) for f in factors])
     simples = enumerate_simples(ctx, S).members
     for f in factors:
         if not f.norm or f not in simples:
@@ -98,20 +94,16 @@ def _heads(ctx, S, index, x):
             yield h, ctx.left_divides(h, x)
 
 
-def _sequence(tables, form, label) -> NormalSequence:
-    return NormalSequence(tuple(tables.elements[i] for i in form), label)
-
-
 def normalize(ctx: MonoidContext, S, x) -> NormalSequence:
     """Greedy normal form: each head is the lex-least simple divisor
     whose S-divisor set equals that of the remainder.  Over a span with
     Garside tables the head is unique, and the form is read off the
-    tables."""
+    tables letter by letter, with no reduction of x on the kernel."""
     S = _coerce_set(ctx, S)
-    x = ctx.canonical(x)
     tables = span_tables(ctx, S)
     if tables is not None:
-        return _sequence(tables, tables.form(x), S.label)
+        return tables.normal_form(ctx._word_of(x), S.label)
+    x = ctx.canonical(x)
     index = _head_index(ctx, S)
     factors = []
     while x.norm:
@@ -133,11 +125,11 @@ def normalize_all(ctx: MonoidContext, S, x, cap=10_000) -> frozenset:
     """Every normal decomposition of x, as a set of NormalSequence.
     Over a span with Garside tables that is the one normal form."""
     S = _coerce_set(ctx, S)
-    x = ctx.canonical(x)
     if span_tables(ctx, S) is not None:
-        if cap < 1 and x.norm:
+        if cap < 1 and ctx._word_of(x):
             raise _too_many(ctx, cap, x)
         return frozenset([normalize(ctx, S, x)])
+    x = ctx.canonical(x)
     index = _head_index(ctx, S)
     memo = ctx.caches[("normalize_all", S.members)]
 
@@ -189,18 +181,8 @@ def left_mult_update(ctx: MonoidContext, S, y, seq) -> NormalSequence:
     if not is_normal(ctx, S, factors):
         raise ValueError("input sequence is not normal over the given set")
     tables = span_tables(ctx, S)
-    if tables is not None:
-        cur = tables.ids[y.canon]
-        form = []
-        for f in factors:
-            f = tables.ids[f.canon]
-            head, cur = tables.slide(cur, f) or (cur, f)
-            form.append(head)
-        if cur:
-            form.append(cur)
-        result = _sequence(tables, form, S.label)
-    else:
-        result = _slid_by_heads(ctx, S, y, factors, simples)
+    result = (_slid_by_heads(ctx, S, y, factors, simples) if tables is None
+              else tables.slid(y, factors, S.label))
     product = y
     for f in factors:
         product = ctx.mul(product, f)

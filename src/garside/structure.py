@@ -328,11 +328,9 @@ def covers(ctx: MonoidContext, S, x, y) -> bool:
         return True
     S = _coerce_set(ctx, S)
     tables = span_tables(ctx, S)
-    if tables is not None:
-        i = tables.ids.get(x.canon)
-        j = tables.ids.get(y.canon)
-        if i is not None and j is not None:
-            return tables.left_weighted(i, j)
+    got = None if tables is None else tables.covers(x, y)
+    if got is not None:
+        return got
     return divisors_in(ctx, S, ctx.mul(x, y)) == divisors_in(ctx, S, x)
 
 

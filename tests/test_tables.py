@@ -23,16 +23,19 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from garside import (DELTA_INV, ElementSet, MonoidContext,
-                     ResourceLimitExceeded, build_automaton, build_structure,
-                     combine, covers, divisors, fixture, fraction_of_signed,
-                     group_equal, normalize, normalize_all,
-                     parse_presentation, synchronous_distance, to_fraction)
+                     PresentationError, ResourceLimitExceeded,
+                     build_automaton, build_structure, combine, covers,
+                     divisors, fixture, fraction_of_signed, group_equal,
+                     normalize, normalize_all, parse_presentation,
+                     synchronous_distance, to_fraction)
 from garside.automaton import (_append, _cayley_graph, _table_distance,
                                cayley_distance)
 from garside.delta import (_fold, _fraction_key, _key, _public, _strip,
                            garside_tables, mul_letter)
+from garside.structure import span_tables
 from oracles import _step
-from test_burau import image
+from test_burau import image, symbols
+from test_cli import run_python
 
 B5_FILE = pathlib.Path(__file__).parent / "data" / "b5.txt"
 B5_DELTA = "s1s2s1s3s2s1s4s3s2s1"
@@ -288,6 +291,100 @@ def test_normal_forms_and_covering_equal_the_kernel_path(
             expected = x if covers(ref, ref_div, ry, rx) else None
             got = auto.table[(y, x)]
             assert (got if got == x else None) == expected, (y, x)
+
+
+@pytest.mark.parametrize("presentation,delta,max_norm,_", GATED,
+                         ids=GATED_IDS)
+def test_the_slides_built_at_the_gate_equal_the_kernel(
+        presentation, delta, max_norm, _):
+    # the slide of s|t is None exactly where s covers t, and otherwise
+    # a pair a|b with a b = s t, a covering b, and a != s; pairs beyond
+    # the kernel's reach (type B3 past norm 12) are not compared
+    ctx, gs = structure(presentation, delta)
+    tables = gs.tables
+    ref = MonoidContext(presentation)
+    ref_div = divisors(ref, ref.element(delta))
+    assert ref.caches["garside_tables"] == {}
+    simple = [ref.canonical(s.canon) for s in tables.elements]
+    n = len(simple)
+    compared = 0
+    for (i, s), (j, t) in itertools.product(enumerate(simple), repeat=2):
+        if s.norm + t.norm > max_norm:
+            continue
+        compared += 1
+        got = tables._slides[i * n + j]
+        assert (got is None) == covers(ref, ref_div, s, t), (s, t)
+        if got is not None:
+            a, b = (simple[k] for k in got)
+            assert ref.mul(a, b) == ref.mul(s, t), (s, t)
+            assert covers(ref, ref_div, a, b), (s, t)
+            assert a != s, (s, t)
+    assert compared >= 0.75 * n * n
+
+
+# a seeded 256-letter B4 word, normalised raw within 2 GB of address
+# space; the kernel's covering is checked on a context of its own
+RAW_B4 = """
+import random, resource, sys
+limit = 2_000_000 * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.path.insert(0, {tests!r})
+import oracles
+from garside import MonoidContext, build_structure, covers, divisors, normalize
+ctx = MonoidContext(oracles.B4)
+gs = build_structure(ctx, ctx.element("s1s2s1s3s2s1"))
+rng = random.Random(256)
+w = "".join(rng.choice(oracles.B4.chars) for _ in range(256))
+form = normalize(ctx, gs.div_delta, w)
+assert w not in ctx._canon
+assert sum(f.norm for f in form.factors) == 256
+ref = MonoidContext(oracles.B4)
+ref_div = divisors(ref, ref.element("s1s2s1s3s2s1"))
+pairs = list(zip(form.factors, form.factors[1:]))
+assert pairs and all(covers(ref, ref_div, ref.canonical(x.canon),
+                            ref.canonical(y.canon)) for x, y in pairs)
+print(len(form))
+"""
+
+
+def test_a_raw_256_letter_b4_word_is_normalised_without_the_kernel():
+    tests = str(pathlib.Path(__file__).resolve().parent)
+    proc = run_python(["-c", RAW_B4.format(tests=tests)])
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) >= 256 // 6
+
+
+def test_a_raw_200_letter_b3_word_against_burau(b3_structure):
+    ctx, gs = b3_structure
+    rng = random.Random(200)
+    word = [rng.choice(("s1", "s2")) for _ in range(200)]
+    raw = "".join(ctx.element(g).canon for g in word)
+    form = normalize(ctx, gs.div_delta, raw)
+    assert raw not in ctx._canon
+    assert sum(f.norm for f in form.factors) == 200
+    product = [s for f in form.factors for s in symbols(ctx, f)]
+    assert image(product) == image([(g, 1) for g in word])
+    assert normalize_all(ctx, gs.div_delta, raw) == {form}
+
+
+@pytest.mark.parametrize("tables", [True, False])
+def test_span_inputs_are_checked_with_and_without_tables(tables):
+    ctx = MonoidContext(fixture("B3"))
+    delta = ctx.element("s1s2s1")
+    span = (build_structure(ctx, delta).div_delta if tables
+            else divisors(ctx, delta))
+    assert (span_tables(ctx, span) is not None) == tables
+    for f in (normalize, normalize_all):
+        with pytest.raises(PresentationError):
+            f(ctx, span, "ab?")
+        with pytest.raises(TypeError):
+            f(ctx, span, 42)
+        with pytest.raises(TypeError):
+            f(ctx, span, ["a", "b"])
+    # a cap below 1 binds on every element but the identity
+    with pytest.raises(ResourceLimitExceeded):
+        normalize_all(ctx, span, "ab", cap=0)
+    assert len(normalize_all(ctx, span, "", cap=0)) == 1
 
 
 def test_b5_passes_the_gate_and_builds_its_automaton_fast():
