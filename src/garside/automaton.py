@@ -26,7 +26,7 @@ import io
 from .congruence import Element, MonoidContext, ResourceLimitExceeded
 from .reports import Record, VerificationReport
 from .structure import _coerce_set, covers, enumerate_simples
-from .normal import NormalSequence, left_mult_update, normalize_all
+from .normal import NormalSequence, _slide, left_mult_update, normalize_all
 from .delta import GarsideStructure, _fold, _key, _table_length, mul_letter
 
 __all__ = [
@@ -529,10 +529,15 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
     Each piece of work is done once per call: the normal forms of each
     element and each form's prefix-key chain from the identity (kept in
     memos local to the call, freed on return), and each form's
-    y-translated chain for each letter y.  Where the slid form is one
-    of the targets of y * x, the sliding distance is that target's
-    left-multiplication distance, the same function on the same
-    arguments, and is not measured again.
+    y-translated chain for each letter y.  The sliding update is the
+    unchecked slide of ``left_mult_update``, checked against the targets
+    instead: the targets are every normal form of y * x, so a slid form
+    among them is normal with product y * x, which is exactly what
+    ``left_mult_update`` would verify, and its sliding distance is that
+    target's left-multiplication distance, the same function on the
+    same arguments, not measured again.  A slid form that is not a
+    target goes through ``left_mult_update`` with all its checks and
+    is measured.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -641,12 +646,14 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
                                  "distance": dmin,
                                  "allowed": bound_left})
                 if y is not DELTA_INV:
-                    slid = left_mult_update(ctx, S, y, p).factors
-                    # a slid form among the targets was measured above,
-                    # on the same arguments
+                    # the targets are every normal form of y * x: a slid
+                    # form among them passes left_mult_update's checks,
+                    # and its distance was measured above
+                    slid = _slide(ctx, S, y, p.factors).factors
                     d = next((dq for q, dq in zip(targets, dists)
                               if q.factors == slid), None)
                     if d is None:
+                        slid = left_mult_update(ctx, S, y, p).factors
                         d = _chain_distance(ctx, gs, pk,
                                             _chain(gs, one, slid),
                                             max_dist, node_cap)

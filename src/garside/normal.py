@@ -166,7 +166,14 @@ def left_mult_update(ctx: MonoidContext, S, y, seq) -> NormalSequence:
     head is used and the carry degenerates into an arbitrary element,
     normalized at the end; the result is still a normal form of the
     product, only the locality degrades.  Over a span with Garside
-    tables each split is the tables' slide, and the carry stays simple."""
+    tables each split is the tables' slide, and the carry stays simple.
+
+    y must be simple and ``seq`` normal, else ValueError.  The result is
+    checked, else RuntimeError: on the kernel its product must equal
+    y times the product of ``seq`` and it must be normal; over Garside
+    tables, where normal forms are unique, it must equal the tables'
+    normal form of the word y f1 ... fk, which is folded letter by
+    letter rather than slid, and nothing is multiplied on the kernel."""
     S = _coerce_set(ctx, S)
     y = ctx.canonical(y)
     if isinstance(seq, NormalSequence):
@@ -180,21 +187,37 @@ def left_mult_update(ctx: MonoidContext, S, y, seq) -> NormalSequence:
         raise ValueError(f"{ctx.show(y)} is not simple over the given set")
     if not is_normal(ctx, S, factors):
         raise ValueError("input sequence is not normal over the given set")
+    result = _slide(ctx, S, y, factors)
     tables = span_tables(ctx, S)
-    result = (_slid_by_heads(ctx, S, y, factors, simples) if tables is None
-              else tables.slid(y, factors, S.label))
-    product = y
-    for f in factors:
-        product = ctx.mul(product, f)
-    if result.product(ctx) != product or not is_normal(ctx, S, result):
+    if tables is not None:
+        word = y.canon + "".join(f.canon for f in factors)
+        ok = result.factors == tables.normal_form(word, S.label).factors
+    else:
+        product = y
+        for f in factors:
+            product = ctx.mul(product, f)
+        ok = result.product(ctx) == product and is_normal(ctx, S, result)
+    if not ok:
         raise RuntimeError(
             f"sliding update produced a non-normal sequence for "
             f"{ctx.show(y)} * {'|'.join(ctx.show(f) for f in factors)}")
     return result
 
 
-def _slid_by_heads(ctx, S, y, factors, simples) -> NormalSequence:
+def _slide(ctx, S, y, factors) -> NormalSequence:
+    """``left_mult_update``'s slide of the non-identity simple y through
+    the normal sequence ``factors`` over the span S, with neither its
+    validation nor its checks: the tables' slide where S has Garside
+    tables, else the choice of heads of ``_slid_by_heads``."""
+    tables = span_tables(ctx, S)
+    if tables is not None:
+        return tables.slid(y, factors, S.label)
+    return _slid_by_heads(ctx, S, y, factors)
+
+
+def _slid_by_heads(ctx, S, y, factors) -> NormalSequence:
     index = _head_index(ctx, S)
+    simples = enumerate_simples(ctx, S).members
     cur = y
     out = []
     for f in factors:

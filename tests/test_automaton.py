@@ -11,6 +11,8 @@ from garside import (DELTA_INV, MonoidContext, NormalSequence,
 from garside.automaton import (_append, _translated_distance,
                                cayley_distance, charpoly)
 from garside.delta import _strip
+import garside.automaton as automaton
+import garside.normal as normal
 
 import oracles
 
@@ -309,6 +311,64 @@ def test_ftp_probe_details_frozen(name, delta, radius, details):
     assert ("cayley_graph" in ctx.caches) == (gs.tables is None)
     if gs.tables is not None:
         assert elapsed < 1.0
+
+
+# the probes of the ftp benchmark (the first six rows), B3 at radius 5
+# and M3 at radius 3
+SLIDE_PROBES = PROBE_DETAILS[:6] + PROBE_DETAILS[-2:]
+
+
+@pytest.mark.parametrize("name,delta,radius,details", SLIDE_PROBES)
+def test_ftp_probe_finds_every_slide_among_the_targets(monkeypatch, name,
+                                                       delta, radius,
+                                                       details):
+    # each slid form is a normal form of y * x, so no slide needs the
+    # checks of left_mult_update
+    def checked(*args):
+        raise AssertionError("a slid form was not among the targets")
+
+    monkeypatch.setattr(automaton, "left_mult_update", checked)
+    ctx = MonoidContext(fixture(name))
+    assert ftp_probe(ctx, structure(ctx, delta), radius).details == details
+
+
+@pytest.mark.parametrize("name,delta,radius",
+                         [("B3", "s1s2s1", 2), ("M1", "aa", 3)])
+def test_a_slide_outside_the_targets_fails_left_mult_update(monkeypatch,
+                                                             name, delta,
+                                                             radius):
+    # a slide that drops y is no normal form of y * x: it is not among
+    # the targets, and left_mult_update's check of it raises, on the
+    # tables (B3) and on the kernel (M1)
+    def dropped(ctx, S, y, factors):
+        return NormalSequence(tuple(factors), S.label)
+
+    monkeypatch.setattr(normal, "_slide", dropped)
+    monkeypatch.setattr(automaton, "_slide", dropped)
+    ctx = MonoidContext(fixture(name))
+    with pytest.raises(RuntimeError, match="sliding update"):
+        ftp_probe(ctx, structure(ctx, delta), radius)
+
+
+@pytest.mark.parametrize("name,delta,radius",
+                         [row[:3] for row in SLIDE_PROBES])
+def test_every_normal_form_of_a_target_is_normal_with_its_product(
+        name, delta, radius):
+    # what ftp_probe's check by membership relies on: each form from
+    # normalize_all, of x and of every y * x, is normal, and its product
+    # on the kernel is that element
+    ctx = MonoidContext(fixture(name))
+    gs = structure(ctx, delta)
+    S = gs.div_delta
+    letters = [y for y in build_automaton(ctx, gs).letters
+               if y is not DELTA_INV]
+    for x in ctx.enumerate_ball(radius):
+        for e in [x] + [ctx.mul(y, x) for y in letters]:
+            forms = normalize_all(ctx, S, e)
+            assert forms
+            for p in forms:
+                assert is_normal(ctx, S, p), (e, p)
+                assert ctx.canonical("".join(f.canon for f in p)) == e
 
 
 # (fixture, Garside element, radius, keyword arguments); "primitives"

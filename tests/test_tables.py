@@ -354,6 +354,40 @@ def test_a_raw_256_letter_b4_word_is_normalised_without_the_kernel():
     assert int(proc.stdout) >= 256 // 6
 
 
+# the normal form of a seeded raw 40-letter B5 word (15 factors) times
+# s1 within 2 GB of address space: the slide is checked against the
+# tables' normal form of the word, with no product on the kernel, whose
+# completion of B5 is infinite
+B5_LEFT_MULT = """
+import random, resource
+limit = 2_000_000 * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from garside import (MonoidContext, build_structure, is_normal,
+                     left_mult_update, normalize, parse_presentation)
+ctx = MonoidContext(parse_presentation(open({path!r}).read()))
+gs = build_structure(ctx, ctx.element({delta!r}))
+S = gs.div_delta
+rng = random.Random(1)
+w = "".join(rng.choice(ctx.presentation.chars) for _ in range(40))
+form = normalize(ctx, S, w)
+assert len(form) == 15
+s1 = ctx.element("s1")
+out = left_mult_update(ctx, S, s1, form)
+assert is_normal(ctx, S, out)
+assert sum(f.norm for f in out.factors) == 41
+assert out == normalize(ctx, S, s1.canon + w)
+print(len(out))
+"""
+
+
+def test_left_mult_update_on_a_raw_40_letter_b5_word_within_2_gb():
+    proc = run_python(["-c", B5_LEFT_MULT.format(path=str(B5_FILE),
+                                                 delta=B5_DELTA)])
+    assert proc.returncode == 0, proc.stderr
+    # s1 x has at least as many factors as x
+    assert int(proc.stdout) >= 15
+
+
 def test_a_raw_200_letter_b3_word_against_burau(b3_structure):
     ctx, gs = b3_structure
     rng = random.Random(200)
