@@ -214,14 +214,10 @@ def charpoly(matrix) -> list:
     return coeffs
 
 
-def growth(ctx: MonoidContext, gs: GarsideStructure, n_max: int,
-           mode: str = "monoid",
-           unique_forms: bool | None = None) -> GrowthSeries:
-    """Number of accepted words of each length up to n_max.  Monoid
-    mode drops the inverse letter; group mode allows it (the automaton
-    confines it to a prefix block).  The coefficients count monoid or
-    group elements exactly when normal forms are unique, which the
-    caller reports through unique_forms."""
+def _counts(ctx: MonoidContext, gs: GarsideStructure, n_max: int,
+            mode: str):
+    """(coefficients, matrix): the number of accepted words of each
+    length up to n_max, and the transfer matrix they are walked on."""
     if mode not in ("monoid", "group"):
         raise ValueError(f"unknown growth mode {mode!r}")
     auto = build_automaton(ctx, gs)
@@ -244,11 +240,22 @@ def growth(ctx: MonoidContext, gs: GarsideStructure, n_max: int,
         vec = [sum(vec[i] * matrix[i][j] for i in range(size))
                for j in range(size)]
         coeffs.append(sum(vec))
+    return tuple(coeffs), matrix
 
+
+def growth(ctx: MonoidContext, gs: GarsideStructure, n_max: int,
+           mode: str = "monoid",
+           unique_forms: bool | None = None) -> GrowthSeries:
+    """Number of accepted words of each length up to n_max.  Monoid
+    mode drops the inverse letter; group mode allows it (the automaton
+    confines it to a prefix block).  The coefficients count monoid or
+    group elements exactly when normal forms are unique, which the
+    caller reports through unique_forms."""
+    coeffs, matrix = _counts(ctx, gs, n_max, mode)
     # monic lambda^d + a_1 lambda^(d-1) + ... + a_d gives
     # c(n) = -a_1 c(n-1) - ... - a_d c(n-d)
     recurrence = tuple(-a for a in charpoly(matrix)[1:])
-    return GrowthSeries(tuple(coeffs), recurrence, mode, unique_forms)
+    return GrowthSeries(coeffs, recurrence, mode, unique_forms)
 
 
 # -- Cayley-graph distances --------------------------------------------

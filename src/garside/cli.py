@@ -151,14 +151,15 @@ class AnalysisReport(Record):
 
 
 def _delta_summary(ctx, delta, radius):
-    from .automaton import growth
+    from .automaton import _counts
     from .delta import (build_structure, check_normal_uniqueness_criterion,
                         check_uniform_length)
     gs = build_structure(ctx, delta)
     uniform = check_uniform_length(ctx, gs, radius)
     unique = uniform.details.get("unique_forms")
     criterion = check_normal_uniqueness_criterion(ctx, gs)
-    series = growth(ctx, gs, 6, "monoid", unique_forms=unique)
+    # analyze prints the coefficients only, so no recurrence is computed
+    counts, _ = _counts(ctx, gs, 6, "monoid")
     return {
         "delta": ctx.show(delta),
         "e": gs.order,
@@ -167,7 +168,7 @@ def _delta_summary(ctx, delta, radius):
         "uniform_length": uniform.status,
         "unique_forms": unique,
         "uniqueness_criterion": criterion.status,
-        "growth": list(series.coefficients),
+        "growth": list(counts),
     }
 
 

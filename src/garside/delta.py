@@ -287,7 +287,7 @@ def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
     # gives a delta = a a* a** = delta phi(a), and induction on the
     # length of a word gives x delta = delta phi(x) for every x.  Hence
     # x delta^e = delta^e phi^e(x) = delta^e x: delta^e is central.
-    gs.tables = garside_tables(ctx, div, simples, star)
+    gs.tables = garside_tables(ctx, div, simples)
     return gs
 
 
@@ -408,17 +408,18 @@ class GarsideTables:
         return self._sequence(form, label)
 
 
-def garside_tables(ctx: MonoidContext, div: ElementSet, simples: ElementSet,
-                   star: dict):
+def garside_tables(ctx: MonoidContext, div: ElementSet, simples: ElementSet):
     """The tables of Div(delta), registered for that span, or None
     where the gate fails.
 
     The gate: the simples are the divisors themselves, left division by
-    an atom is unique within Div(delta), and the left divisor sets
-    (and the right ones) of any two simples intersect in the divisor
-    set of a simple.  The sets are int bitmasks, so each pair is one
-    dict lookup per side.  Past the gate every slide is built from the
-    left gcds and the left quotients."""
+    an atom is unique within Div(delta), the left divisor sets (and the
+    right ones) of any two simples intersect in the divisor set of a
+    simple, and every element s has a complement s* = s^-1 delta in the
+    set, delta its last element, with s -> s* a bijection.  The sets are
+    int bitmasks, so each pair is one dict lookup per side.  Past the
+    gate every slide is built from the left gcds and the left
+    quotients."""
     if simples.members != div.members:
         return None
     elements = sorted(div.members)
@@ -466,7 +467,11 @@ def garside_tables(ctx: MonoidContext, div: ElementSet, simples: ElementSet,
             return None
         row = quotients[e.canon[-1]]
         below.append([row[b] for b in below[p]])
-    dual = [ids[star[e].canon] for e in elements]
+    # s* = s^-1 delta, delta the last id: where some s has none, or two
+    # share one, the set is no Div(delta) of a cancellative monoid
+    dual = [row[n - 1] for row in below]
+    if -1 in dual or len(set(dual)) < n:
+        return None
     dual_inv = sorted(range(n), key=dual.__getitem__)  # the inverse of dual
     # the slide of s_i|s_j with m = s_i* ^ s_j: (s_i m)* = m^-1 s_i*
     slides = [None] * (n * n)
@@ -714,20 +719,27 @@ def combine(ctx: MonoidContext, gs: GarsideStructure, f1: FractionForm,
         ctx, gs, [(gs.delta, -1) if x is None else (x, 1) for x in word])
 
 
-def group_equal(ctx: MonoidContext, gs: GarsideStructure, w1, w2) -> bool:
-    """Word problem for the group of fractions on signed words.
+def _checked(ctx: MonoidContext, word):
+    """(word, degree) for a signed word, read once: every sign is
+    checked and the degree sum(sign * norm(g)) summed.  The word is
+    copied, its letters made canonical, only if some letter is not an
+    ``Element``."""
+    if word.__class__ is not list and word.__class__ is not tuple:
+        word = list(word)
+    degree = 0
+    for g, sign in word:
+        if sign != 1 and sign != -1:
+            raise ValueError(f"bad sign {sign!r}")
+        if g.__class__ is not Element:
+            return _checked(ctx, [(ctx.canonical(h), s) for h, s in word])
+        degree += sign * len(g.canon)
+    return word, degree
 
-    Both words are freely reduced, and every sign checked, before
-    anything is dropped.  A group is cancellative, so p u s = p v s
-    exactly when u = v: the longest common prefix and then the longest
-    common suffix of the reduced words are dropped, the suffix bounded
-    so that the two never overlap, and only the middles u and v, which
-    are reduced too, are compared.  Relations preserve length, so the
-    degree sum(sign * norm(g)) is a homomorphism onto the integers:
-    middles of different degree are unequal, and no fraction is folded
-    for them; otherwise the two middles are folded."""
-    w1 = _reduced(ctx, w1)
-    w2 = _reduced(ctx, w2)
+
+def _middles(w1, w2):
+    """The two signed words without their longest common prefix and
+    then their longest common suffix, bounded so that the two never
+    overlap."""
     n = min(len(w1), len(w2))
     i = 0
     while i < n:
@@ -741,16 +753,32 @@ def group_equal(ctx: MonoidContext, gs: GarsideStructure, w1, w2) -> bool:
         if s != t or g.canon != h.canon:
             break
         j += 1
-    w1 = w1[i:len(w1) - j]
-    w2 = w2[i:len(w2) - j]
-    degree = 0
-    for g, s in w1:
-        degree += s * len(g.canon)
-    for g, s in w2:
-        degree -= s * len(g.canon)
-    if degree:
+    return w1[i:len(w1) - j], w2[i:len(w2) - j]
+
+
+def group_equal(ctx: MonoidContext, gs: GarsideStructure, w1, w2) -> bool:
+    """Word problem for the group of fractions on signed words.
+
+    Each word is read once, every sign checked and its degree
+    sum(sign * norm(g)) summed, before anything is reduced or dropped.
+    Relations preserve length and free reduction preserves the degree,
+    so the degree is a homomorphism onto the integers: words of
+    different degree are unequal, and nothing is reduced or folded for
+    them.  A group is cancellative, so p u s = p v s exactly when
+    u = v, whether or not p and s are reduced: the longest common
+    prefix and then suffix of the raw words are dropped, and only the
+    middles are freely reduced.  Where that shortens either middle, a
+    cancellation may have hidden more common letters, so the strip is
+    repeated on the reduced middles; then the two are folded."""
+    w1, degree = _checked(ctx, w1)
+    w2, other = _checked(ctx, w2)
+    if degree != other:
         return False
-    return _fraction_key(gs, w1) == _fraction_key(gs, w2)
+    u, v = _middles(w1, w2)
+    ru, rv = _reduced(ctx, u), _reduced(ctx, v)
+    if len(ru) < len(u) or len(rv) < len(v):
+        ru, rv = _middles(ru, rv)
+    return _fraction_key(gs, ru) == _fraction_key(gs, rv)
 
 
 # -- structural checks -------------------------------------------------

@@ -13,6 +13,7 @@ from garside.automaton import (_append, _translated_distance,
 from garside.delta import _strip
 import garside.automaton as automaton
 import garside.normal as normal
+from garside.cli import _delta_summary
 
 import oracles
 
@@ -117,6 +118,22 @@ def test_growth_frozen(m1, m2, m3, b3):
         assert g.coefficients == coeffs, name
         assert g.check_recurrence(), name
         assert g.mode == "monoid" and g.counts_elements is True
+
+
+@pytest.mark.parametrize("name,d", [
+    ("M1", "aa"), ("M1", "ab"), ("M2", "aa"), ("M2", "ab"), ("M3", "ac"),
+    ("B3", "s1s2s1"), ("free_comm(3)", "abc")])
+def test_analyze_growth_is_the_series_without_its_recurrence(
+        monkeypatch, ctx_factory, name, d):
+    ctx = ctx_factory(name)
+    expected = growth(ctx, structure(ctx, d), 6).coefficients
+
+    def refused(matrix):
+        raise AssertionError("analyze computed a recurrence")
+
+    monkeypatch.setattr(automaton, "charpoly", refused)
+    summary = _delta_summary(ctx, ctx.element(d), 3)
+    assert summary["growth"] == list(expected)
 
 
 def test_growth_group_mode(m1):

@@ -1,9 +1,11 @@
-"""The group word problem on reduced words: ``group_equal`` freely
-reduces both words, drops their longest common prefix and suffix (a
-group is cancellative), answers False for middles of different degree
-without folding, and folds only the two middles otherwise.  Checked
-against an unreduced fold of the whole words and against oracles that
-share no code with the congruence engine."""
+"""The group word problem on signed words: ``group_equal`` reads each
+word once, checking every sign and summing its degree, and answers
+False for words of different degree before anything is reduced or
+folded.  Otherwise it drops the longest common prefix and suffix of the
+raw words (a group is cancellative), freely reduces only the two
+middles, strips again where that shortened either of them, and folds
+what is left.  Checked against an unreduced fold of the whole words and
+against oracles that share no code with the congruence engine."""
 
 import random
 from collections import Counter
@@ -255,6 +257,27 @@ def test_common_affix_edge_cases(name, d, tables):
         assert group_equal(ctx, gs, w2, w1) == same, (w2, w1)
 
 
+def counters(monkeypatch):
+    """Count the calls to ``_reduced`` and ``_fold`` and the letters
+    folded."""
+    calls = Counter()
+    reduced, fold = delta._reduced, delta._fold
+
+    def counting_reduced(ctx, word):
+        calls["reduced"] += 1
+        return reduced(ctx, word)
+
+    def counting_fold(gs, key, word):
+        word = list(word)
+        calls["fold"] += 1
+        calls["letters"] += len(word)
+        return fold(gs, key, word)
+
+    monkeypatch.setattr(delta, "_reduced", counting_reduced)
+    monkeypatch.setattr(delta, "_fold", counting_fold)
+    return calls
+
+
 @pytest.mark.parametrize("name,d,tables,u,v,same", [
     ("M3", "ac", False, "ac", "ca", True),
     ("M3", "ac", False, "ac", "ba", False),
@@ -265,15 +288,7 @@ def test_common_affix_edge_cases(name, d, tables):
 def test_only_the_middles_are_folded(monkeypatch, name, d, tables, u, v,
                                      same):
     ctx, gs, letters = strip_setup(name, d, tables)
-    folded = []
-    fold = delta._fold
-
-    def counting(gs, key, word):
-        word = list(word)
-        folded.append(len(word))
-        return fold(gs, key, word)
-
-    monkeypatch.setattr(delta, "_fold", counting)
+    calls = counters(monkeypatch)
     # positive affixes and middles: nothing cancels, so the strip takes
     # exactly p and s (u and v differ in their first and last letters)
     rng = random.Random(2020)
@@ -283,7 +298,63 @@ def test_only_the_middles_are_folded(monkeypatch, name, d, tables, u, v,
     mv = [(ctx.element(g), 1) for g in v]
     assert group_equal(ctx, gs, p + mu + s, p + mv + s) == same
     # middles of different degree are refused before any fold
-    assert sum(folded) == (len(u) + len(v) if len(u) == len(v) else 0)
+    assert calls["letters"] == (len(u) + len(v) if len(u) == len(v) else 0)
+
+
+@pytest.mark.parametrize("name,d,tables", STRIP_FIXTURES)
+def test_words_of_different_degree_are_neither_reduced_nor_folded(
+        monkeypatch, name, d, tables):
+    ctx, gs, letters = strip_setup(name, d, tables)
+    calls = counters(monkeypatch)
+    rng = random.Random(2021)
+    unequal = 0
+    for _ in range(80):
+        w1 = affix(rng, letters, gs.delta)
+        w2 = variant(rng, ctx, letters, w1)
+        if (sum(s * g.norm for g, s in w1)
+                == sum(s * g.norm for g, s in w2)):
+            continue
+        calls.clear()
+        assert not group_equal(ctx, gs, w1, w2)
+        assert not calls, (w1, w2, calls)
+        unequal += 1
+    assert unequal >= 10, unequal
+
+
+def test_a_bad_sign_in_the_second_word_is_refused_past_a_degree_gap(
+        ctx_factory):
+    ctx = ctx_factory("free_comm(3)")
+    gs = build_structure(ctx, ctx.element("abc"))
+    a, b = ctx.element("a"), ctx.element("b")
+    for w1 in ([(a, 1)], [(a, 1), (b, 1), (a, -1)], []):
+        for w2 in ([(b, 0)], [(a, 1), (b, 1), (b, 2)], [("ab", -2)]):
+            with pytest.raises(ValueError, match="bad sign"):
+                group_equal(ctx, gs, w1, w2)
+
+
+@pytest.mark.parametrize("where", [0, 5, 29])
+@pytest.mark.parametrize("u,v,same", [("ac", "ca", True),
+                                      ("ac", "ba", False)])
+def test_a_pair_cancelled_in_one_prefix_only_is_stripped_again(
+        monkeypatch, where, u, v, same):
+    # g g^-1 inserted into one word's copy of a long positive prefix
+    # stops the strip of the raw words there; the middles are reduced
+    # and stripped again, so only u and v are folded (they differ in
+    # their first and last letters)
+    ctx, gs, letters = strip_setup("M3", "ac", False)
+    rng = random.Random(2022)
+    p = [(rng.choice(letters), 1) for _ in range(30)]
+    s = [(rng.choice(letters), 1) for _ in range(30)]
+    g = ctx.element("b")
+    q = p[:where] + [(g, 1), (g, -1)] + p[where:]
+    mu = [(ctx.element(x), 1) for x in u]
+    mv = [(ctx.element(x), 1) for x in v]
+    calls = counters(monkeypatch)
+    assert group_equal(ctx, gs, q + mu + s, p + mv + s) == same
+    assert calls["letters"] == len(u) + len(v)
+    calls.clear()
+    assert group_equal(ctx, gs, p + mu + s, q + mv + s) == same
+    assert calls["letters"] == len(u) + len(v)
 
 
 def test_a_bad_sign_in_a_common_affix_is_refused(ctx_factory):

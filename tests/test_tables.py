@@ -202,15 +202,26 @@ def test_the_gate_rejects_a_poset_that_is_no_lattice_or_not_cancellative():
     # within this set, and no greatest one
     ctx = MonoidContext(fixture("free_comm(3)"))
     S = element_set(ctx, ("", "a", "b", "c", "abc", "abb"))
-    assert garside_tables(ctx, S, S, {}) is None
-    # with ab added the set is a lattice under left division
+    assert garside_tables(ctx, S, S) is None
+    # with ab added the set is a lattice under left division, but abb
+    # does not divide its last element abc: no Div(abc), no complements
     S = element_set(ctx, ("", "a", "b", "c", "ab", "abc", "abb"))
-    star = {x: x for x in S.members}
-    assert garside_tables(ctx, S, S, star) is not None
+    assert garside_tables(ctx, S, S) is None
+    # Div(abc) itself passes, with the complements s s* = abc
+    S = element_set(ctx, ("", "a", "b", "c", "ab", "ac", "bc", "abc"))
+    tables = garside_tables(ctx, S, S)
+    assert tables is not None
+    for i, s in enumerate(tables.elements):
+        star = tables.elements[tables.dual[i]]
+        assert ctx.mul(s, star) == ctx.element("abc")
     # in ab = aa, a a = a b: aa has two left quotients by a
     ctx = MonoidContext(oracles.NOT_LEFT_CANCELLATIVE)
     S = element_set(ctx, ("", "a", "b", "aa"))
-    assert garside_tables(ctx, S, S, {}) is None
+    assert garside_tables(ctx, S, S) is None
+    # in ba = aa, a a = b a: a and b have the same complement a in aa
+    ctx = MonoidContext(oracles.NOT_RIGHT_CANCELLATIVE)
+    S = element_set(ctx, ("", "a", "b", "aa"))
+    assert garside_tables(ctx, S, S) is None
 
 
 def element_set(ctx, words):
