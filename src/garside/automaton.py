@@ -11,11 +11,9 @@ powering, so the coefficients satisfy the integer linear recurrence
 given by the matrix's characteristic polynomial.
 
 Distances between words are measured in the Cayley graph of the group
-of fractions over the automaton alphabet.  Where Div(delta) passes the
-gate of the Garside tables, the length of a^-1 b is read off its
-Delta-normal form (Charney, *Math. Ann.* 301, 1995; Charney and Meier,
-*Math. Z.* 248, 2004); elsewhere it comes from a bidirectional search
-on fraction keys (k, x).
+of fractions over the automaton alphabet: on Garside tables the length
+of a^-1 b is read off its Delta-normal form, elsewhere a bidirectional
+search on fraction keys (k, x) finds it.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from .congruence import Element, MonoidContext, ResourceLimitExceeded
 from .reports import Record, VerificationReport
 from .structure import _coerce_set, covers, enumerate_simples
 from .normal import NormalSequence, _slide, left_mult_update, normalize_all
-from .delta import GarsideStructure, _fold, _key, _table_length, mul_letter
+from .delta import GarsideStructure, _fold, _key, _no_path, mul_letter
 
 __all__ = [
     "DELTA_INV",
@@ -278,13 +276,6 @@ def _append(gs, key, letter, sign=1):
     return mul_letter(gs, key, letter, sign)
 
 
-def _append_key(gs, key, letter):
-    """``_append`` on internal keys, sign 1."""
-    if letter is DELTA_INV:
-        return _fold(gs, key, ((gs.delta, -1),))
-    return _fold(gs, key, ((letter, 1),))
-
-
 class _CayleyGraph:
     """The Cayley graph of the group of fractions over the automaton's
     monoid letters, with internal fraction keys interned as ints.  Each
@@ -328,11 +319,6 @@ def _cayley_graph(ctx: MonoidContext, gs: GarsideStructure) -> _CayleyGraph:
     return got
 
 
-def _no_path(max_dist) -> ResourceLimitExceeded:
-    return ResourceLimitExceeded(
-        f"no path of length <= {max_dist} between the elements")
-
-
 def _over_cap(node_cap) -> ResourceLimitExceeded:
     return ResourceLimitExceeded(
         f"distance search exceeded {node_cap} nodes")
@@ -344,16 +330,13 @@ def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
     internal) in the Cayley graph over the automaton alphabet, inverses
     allowed.
 
-    This is always the explicit bounded search, on every structure: it
-    is the oracle of ``_table_distance``, which ``synchronous_distance``
-    and ``ftp_probe`` use instead where the structure has Garside
-    tables.
-
-    The search always runs from the lesser internal key of the pair to
-    the greater, so the node counts it checks against ``node_cap`` are
-    a function of the pair.  The cache keeps them next to the distance,
-    and a cached pair raises exactly where a fresh search with the
-    same ``max_dist`` and ``node_cap`` would."""
+    This is always the explicit bounded search, on every structure: the
+    oracle of the Garside tables' distance (``_table_distance``).  It
+    runs from the lesser internal key of the pair to the greater, so
+    the node counts it checks against ``node_cap`` are a function of
+    the pair; the cache keeps them next to the distance, and a cached
+    pair raises exactly where a fresh search with the same ``max_dist``
+    and ``node_cap`` would."""
     key1 = _key(gs, key1)
     key2 = _key(gs, key2)
     if key1 == key2:
@@ -410,24 +393,9 @@ def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
     return dist
 
 
-def _table_distance(ctx, gs, key1, key2, max_dist=16, node_cap=None):
-    """``cayley_distance`` on the internal keys of a structure with
-    Garside tables, with no search: a length beyond ``max_dist`` raises
-    as the search does.  ``node_cap`` is not read; it is taken so that
-    ``_translated_distance`` calls either function the same way.
-    Lengths are memoised per pair in ``ctx.caches[("length",
-    delta.canon)]``, apart from the search's pair cache and, like it,
-    unbounded."""
-    if key1 == key2:
-        return 0
-    pair = (key1, key2) if key1 <= key2 else (key2, key1)
-    lengths = ctx.caches[("length", gs.delta.canon)]
-    dist = lengths.get(pair)
-    if dist is None:
-        dist = lengths[pair] = _table_length(gs, *pair)
-    if dist > max_dist:
-        raise _no_path(max_dist)
-    return dist
+def _table_distance(ctx, gs, key1, key2, max_dist=16):
+    """``cayley_distance`` on Garside tables: ``GarsideTables.distance``."""
+    return gs.arithmetic.distance(key1, key2, max_dist)
 
 
 def synchronous_distance(ctx: MonoidContext, gs: GarsideStructure, u, v,
@@ -436,16 +404,14 @@ def synchronous_distance(ctx: MonoidContext, gs: GarsideStructure, u, v,
     """Supremum over positions i of the Cayley distance between the
     i-th prefix products, clamping each word at its own length.
 
-    With Garside tables each distance is a word length read off a
-    Delta-normal form (``_table_distance``), and ``node_cap`` does not
-    bind; otherwise it is a ``cayley_distance`` search.  Either way a
-    distance beyond ``max_dist`` raises ``ResourceLimitExceeded``."""
+    Each distance is the structure arithmetic's (``_chain_distance``),
+    and one beyond ``max_dist`` raises ``ResourceLimitExceeded``."""
     u = tuple(u)
     v = tuple(v)
     for letter in u + v:
         if letter is not DELTA_INV:
             _letter_value(gs, letter)
-    return _translated_distance(ctx, gs, _key(gs, (0, ctx.one)), u, v,
+    return _translated_distance(ctx, gs, (0, gs.arithmetic.one), u, v,
                                 max_dist, node_cap)
 
 
@@ -453,7 +419,8 @@ def _chain(gs, start, word) -> list:
     """The internal keys of start * word[:i] for i = 0 .. len(word)."""
     keys = [start]
     for letter in word:
-        keys.append(_append_key(gs, keys[-1], letter))
+        keys.append(_fold(gs, keys[-1], ((gs.delta, -1) if letter is DELTA_INV
+                                         else (letter, 1),)))
     return keys
 
 
@@ -465,7 +432,7 @@ def _translated_distance(ctx, gs, y_key, p, q, max_dist, node_cap,
     prefix-key chains are folded here and measured by
     ``_chain_distance``."""
     return _chain_distance(ctx, gs, _chain(gs, _key(gs, y_key), p),
-                           _chain(gs, _key(gs, (0, ctx.one)), q),
+                           _chain(gs, (0, gs.arithmetic.one), q),
                            max_dist, node_cap, floor)
 
 
@@ -479,9 +446,10 @@ def _chain_distance(ctx, gs, pk, qk, max_dist, node_cap, floor=None):
     bound is <= f cannot lift the supremum above f and is not computed.
     The result is exact when it exceeds f and is <= f otherwise.
 
-    The gate is tested once: with Garside tables every distance is
-    ``_table_distance``, else a ``cayley_distance`` search."""
-    distance = cayley_distance if gs.tables is None else _table_distance
+    Each distance is the structure arithmetic's: on Garside tables a
+    word length read off a Delta-normal form, where ``node_cap`` does
+    not bind, else the ``cayley_distance`` search that it is passed."""
+    distance = gs.arithmetic.distance
     lp = len(pk) - 1
     lq = len(qk) - 1
     best = 0
@@ -490,8 +458,8 @@ def _chain_distance(ctx, gs, pk, qk, max_dist, node_cap, floor=None):
         bound += (i <= lp) + (i <= lq)
         if floor is not None and bound <= floor:
             continue
-        bound = distance(ctx, gs, pk[min(i, lp)], qk[min(i, lq)],
-                         max_dist=max_dist, node_cap=node_cap)
+        bound = distance(pk[min(i, lp)], qk[min(i, lq)], max_dist,
+                         node_cap, cayley_distance)
         best = max(best, bound)
     return best
 
@@ -509,42 +477,25 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
     within 3k of each decomposition of x, prefixes compared against
     the y-translated prefixes of x; for y a divisor of the Garside
     element the sliding update must stay within distance 1.  For the
-    remaining simple letters the sliding distance is recorded as an
-    observation only: a product of two simple elements need not admit
-    a normal form of two factors, so the carry can leave the simples
-    and the one-letter locality genuinely fails for such y.  Distances
-    in the plain untranslated convention are also observations; plain
-    searches that exceed the left-multiplication bound or the node cap
-    are counted, not chased.
+    remaining simple letters the sliding distance is an observation
+    only: a product of two simple elements need not admit a normal form
+    of two factors, so the carry can leave the simples.  Distances in
+    the plain untranslated convention are observations too, and only
+    their maximum is reported, computed branch-and-bound
+    (``_chain_distance``).  ``plain_searches_clamped`` counts the plain
+    distances computed past the left-multiplication bound or the node
+    cap; a position the bound skips is not counted, even where its
+    search would have hit the node cap.
 
-    Only the maximum of the plain distances is reported, so it is
-    computed branch-and-bound: a prefix position whose distance cannot
-    exceed the running maximum is not computed (see
-    ``_chain_distance``).  ``max_plain_leftmult`` stays exact, and
-    ``plain_searches_clamped`` counts the plain searches that ran and
-    were clamped; a skipped search has distance <= the running maximum
-    <= the left-multiplication bound, so only one that would have hit
-    the node cap is no longer counted.
-
-    Where the structure has Garside tables every distance is a word
-    length read off a Delta-normal form (Charney; Charney and Meier),
-    so the probe runs no search, builds no Cayley graph and ``node_cap``
-    does not bind; ``plain_searches_clamped`` then counts only lengths
-    beyond the left-multiplication bound.  Elsewhere each distance is a
-    ``cayley_distance`` search.
+    Each distance is the structure arithmetic's: on Garside tables no
+    search, no Cayley graph, and ``node_cap`` does not bind.
 
     Each piece of work is done once per call: the normal forms of each
-    element and each form's prefix-key chain from the identity (kept in
-    memos local to the call, freed on return), and each form's
-    y-translated chain for each letter y.  The sliding update is the
-    unchecked slide of ``left_mult_update``, checked against the targets
-    instead: the targets are every normal form of y * x, so a slid form
-    among them is normal with product y * x, which is exactly what
-    ``left_mult_update`` would verify, and its sliding distance is that
-    target's left-multiplication distance, the same function on the
-    same arguments, not measured again.  A slid form that is not a
-    target goes through ``left_mult_update`` with all its checks and
-    is measured.
+    element, their prefix-key chains (in memos freed on return), and
+    each form's y-translated chain.  The slide is ``left_mult_update``'s
+    unchecked: the targets are every normal form of y * x, so a slid
+    form among them passes its checks and has that target's distance.
+    Any other goes through ``left_mult_update`` and is measured.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -566,7 +517,7 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
     plain_clamped = 0
     checked = 0
     multi_pairs = 0
-    one = _key(gs, (0, ctx.one))
+    one = (0, gs.arithmetic.one)
     # per x.canon, the normal forms of x in order and their prefix-key
     # chains from the identity: y * x and delta \ x recur across the ball
     forms_memo = {}

@@ -15,7 +15,10 @@ Each subcommand imports the layers it runs (``structure``, ``normal``,
 ``delta``, ``automaton``) when it runs, so a process pays to load only
 those: ``graph`` stops at ``structure``, ``normalize``,
 ``all-normal-forms`` and ``prove`` at ``normal``, ``word-problem`` at
-``delta``.
+``delta``.  With --delta, ``normalize`` and ``all-normal-forms`` load
+``delta`` too, which chooses the span's arithmetic: on the Garside
+tables the raw word is never reduced, and the element printed is the
+least word read off its normal form.
 """
 
 from __future__ import annotations
@@ -233,28 +236,29 @@ def cmd_analyze(args) -> int:
 # -- normal forms ------------------------------------------------------
 
 
-def cmd_normalize(args) -> int:
-    from .normal import normalize
+def cmd_normal_forms(args) -> int:
+    """``normalize`` and ``all-normal-forms`` of a raw word.  A --delta
+    span has its arithmetic chosen once the word is read, and that
+    arithmetic reads the element shown, the least word of its class."""
+    from .normal import normalize, normalize_all
+    from .structure import span_arithmetic
     ctx = _context(args)
     S = _resolve_span(ctx, args)
-    x = ctx.element(args.element)
-    seq = normalize(ctx, S, x)
-    text = " ".join(ctx.show(f) for f in seq.factors) or "1"
-    return _emit(args, {"element": ctx.show(x), "span": S.label,
-                        "factors": seq.to_json(ctx)}, text)
-
-
-def cmd_all_normal_forms(args) -> int:
-    from .normal import normalize_all
-    ctx = _context(args)
-    S = _resolve_span(ctx, args)
-    x = ctx.element(args.element)
-    forms = sorted(normalize_all(ctx, S, x), key=lambda s: s.sort_key())
-    lines = [" ".join(ctx.show(f) for f in seq.factors) or "1"
-             for seq in forms]
-    return _emit(args, {"element": ctx.show(x), "span": S.label,
-                        "forms": [seq.to_json(ctx) for seq in forms]},
-                 "\n".join(lines))
+    word = ctx.presentation.encode_word(args.element)
+    if args.delta and not args.span:
+        from .delta import choose_arithmetic
+        choose_arithmetic(ctx, ctx.element(args.delta))
+    payload = {"element": ctx.show(span_arithmetic(ctx, S).least_word(word)),
+               "span": S.label}
+    if args.command == "normalize":
+        forms = [normalize(ctx, S, word)]
+        payload["factors"] = forms[0].to_json(ctx)
+    else:
+        forms = sorted(normalize_all(ctx, S, word),
+                       key=lambda s: s.sort_key())
+        payload["forms"] = [seq.to_json(ctx) for seq in forms]
+    return _emit(args, payload, "\n".join(
+        " ".join(ctx.show(f) for f in seq.factors) or "1" for seq in forms))
 
 
 def cmd_word_problem(args) -> int:
@@ -415,12 +419,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("normalize", help="greedy normal form")
     common(p, "json", "delta", "span")
     p.add_argument("element")
-    p.set_defaults(func=cmd_normalize)
+    p.set_defaults(func=cmd_normal_forms)
 
     p = sub.add_parser("all-normal-forms", help="every normal form")
     common(p, "json", "delta", "span")
     p.add_argument("element")
-    p.set_defaults(func=cmd_all_normal_forms)
+    p.set_defaults(func=cmd_normal_forms)
 
     p = sub.add_parser("word-problem",
                        help="compare two signed words in the group")

@@ -74,37 +74,27 @@ class Element(FrozenRecord):
 class MonoidContext:
     """All word-problem state for one presentation.
 
-    Canonical forms (``_canon``, per word), left complements (the
-    results of ``left_divides``, and of ``complements`` where it reads
-    classes), congruence classes enumerated by ``class_of`` and ball
-    levels are memoized here; ``caches`` is a scratch area for the
-    higher layers keyed per spanning set or Garside element: the
-    primitive closure per cap (``"primitives"``), divisor sets, each
-    element's factorisations, simple elements, the simples grouped by
-    divisor set for the greedy heads (``"head_index"``), normal forms,
-    the automaton, the Garside tables of each span Div(delta) that
-    passes their gate (``"garside_tables"``, per span), and for
-    ``cayley_distance`` the pair distances (``("cayley", delta)``) and
-    the Cayley graph with its fraction keys interned as ints and each
-    key's tuple of neighbour ids (``"cayley_graph"``, per delta), on
-    tables the word lengths read off normal forms per pair of keys
-    (``("length", delta.canon)``), and
-    for ``mcms`` the right multiples of an element by norm
-    (``"multiples"``) and each word's letter successors
-    (``"successors"``).  Without tables the ``GarsideStructure`` memoises
-    per letter and sign the (m, phi^t(c)) with which the fraction-key
-    fold multiplies that letter in (``delta._fold``; g^-1 = c delta^-m),
-    and each element's chain of quotients by powers of delta per
-    canonical word; the tables number the simples per canonical word
-    and hold the slide of each pair, all built at their gate, and a
-    span's normal forms on them reduce no word.  Every class word and
-    every canonical-form or left-complement entry counts against
-    ``max_cached_words``; the rewriting systems are shared between
-    contexts, and they, the Cayley and length caches, the tables
-    (|Div(delta)|^2 entries) and the structure's memos count against no
-    cap.
-    ``class_fallbacks`` counts the distinct
-    pairs whose left division (``left_divides`` or ``complements``)
+    Canonical forms (``_canon``, per word), left complements (of
+    ``left_divides``, and of ``complements`` where it reads classes),
+    congruence classes (``class_of``) and ball levels are memoized here.
+    ``caches`` is a scratch area for the higher layers, keyed per
+    spanning set or Garside element: the primitive closure per cap
+    (``"primitives"``), divisor sets, factorisations, simple elements,
+    the simples grouped by divisor set for greedy heads
+    (``"head_index"``), normal forms, the automaton, for ``mcms`` the
+    right multiples by norm (``"multiples"``) and each word's letter
+    successors (``"successors"``), and for ``cayley_distance`` the pair
+    distances (``("cayley", delta)``) and the Cayley graph of interned
+    fraction keys (``"cayley_graph"``).  Each span has one arithmetic
+    object (``"garside_tables"``): the Garside tables where Div(delta)
+    passes their gate, which number the simples, hold every slide and
+    the word lengths per pair of keys, and reduce no word; else the
+    kernel, which memoises per letter the (m, phi^t(c)) of
+    g^-1 = c delta^-m for its fraction keys.  Class words and canonical
+    and left-complement entries count against ``max_cached_words``; the
+    shared rewriting systems, the Cayley caches and the arithmetic
+    objects (|Div(delta)|^2 table entries) count against no cap.
+    ``class_fallbacks`` counts the distinct pairs whose left division
     enumerated classes because left cancellation could not be certified.
     """
 

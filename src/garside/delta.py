@@ -10,21 +10,24 @@ relations alone.  A group element is the fraction key (k, x) meaning
 d^(-k) x with k minimal, which gives a normal form and a word problem
 for the enveloping group of fractions.
 
-Keys are multiplied by one fold, ``_fold``, on either path.  It carries
+Keys are multiplied by one fold, ``_fold``.  It carries
 d^(-k) phi^(-t)(x): since y d^(-1) = d^(-1) phi^(-1)(y), a letter g
 multiplies x by phi^t(g), and an inverse g^(-1), written c d^(-m) with
 g c = d^m, multiplies x by phi^t(c) and adds m to k and to t.  So each
 letter is one right multiplication, phi is applied once per word, and
 leading powers of d are stripped as the fold goes (phi fixes d).
 
-Where Div(d) is a lattice (the gate of ``garside_tables``),
-the group layer computes internally on keys (k, f) instead, f the tuple
-of table ids of the Delta-normal form of x: a letter is multiplied in
-by sliding that form, and no word longer than d is reduced.  Answers
-are the same.  A ``FractionForm`` holds the form, not x; keys take the
-public form (k, x) only at ``mul_letter`` and the arguments of
-``automaton.cayley_distance``.  The ids stay in this module: the span
-layer calls four ``GarsideTables`` methods on elements and words.
+Each span Div(d) has one arithmetic object, chosen once by
+``choose_arithmetic`` and registered for the span: its
+``GarsideTables`` where Div(d) is a lattice (their gate), else the
+kernel's ``FractionKernel``.  Both answer the same calls, so no caller
+asks which it holds: normal forms of raw words, ``is_normal``,
+``covers``, the slide, the least word, and on fraction keys the fold,
+the internal and public key, the form's factors and the distance.  On
+the tables a key is (k, f), f the table ids of the Delta-normal form of
+x, and no word longer than d is reduced.  Keys take the public form
+(k, x) only at ``mul_letter`` and the arguments of
+``automaton.cayley_distance``.
 
 "Delta-simple" and "Delta-normal" mean simple/normal with respect to
 the span Div(delta); the simple elements usually form a strictly
@@ -33,11 +36,11 @@ larger set than the divisors themselves.
 
 from __future__ import annotations
 
-from .congruence import Element, MonoidContext
+from .congruence import Element, MonoidContext, ResourceLimitExceeded
 from .reports import FrozenRecord, Record, VerificationReport
-from .structure import (ElementSet, _codim1_divisors, divisors,
-                        divisors_in, enumerate_simples, is_spanning, mcms,
-                        primitive_closure, right_divisors)
+from .structure import (ElementSet, SpanKernel, _codim1_divisors,
+                        _too_many, divisors, divisors_in, enumerate_simples,
+                        is_spanning, mcms, primitive_closure, right_divisors)
 from .normal import NormalSequence, normalize, normalize_all
 
 __all__ = [
@@ -137,7 +140,8 @@ def find_minimal_garside(ctx: MonoidContext, max_norm: int = 4) -> GarsideSearch
 class GarsideStructure(Record):
     """A Garside element with its divisors, simple elements, star map
     and the automorphism phi, certified by ``build_structure``:
-    x delta = delta phi(x) for every x, and delta^order is central."""
+    x delta = delta phi(x) for every x, and delta^order is central.
+    ``arithmetic`` is the span's arithmetic (``choose_arithmetic``)."""
 
     _fields = ("ctx", "delta", "div_delta", "simples", "star", "phi_atoms",
                "order")
@@ -152,27 +156,16 @@ class GarsideStructure(Record):
         self.star = star            # x -> x* with x x* = delta, on div_delta
         self.phi_atoms = phi_atoms  # phi_atoms[m][a] = phi^m(atom a), m < e
         self.order = order          # e with phi^e = identity
-        # the memos are not fields: == and repr do not see how warm they are
-        self._delta_powers = {}
-        # _fold's letters: (g.canon, sign) -> (m, twisted) with
-        # g^sign = c delta^(-m) and twisted[t] the word of phi^t(c)
-        self._letters = {}
-        # _strip's quotients: y.canon -> [y, y/delta, y/delta^2, ...],
-        # ended by None once delta no longer left divides
+        # _strip's quotients, not a field so that == and repr do not see
+        # how warm it is: y.canon -> [y, y/delta, y/delta^2, ...], ended
+        # by None once delta no longer left divides
         self._quotients = {}
         self._translations = tuple(str.maketrans(t) for t in phi_atoms)
-        # the GarsideTables of div_delta, where it passes their gate
-        self.tables = None
 
     def delta_power(self, k: int) -> Element:
         if k < 0:
             raise ValueError("negative power of the Garside element")
-        got = self._delta_powers.get(k)
-        if got is None:
-            got = (self.ctx.one if k == 0
-                   else self.ctx.mul(self.delta_power(k - 1), self.delta))
-            self._delta_powers[k] = got
-        return got
+        return self.ctx.canonical(self.delta.canon * k)
 
     def phi(self, x, power: int = 1) -> Element:
         """phi^power(x): the canonical word translated letterwise, then
@@ -201,21 +194,6 @@ class GarsideStructure(Record):
                     f"{self.ctx.show(x)} does not divide any power of the "
                     f"Garside element up to {m - 1}")
         return m
-
-
-def _atom_permutation_order(table: dict) -> int:
-    order = 1
-    for start in table:
-        cur = table[start]
-        n = 1
-        while cur != start:
-            cur = table[cur]
-            n += 1
-        g, a = order, n
-        while a:
-            g, a = a, g % a
-        order = order * n // g
-    return order
 
 
 def _check_preserves_relations(ctx: MonoidContext, letter_map: dict):
@@ -268,13 +246,12 @@ def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
     # map is extended to every letter through its atom
     _check_preserves_relations(
         ctx, {c: base[ctx.canonical(c).canon] for c in chars})
-    order = _atom_permutation_order(base)
+    # phi^m on the atoms for m below the order of phi
     tables = [{c: c for c in base}]
-    for _ in range(1, order):
-        prev = tables[-1]
-        tables.append({c: base[prev[c]] for c in prev})
+    while (row := {c: base[t] for c, t in tables[-1].items()}) != tables[0]:
+        tables.append(row)
     gs = GarsideStructure(ctx, delta, div, simples, star, tuple(tables),
-                          order)
+                          len(tables))
 
     # star^2 must agree with the letterwise map on every divisor
     for x in div:
@@ -287,8 +264,22 @@ def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
     # gives a delta = a a* a** = delta phi(a), and induction on the
     # length of a word gives x delta = delta phi(x) for every x.  Hence
     # x delta^e = delta^e phi^e(x) = delta^e x: delta^e is central.
-    gs.tables = garside_tables(ctx, div, simples)
+    gs.arithmetic = choose_arithmetic(ctx, delta, gs)
     return gs
+
+
+def choose_arithmetic(ctx: MonoidContext, delta, gs=None):
+    """Choose the arithmetic of the span Div(delta) and register it for
+    the span (``structure.span_arithmetic``): the ``GarsideTables`` where
+    the span passes their gate and delta is a Garside element, else the
+    kernel, a ``FractionKernel`` for the structure gs.  Without gs no
+    structure is built, and ``is_garside`` is asked only past the gate."""
+    div = divisors(ctx, delta)
+    tables = garside_tables(ctx, div, enumerate_simples(ctx, div))
+    if tables is None or (gs is None and not is_garside(ctx, delta).passed):
+        tables = SpanKernel(ctx, div) if gs is None else FractionKernel(gs)
+    ctx.caches["garside_tables"][div.members] = tables
+    return tables
 
 
 # -- Garside tables ------------------------------------------------------
@@ -297,9 +288,9 @@ def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
 class GarsideTables:
     """Div(delta) as a lattice, with the simples numbered in shortlex
     order: id 0 is the identity and the last id is delta.  ``ids`` maps
-    the canonical word of each simple to its id.  Only this module
-    reads the ids; the span layer calls ``normal_form``, ``is_normal``,
-    ``covers`` and ``slid``, which take elements or words.
+    the canonical word of each simple to its id.  Past their gate the
+    tables are the span's arithmetic (``choose_arithmetic``): they answer
+    the calls of ``FractionKernel``, and only this class reads the ids.
 
     Where any two simples have a greatest common divisor in Div(delta)
     on each side, every Delta-normal form is read off tables on the ids
@@ -309,14 +300,20 @@ class GarsideTables:
     s(s* ^ t) | (s* ^ t)^-1 t.  A pair is left-weighted, i.e. s covers
     t over Div(delta), exactly when s* ^ t = 1; its slide is then None.
     ``garside_tables`` builds every slide from words of norm at most
-    norm(delta); the |Div(delta)|^2 entries count against no cap.
+    norm(delta); the |Div(delta)|^2 entries count against no cap, nor
+    do the word lengths memoised per pair of keys in ``lengths``.
     """
 
-    __slots__ = ("elements", "ids", "n", "delta", "dual", "phi", "phi_inv",
-                 "twists", "_atoms", "_slides")
+    __slots__ = ("ctx", "elements", "ids", "n", "delta", "dual", "phi",
+                 "phi_inv", "twists", "lengths", "_atoms", "_slides")
+    one = ()  # the x of the identity key (0, x)
 
-    def __init__(self, elements, dual, slides, atoms):
+    def __init__(self, ctx, elements, dual, slides, atoms):
         n = len(elements)
+        if sorted(dual) != list(range(n)):
+            raise ValueError("the dual of Garside tables must permute "
+                             "the ids")
+        self.ctx = ctx
         self.elements = elements
         self.ids = {e.canon: i for i, e in enumerate(elements)}
         self.n = n
@@ -331,6 +328,7 @@ class GarsideTables:
             self.twists.append(row)
             row = [self.phi[i] for i in row]
         self.phi_inv = self.twists[-1]
+        self.lengths = {}
         self._atoms = atoms    # letter -> id of its atom
         self._slides = slides  # i * n + j -> the slide of s_i|s_j
 
@@ -371,12 +369,18 @@ class GarsideTables:
             form = self.times(form, atoms[c])
         return form
 
-    def _sequence(self, form, label) -> NormalSequence:
-        return NormalSequence(tuple(self.elements[i] for i in form), label)
+    def factors(self, form) -> tuple:
+        """The simples of a form of ids."""
+        return tuple(self.elements[i] for i in form)
 
-    def normal_form(self, word: str, label) -> NormalSequence:
-        """The Delta-normal form of a word, which is never reduced."""
-        return self._sequence(self.form(word), label)
+    def normal_form(self, x) -> tuple:
+        """The normal form of an element or a raw word, not reduced."""
+        return self.factors(self.form(self.ctx._word_of(x)))
+
+    def normal_forms(self, x, cap) -> frozenset:
+        if cap < 1 and self.ctx._word_of(x):
+            raise _too_many(self.ctx, cap, x)
+        return frozenset([self.normal_form(x)])
 
     def is_normal(self, factors) -> bool:
         """Are the elements non-identity simples, each pair of
@@ -385,46 +389,145 @@ class GarsideTables:
         return all(ids) and all(self._slides[i * self.n + j] is None
                                 for i, j in zip(ids, ids[1:]))
 
-    def covers(self, x: Element, y: Element):
-        """Is the pair x|y left-weighted?  None unless both are simple."""
+    def covers(self, x: Element, y: Element) -> bool:
+        """Is the pair x|y left-weighted?  Past the simples, x covers y
+        when x y has the head of x: Div(z) meets Div(delta) in Div(head)."""
         i = self.ids.get(x.canon)
         j = self.ids.get(y.canon)
         if i is None or j is None:
-            return None
+            return self.form(x.canon)[:1] == self.form(x.canon + y.canon)[:1]
         return self._slides[i * self.n + j] is None
 
-    def slid(self, y: Element, factors, label) -> NormalSequence:
-        """The normal form of y times a normal sequence, y simple: the
-        carry is slid through the factors, one slide each, and stays
-        simple."""
-        cur = self.ids[y.canon]
-        form = []
-        for f in factors:
-            f = self.ids[f.canon]
+    def _slid(self, cur: int, form) -> list:
+        """The normal form of s_cur times the normal form ``form``: the
+        carry is slid through the factors, one slide each."""
+        out = []
+        for f in form:
             head, cur = self._slides[cur * self.n + f] or (cur, f)
-            form.append(head)
+            out.append(head)
         if cur:
-            form.append(cur)
-        return self._sequence(form, label)
+            out.append(cur)
+        return out
+
+    def slid(self, y: Element, factors) -> tuple:
+        """The normal form of y times a normal sequence, y simple."""
+        return self.factors(self._slid(self.ids[y.canon],
+                                       [self.ids[f.canon] for f in factors]))
+
+    def least_word(self, x) -> str:
+        """The canonical word of an element or a raw word, read off its
+        normal form: the least letter that left divides it is the first
+        letter of the head's canonical word, whose rest, a simple, is
+        slid through the remaining factors, and so on."""
+        form = self.form(self.ctx._word_of(x))
+        letters = []
+        while form:
+            word = self.elements[form[0]].canon
+            letters.append(word[0])
+            form = self._slid(self.ids[word[1:]], form[1:])
+        return "".join(letters)
+
+    # -- fraction keys (k, f), f a form of ids: see ``_fold``
+
+    def key(self, key):
+        """The internal key of a public or internal fraction key."""
+        if key[1].__class__ is not Element:
+            return key
+        return self._strip(key[0], self.form(key[1].canon))
+
+    def public(self, key):
+        k, form = key
+        return k, self.ctx.canonical("".join(self.elements[i].canon
+                                             for i in form))
+
+    def _strip(self, k: int, form: tuple):
+        """_strip on a Delta-normal form: its leading delta factors."""
+        i = 0
+        while i < k and i < len(form) and form[i] == self.delta:
+            i += 1
+        return k - i, form[i:]
+
+    def fold(self, key, letters):
+        """``_fold``: each factor s of a letter's normal form is one
+        ``times`` through the row of phi^t, s^(-1) as s* delta^(-1)."""
+        k, x = key
+        t = 0
+        ids = self.ids
+        dual = self.dual
+        twists = self.twists
+        row = twists[0]
+        for g, sign in letters:
+            i = ids.get(g.canon)
+            factors = (i,) if i is not None else self.form(g.canon)
+            if sign == 1:
+                for i in factors:
+                    x = self.times(x, row[i])
+            elif sign == -1:
+                for i in reversed(factors):
+                    x = self.times(x, row[dual[i]])
+                    t = (t + 1) % len(twists)
+                    row = twists[t]
+                k += len(factors)
+            else:
+                raise ValueError(f"bad sign {sign!r}")
+            if k and x and x[0] == self.delta:
+                k, x = self._strip(k, x)
+        if not t:
+            return k, x
+        row = twists[-t]
+        return k, tuple([row[i] for i in x])
+
+    def distance(self, key1, key2, max_dist, node_cap=None, search=None):
+        """The Cayley distance of internal keys a = (k_a, f_a) and
+        b = (k_b, f_b), with no search (``node_cap`` and ``search`` are
+        the kernel's): the word length over Div(delta) minus 1 of
+        a^-1 b = f_a^-1 delta^(k_a - k_b) f_b, folded from the identity.
+        For its key (k, f) with m leading delta factors in f, it is
+        max(sup, 0) - min(inf, 0) with inf = m - k and sup = len(f) - k
+        (Charney, *Math. Ann.* 301, 1995; Charney and Meier, *Math. Z.*
+        248, 2004); the key is stripped, so that is max(len(f), k)."""
+        if key1 == key2:
+            return 0
+        pair = (key1, key2) if key1 <= key2 else (key2, key1)
+        dist = self.lengths.get(pair)
+        if dist is None:
+            (ka, fa), (kb, fb) = pair
+            simple = self.elements
+            word = [(simple[i], -1) for i in reversed(fa)]
+            word += [(simple[-1], 1 if ka > kb else -1)] * abs(ka - kb)
+            word += [(simple[i], 1) for i in fb]
+            k, f = self.fold((0, ()), word)
+            dist = self.lengths[pair] = max(len(f), k)
+        if dist > max_dist:
+            raise _no_path(max_dist)
+        return dist
+
+
+def _no_path(max_dist) -> ResourceLimitExceeded:
+    return ResourceLimitExceeded(
+        f"no path of length <= {max_dist} between the elements")
 
 
 def garside_tables(ctx: MonoidContext, div: ElementSet, simples: ElementSet):
-    """The tables of Div(delta), registered for that span, or None
-    where the gate fails.
+    """The tables of Div(delta), or None where the gate fails.
 
-    The gate: the simples are the divisors themselves, left division by
-    an atom is unique within Div(delta), the left divisor sets (and the
-    right ones) of any two simples intersect in the divisor set of a
-    simple, and every element s has a complement s* = s^-1 delta in the
-    set, delta its last element, with s -> s* a bijection.  The sets are
-    int bitmasks, so each pair is one dict lookup per side.  Past the
-    gate every slide is built from the left gcds and the left
-    quotients."""
+    The gate: the simples are the divisors themselves and hold every
+    atom, left division by an atom is unique within Div(delta), the
+    left divisor sets (and the right ones) of any two simples intersect
+    in the divisor set of a simple, and every element s has a complement
+    s* = s^-1 delta in the set, delta its last element, with s -> s* a
+    bijection.  The sets are int bitmasks, so each pair is one dict
+    lookup per side.  Past the gate every slide is built from the left
+    gcds and the left quotients."""
     if simples.members != div.members:
         return None
     elements = sorted(div.members)
     n = len(elements)
     ids = {e.canon: i for i, e in enumerate(elements)}
+    atoms = {c: ids.get(ctx.canonical(c).canon)
+             for c in ctx.presentation.chars}
+    if None in atoms.values():
+        return None
     # quotients[c][b]: the id of c^-1 b for an atom c, else -1; the
     # extra last entry is -1 too, so that a row read at -1 gives -1
     quotients = {}
@@ -481,11 +584,7 @@ def garside_tables(ctx: MonoidContext, div: ElementSet, simples: ElementSet):
             if m:
                 q = below[m]
                 slides[i * n + j] = (dual_inv[q[d]], q[j])
-    tables = GarsideTables(
-        elements, dual, slides,
-        {c: ids[ctx.canonical(c).canon] for c in ctx.presentation.chars})
-    ctx.caches["garside_tables"][div.members] = tables
-    return tables
+    return GarsideTables(ctx, elements, dual, slides, atoms)
 
 
 # -- fractions ---------------------------------------------------------
@@ -540,37 +639,14 @@ def _strip(gs: GarsideStructure, k: int, x: Element):
     return k - i, chain[i]
 
 
-def _strip_form(tables, k: int, form: tuple):
-    """_strip on a Delta-normal form: its leading delta factors."""
-    i = 0
-    while i < k and i < len(form) and form[i] == tables.delta:
-        i += 1
-    return k - i, form[i:]
-
-
 def _key(gs: GarsideStructure, key):
     """The internal, stripped form of a fraction key (k, x)."""
-    tables = gs.tables
-    if tables is None or key[1].__class__ is not Element:
-        return key
-    return _strip_form(tables, key[0], tables.form(key[1].canon))
+    return gs.arithmetic.key(key)
 
 
 def _public(gs: GarsideStructure, key):
     """The fraction key (k, x) of an internal key."""
-    tables = gs.tables
-    if tables is None:
-        return key
-    return key[0], tables._sequence(key[1], "").product(gs.ctx)
-
-
-def _form(gs: GarsideStructure, key) -> FractionForm:
-    """The fraction form of a stripped internal key."""
-    k, x = key
-    tables = gs.tables
-    if tables is None:
-        return FractionForm(k, gs.normalize(x))
-    return FractionForm(k, tables._sequence(x, gs.div_delta.label))
+    return gs.arithmetic.public(key)
 
 
 def mul_letter(gs: GarsideStructure, key, g: Element, sign: int):
@@ -581,24 +657,37 @@ def mul_letter(gs: GarsideStructure, key, g: Element, sign: int):
 
 def _fold(gs: GarsideStructure, key, letters):
     """The internal key times a signed word (pairs (element, +-1)),
-    stripped.
+    stripped: the fold of the module docstring, on the structure's
+    arithmetic."""
+    return gs.arithmetic.fold(key, letters)
 
-    The fold carries delta^(-k) phi^(-t)(x) and applies phi^(-t) once,
-    at the end.  Since y delta^(-m) = delta^(-m) phi^(-m)(y), a letter
-    g multiplies x by phi^t(g), and an inverse g^(-1) = c delta^(-m),
-    where g c = delta^m, multiplies x by phi^t(c) and adds m to k and
-    to t.  phi fixes delta, so delta is stripped from x as the fold
-    goes.  Without tables (m, phi^t(c)) is memoised per letter
-    (``_letter``); with them each factor s of g's Delta-normal form is
-    one ``GarsideTables.times`` through the row of phi^t, an inverse
-    s^(-1) as s* delta^(-1)."""
-    k, x = key
-    t = 0
-    tables = gs.tables
-    if tables is None:
-        # x's word is canonical, so each letter is reduced incrementally
-        reduced = gs.ctx._reduced
-        memo = gs._letters
+
+class FractionKernel(SpanKernel):
+    """The arithmetic of a structure whose span fails the tables' gate:
+    ``SpanKernel``, and fraction keys (k, x) folded on the kernel."""
+
+    def __init__(self, gs: GarsideStructure):
+        super().__init__(gs.ctx, gs.div_delta)
+        self.gs = gs
+        self.one = gs.ctx.one
+        # the fold's letters: (g.canon, sign) -> (m, twisted) with
+        # g^sign = c delta^(-m) and twisted[t] the word of phi^t(c)
+        self._letters = {}
+
+    def key(self, key):
+        return key
+
+    public = key
+    factors = SpanKernel.normal_form
+
+    def fold(self, key, letters):
+        """``_fold``: x's word is canonical, so each letter is reduced
+        incrementally, its (m, phi^t(c)) memoised (``_letter``)."""
+        gs = self.gs
+        k, x = key
+        t = 0
+        reduced = self.ctx._reduced
+        memo = self._letters
         for g, sign in letters:
             got = memo.get((g.canon, sign))
             if got is None:
@@ -612,49 +701,11 @@ def _fold(gs: GarsideStructure, key, letters):
             if k:
                 k, x = _strip(gs, k, x)
         return (k, gs.phi(x, -t)) if t else (k, x)
-    ids = tables.ids
-    dual = tables.dual
-    twists = tables.twists
-    row = twists[0]
-    for g, sign in letters:
-        i = ids.get(g.canon)
-        factors = (i,) if i is not None else tables.form(g.canon)
-        if sign == 1:
-            for i in factors:
-                x = tables.times(x, row[i])
-        elif sign == -1:
-            for i in reversed(factors):
-                x = tables.times(x, row[dual[i]])
-                t = (t + 1) % len(twists)
-                row = twists[t]
-            k += len(factors)
-        else:
-            raise ValueError(f"bad sign {sign!r}")
-        if k and x and x[0] == tables.delta:
-            k, x = _strip_form(tables, k, x)
-    if not t:
-        return k, x
-    row = twists[-t]
-    return k, tuple([row[i] for i in x])
 
-
-def _table_length(gs, key1, key2) -> int:
-    """The word length of a^-1 b over Div(delta) minus the identity, for
-    internal keys a = (k_a, f_a) and b = (k_b, f_b) on tables.
-
-    a^-1 b = f_a^-1 delta^(k_a - k_b) f_b is folded from the identity.
-    For its key (k, f), with m leading delta factors in f, inf = m - k
-    and sup = len(f) - k, and the length is max(sup, 0) - min(inf, 0)
-    (Charney, *Math. Ann.* 301, 1995; Charney and Meier, *Math. Z.* 248,
-    2004).  The key is stripped, so m = 0 unless k = 0: the length is
-    max(len(f), k)."""
-    (ka, fa), (kb, fb) = key1, key2
-    simple = gs.tables.elements
-    word = [(simple[i], -1) for i in reversed(fa)]
-    word += [(gs.delta, 1 if ka > kb else -1)] * abs(ka - kb)
-    word += [(simple[i], 1) for i in fb]
-    k, f = _fold(gs, (0, ()), word)
-    return max(len(f), k)
+    def distance(self, key1, key2, max_dist, node_cap, search):
+        """The bounded ``search``, ``automaton.cayley_distance``: its
+        layer is above this one, so the caller passes it."""
+        return search(self.ctx, self.gs, key1, key2, max_dist, node_cap)
 
 
 def _letter(gs: GarsideStructure, g: Element, sign: int):
@@ -698,16 +749,17 @@ def _reduced(ctx: MonoidContext, letters) -> list:
 
 
 def _fraction_key(gs: GarsideStructure, reduced) -> tuple:
-    """The stripped internal fraction key of a freely reduced signed
-    word."""
-    return _fold(gs, (0, gs.ctx.one if gs.tables is None else ()), reduced)
+    """The stripped internal key of a freely reduced signed word."""
+    return _fold(gs, (0, gs.arithmetic.one), reduced)
 
 
 def fraction_of_signed(ctx: MonoidContext, gs: GarsideStructure,
                        letters) -> FractionForm:
     """Fold a signed word (pairs (element, +-1)) into a fraction form,
     after free reduction."""
-    return _form(gs, _fraction_key(gs, _reduced(ctx, letters)))
+    k, x = _fraction_key(gs, _reduced(ctx, letters))
+    return FractionForm(k, NormalSequence(gs.arithmetic.factors(x),
+                                          gs.div_delta.label))
 
 
 def combine(ctx: MonoidContext, gs: GarsideStructure, f1: FractionForm,

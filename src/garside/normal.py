@@ -4,7 +4,9 @@ A sequence of non-identity S-simple factors is normal when every factor
 covers the next one; the greedy normal form of x repeatedly splits off
 a simple divisor carrying the whole S-divisor set of the remainder.
 Normal forms are not unique in general, so ``normalize_all`` enumerates
-every decomposition.
+every decomposition.  The span's arithmetic computes them
+(``structure.span_arithmetic``): greedily on the kernel, or off the
+Garside tables.
 
 ``grid_prove_equality`` turns two equal words over S into an explicit
 derivation: a rectangular grid of relation cells whose row-by-row
@@ -14,10 +16,10 @@ apply relations of the form s t' = t s' with all four entries in S.
 
 from __future__ import annotations
 
-from .congruence import Element, MonoidContext, ResourceLimitExceeded
+from .congruence import Element, MonoidContext
 from .reports import FrozenRecord, GridError, Record
-from .structure import (_coerce_set, covers, divisors_in,
-                        enumerate_simples, mcms, span_tables)
+from .structure import (_coerce_set, enumerate_simples, mcms,
+                        span_arithmetic)
 
 __all__ = [
     "NormalSequence",
@@ -57,41 +59,10 @@ class NormalSequence(FrozenRecord):
 
 
 def is_normal(ctx: MonoidContext, S, seq) -> bool:
-    factors = tuple(seq.factors if isinstance(seq, NormalSequence) else seq)
+    factors = seq.factors if isinstance(seq, NormalSequence) else seq
     S = _coerce_set(ctx, S)
-    tables = span_tables(ctx, S)
-    if tables is not None:
-        return tables.is_normal([ctx.canonical(f) for f in factors])
-    simples = enumerate_simples(ctx, S).members
-    for f in factors:
-        if not f.norm or f not in simples:
-            return False
-    return all(covers(ctx, S, factors[i], factors[i + 1])
-               for i in range(len(factors) - 1))
-
-
-def _head_index(ctx, S):
-    """The non-identity simple elements grouped by their S-divisor set,
-    each group in plain lexicographic order of the canonical words (the
-    tie-break order for greedy heads)."""
-    cache = ctx.caches["head_index"]
-    got = cache.get(S.members)
-    if got is None:
-        got = {}
-        for s in sorted((s for s in enumerate_simples(ctx, S).members
-                         if s.norm), key=lambda e: e.canon):
-            got.setdefault(divisors_in(ctx, S, s), []).append(s)
-        cache[S.members] = got
-    return got
-
-
-def _heads(ctx, S, index, x):
-    """Lazily yield the pairs (h, rest) with h rest = x, where h runs
-    through the simples of ``index`` (see ``_head_index``) with the same
-    S-divisor set as x, in tie-break order."""
-    for h in index.get(divisors_in(ctx, S, x), ()):
-        if ctx.divides(h, x):
-            yield h, ctx.left_divides(h, x)
+    return span_arithmetic(ctx, S).is_normal(
+        [ctx.canonical(f) for f in factors])
 
 
 def normalize(ctx: MonoidContext, S, x) -> NormalSequence:
@@ -100,57 +71,15 @@ def normalize(ctx: MonoidContext, S, x) -> NormalSequence:
     Garside tables the head is unique, and the form is read off the
     tables letter by letter, with no reduction of x on the kernel."""
     S = _coerce_set(ctx, S)
-    tables = span_tables(ctx, S)
-    if tables is not None:
-        return tables.normal_form(ctx._word_of(x), S.label)
-    x = ctx.canonical(x)
-    index = _head_index(ctx, S)
-    factors = []
-    while x.norm:
-        head = next(_heads(ctx, S, index, x), None)
-        if head is None:
-            raise ValueError(
-                f"no simple head divides {ctx.show(x)}; is the set spanning?")
-        h, x = head
-        factors.append(h)
-    return NormalSequence(tuple(factors), S.label)
-
-
-def _too_many(ctx, cap, x) -> ResourceLimitExceeded:
-    return ResourceLimitExceeded(
-        f"more than {cap} normal decompositions for {ctx.show(x)}")
+    return NormalSequence(span_arithmetic(ctx, S).normal_form(x), S.label)
 
 
 def normalize_all(ctx: MonoidContext, S, x, cap=10_000) -> frozenset:
     """Every normal decomposition of x, as a set of NormalSequence.
     Over a span with Garside tables that is the one normal form."""
     S = _coerce_set(ctx, S)
-    if span_tables(ctx, S) is not None:
-        if cap < 1 and ctx._word_of(x):
-            raise _too_many(ctx, cap, x)
-        return frozenset([normalize(ctx, S, x)])
-    x = ctx.canonical(x)
-    index = _head_index(ctx, S)
-    memo = ctx.caches[("normalize_all", S.members)]
-
-    def rec(e) -> frozenset:
-        if not e.norm:
-            return frozenset([()])
-        got = memo.get(e)
-        if got is not None:
-            return got
-        out = set()
-        for h, rest in _heads(ctx, S, index, e):
-            for tail in rec(rest):
-                out.add((h,) + tail)
-                if len(out) > cap:
-                    raise _too_many(ctx, cap, x)
-        res = frozenset(out)
-        memo[e] = res
-        return res
-
-    label = S.label
-    return frozenset(NormalSequence(t, label) for t in rec(x))
+    return frozenset(NormalSequence(f, S.label)
+                     for f in span_arithmetic(ctx, S).normal_forms(x, cap))
 
 
 def left_mult_update(ctx: MonoidContext, S, y, seq) -> NormalSequence:
@@ -165,15 +94,13 @@ def left_mult_update(ctx: MonoidContext, S, y, seq) -> NormalSequence:
     normal forms of three or more factors.  In that case the greedy
     head is used and the carry degenerates into an arbitrary element,
     normalized at the end; the result is still a normal form of the
-    product, only the locality degrades.  Over a span with Garside
-    tables each split is the tables' slide, and the carry stays simple.
+    product, only the locality degrades.  Over Garside tables each
+    split is the tables' slide, and the carry stays simple.
 
-    y must be simple and ``seq`` normal, else ValueError.  The result is
-    checked, else RuntimeError: on the kernel its product must equal
-    y times the product of ``seq`` and it must be normal; over Garside
-    tables, where normal forms are unique, it must equal the tables'
-    normal form of the word y f1 ... fk, which is folded letter by
-    letter rather than slid, and nothing is multiplied on the kernel."""
+    y must be simple and ``seq`` normal, else ValueError.  The result
+    must be normal with the least word of y f1 ... fk, else
+    RuntimeError; over Garside tables both least words are read off
+    forms folded letter by letter, and nothing is reduced."""
     S = _coerce_set(ctx, S)
     y = ctx.canonical(y)
     if isinstance(seq, NormalSequence):
@@ -188,16 +115,10 @@ def left_mult_update(ctx: MonoidContext, S, y, seq) -> NormalSequence:
     if not is_normal(ctx, S, factors):
         raise ValueError("input sequence is not normal over the given set")
     result = _slide(ctx, S, y, factors)
-    tables = span_tables(ctx, S)
-    if tables is not None:
-        word = y.canon + "".join(f.canon for f in factors)
-        ok = result.factors == tables.normal_form(word, S.label).factors
-    else:
-        product = y
-        for f in factors:
-            product = ctx.mul(product, f)
-        ok = result.product(ctx) == product and is_normal(ctx, S, result)
-    if not ok:
+    arith = span_arithmetic(ctx, S)
+    if not (arith.is_normal(result.factors) and arith.least_word(
+            y.canon + "".join(f.canon for f in factors))
+            == arith.least_word("".join(f.canon for f in result.factors))):
         raise RuntimeError(
             f"sliding update produced a non-normal sequence for "
             f"{ctx.show(y)} * {'|'.join(ctx.show(f) for f in factors)}")
@@ -207,36 +128,8 @@ def left_mult_update(ctx: MonoidContext, S, y, seq) -> NormalSequence:
 def _slide(ctx, S, y, factors) -> NormalSequence:
     """``left_mult_update``'s slide of the non-identity simple y through
     the normal sequence ``factors`` over the span S, with neither its
-    validation nor its checks: the tables' slide where S has Garside
-    tables, else the choice of heads of ``_slid_by_heads``."""
-    tables = span_tables(ctx, S)
-    if tables is not None:
-        return tables.slid(y, factors, S.label)
-    return _slid_by_heads(ctx, S, y, factors)
-
-
-def _slid_by_heads(ctx, S, y, factors) -> NormalSequence:
-    index = _head_index(ctx, S)
-    simples = enumerate_simples(ctx, S).members
-    cur = y
-    out = []
-    for f in factors:
-        z = ctx.mul(cur, f)
-        # the first head that leaves a simple carry, else the greedy head
-        chosen = None
-        for h, rest in _heads(ctx, S, index, z):
-            chosen = chosen or (h, rest)
-            if not rest.norm or rest in simples:
-                chosen = (h, rest)
-                break
-        if chosen is None:
-            raise ValueError(
-                f"no simple head divides {ctx.show(z)}; is the set "
-                f"spanning?")
-        h, cur = chosen
-        out.append(h)
-    out.extend(normalize(ctx, S, cur).factors)
-    return NormalSequence(tuple(out), S.label)
+    validation nor its checks: the span arithmetic's ``slid``."""
+    return NormalSequence(span_arithmetic(ctx, S).slid(y, factors), S.label)
 
 
 # -- derivations -------------------------------------------------------

@@ -1,5 +1,6 @@
 """Divisibility structure: minimal common multiples, primitive elements,
-spanning sets, simple elements and the covering relation.
+spanning sets, simple elements, the covering relation, and the kernel
+arithmetic of a span (``SpanKernel``: greedy normal forms and slides).
 
 All searches are norm-bounded and honest about it: results carry a
 ``complete`` flag (or notes) when a bound was exhausted.  Everything
@@ -316,22 +317,14 @@ def divisors_in(ctx: MonoidContext, S, x) -> frozenset:
 
 
 def covers(ctx: MonoidContext, S, x, y) -> bool:
-    """x covers y over S: multiplying x by y adds no new S-divisors.
-
-    Equivalently Div(x y) and Div(x) meet S in the same set; true for
-    y = 1 by convention.  Over a span with Garside tables and for x, y
-    in it, that is the pair x|y being left-weighted.
-    """
+    """x covers y over S: multiplying x by y adds no new S-divisors,
+    i.e. Div(x y) and Div(x) meet S in the same set; true for y = 1 by
+    convention.  The span's arithmetic answers (``span_arithmetic``)."""
     x = ctx.canonical(x)
     y = ctx.canonical(y)
     if not y.norm:
         return True
-    S = _coerce_set(ctx, S)
-    tables = span_tables(ctx, S)
-    got = None if tables is None else tables.covers(x, y)
-    if got is not None:
-        return got
-    return divisors_in(ctx, S, ctx.mul(x, y)) == divisors_in(ctx, S, x)
+    return span_arithmetic(ctx, _coerce_set(ctx, S)).covers(x, y)
 
 
 def _codim1_divisors(ctx: MonoidContext, x: Element) -> set:
@@ -396,7 +389,121 @@ def enumerate_simples(ctx: MonoidContext, S) -> ElementSet:
     return result
 
 
-def span_tables(ctx: MonoidContext, S: ElementSet):
-    """The Garside tables that ``delta.garside_tables`` registered for
-    the span S, or None."""
-    return ctx.caches["garside_tables"].get(S.members)
+def span_arithmetic(ctx: MonoidContext, S: ElementSet):
+    """The arithmetic of the span S that ``delta.choose_arithmetic``
+    registered, else a ``SpanKernel``, made on first use and kept."""
+    cache = ctx.caches["garside_tables"]
+    got = cache.get(S.members)
+    if got is None:
+        got = cache[S.members] = SpanKernel(ctx, S)
+    return got
+
+
+def _too_many(ctx, cap, x) -> ResourceLimitExceeded:
+    return ResourceLimitExceeded(
+        f"more than {cap} normal decompositions for {ctx.show(x)}")
+
+
+class SpanKernel:
+    """The arithmetic of a span S on the rewriting kernel, as
+    ``delta.GarsideTables`` is on tables.  A greedy head of x is a
+    simple divisor with the S-divisor set of x, the lex-least one in
+    ``normal_form``; covering compares divisor sets.  Normal forms are
+    tuples of elements, which ``normal`` labels."""
+
+    def __init__(self, ctx: MonoidContext, S: ElementSet):
+        self.ctx = ctx
+        self.S = S
+
+    def _index(self):
+        """The non-identity simples grouped by S-divisor set, each group
+        in plain lex order of the words (the tie-break of greedy heads)."""
+        ctx, S = self.ctx, self.S
+        cache = ctx.caches["head_index"]
+        got = cache.get(S.members)
+        if got is None:
+            got = {}
+            for s in sorted((s for s in enumerate_simples(ctx, S).members
+                             if s.norm), key=lambda e: e.canon):
+                got.setdefault(divisors_in(ctx, S, s), []).append(s)
+            cache[S.members] = got
+        return got
+
+    def _heads(self, index, x):
+        """Lazily the pairs (h, rest) with h rest = x, h in ``index``
+        with the S-divisor set of x, in tie-break order."""
+        ctx = self.ctx
+        for h in index.get(divisors_in(ctx, self.S, x), ()):
+            if ctx.divides(h, x):
+                yield h, ctx.left_divides(h, x)
+
+    def _first_head(self, index, x):
+        head = next(self._heads(index, x), None)
+        if head is None:
+            raise ValueError(f"no simple head divides {self.ctx.show(x)}; "
+                             f"is the set spanning?")
+        return head
+
+    def normal_form(self, x) -> tuple:
+        x = self.ctx.canonical(x)
+        index = self._index()
+        factors = []
+        while x.norm:
+            h, x = self._first_head(index, x)
+            factors.append(h)
+        return tuple(factors)
+
+    def normal_forms(self, x, cap) -> frozenset:
+        ctx = self.ctx
+        x = ctx.canonical(x)
+        index = self._index()
+        memo = ctx.caches[("normalize_all", self.S.members)]
+
+        def rec(e) -> frozenset:
+            if not e.norm:
+                return frozenset([()])
+            got = memo.get(e)
+            if got is not None:
+                return got
+            out = set()
+            for h, rest in self._heads(index, e):
+                for tail in rec(rest):
+                    out.add((h,) + tail)
+                    if len(out) > cap:
+                        raise _too_many(ctx, cap, x)
+            got = memo[e] = frozenset(out)
+            return got
+
+        return rec(x)
+
+    def is_normal(self, factors) -> bool:
+        simples = enumerate_simples(self.ctx, self.S).members
+        if not all(f.norm and f in simples for f in factors):
+            return False
+        return all(covers(self.ctx, self.S, x, y)
+                   for x, y in zip(factors, factors[1:]))
+
+    def covers(self, x, y) -> bool:
+        ctx, S = self.ctx, self.S
+        return divisors_in(ctx, S, ctx.mul(x, y)) == divisors_in(ctx, S, x)
+
+    def slid(self, y, factors) -> tuple:
+        """A normal form of y times the normal sequence ``factors``, y
+        simple: of carry * f, the first head that leaves a simple carry,
+        else the greedy head; the last carry is normalised."""
+        ctx = self.ctx
+        index = self._index()
+        simples = enumerate_simples(ctx, self.S).members
+        cur = y
+        out = []
+        for f in factors:
+            z = ctx.mul(cur, f)
+            h, cur = next(((h, rest) for h, rest in self._heads(index, z)
+                           if not rest.norm or rest in simples),
+                          None) or self._first_head(index, z)
+            out.append(h)
+        return tuple(out) + self.normal_form(cur)
+
+    def least_word(self, x) -> str:
+        """The canonical word of an element or a raw word."""
+        return self.ctx.canonical(x).canon

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from garside import (MonoidContext, build_structure, delta, fixture,
                      fraction_of_signed, group_equal)
-from garside.delta import _fraction_key, _public, _reduced, mul_letter
+from garside.delta import (GarsideTables, _fraction_key, _public, _reduced,
+                           mul_letter)
 
 # fixture -> its minimal Garside element
 MINIMAL = {"M1": "aa", "M2": "aa", "M3": "ac", "B3": "s1s2s1",
@@ -202,7 +203,7 @@ def affix(rng, letters, d):
 def strip_setup(name, d, tables):
     ctx = MonoidContext(fixture(name))
     gs = build_structure(ctx, ctx.element(d))
-    assert (gs.tables is not None) == tables
+    assert isinstance(gs.arithmetic, GarsideTables) == tables
     return ctx, gs, sorted(ctx.ball_level(1)) + [gs.delta]
 
 

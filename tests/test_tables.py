@@ -13,6 +13,7 @@ the reduced Burau representation on B3 (``test_burau``) and exponent
 vectors on free_comm(3), whose group is Z^3."""
 
 import itertools
+import json
 import pathlib
 import random
 import time
@@ -24,15 +25,20 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from garside import (DELTA_INV, ElementSet, MonoidContext,
                      PresentationError, ResourceLimitExceeded,
+                     VerificationReport,
                      build_automaton, build_structure, combine, covers,
                      divisors, fixture, fraction_of_signed, group_equal,
                      normalize, normalize_all, parse_presentation,
                      synchronous_distance, to_fraction)
 from garside.automaton import (_append, _cayley_graph, _table_distance,
                                cayley_distance)
-from garside.delta import (_fold, _fraction_key, _key, _public, _strip,
-                           garside_tables, mul_letter)
-from garside.structure import span_tables
+from garside import delta as delta_layer
+from garside.cli import main
+from garside.delta import (FractionKernel, GarsideTables, _fold,
+                           _fraction_key, _key, _public, _strip,
+                           choose_arithmetic, garside_tables, mul_letter)
+from garside.presentation import serialize_presentation
+from garside.structure import SpanKernel, span_arithmetic
 from oracles import _step
 from test_burau import image, symbols
 from test_cli import run_python
@@ -130,7 +136,7 @@ def test_the_deferred_twist_equals_the_per_letter_steps(
     ctx = MonoidContext(presentation)
     gated = build_structure(ctx, ctx.element(delta))
     gs = build_structure(ctx, gated.delta)
-    gs.tables = None
+    gs.arithmetic = FractionKernel(gs)
     assert gs.order == order
     words = twisted_words(random.Random(1995), gs, reach, 80)
     twisted = 0
@@ -141,7 +147,7 @@ def test_the_deferred_twist_equals_the_per_letter_steps(
             key = mul_letter(gs, key, g, sign)
             assert key == want, (word, g, sign)
         assert _fold(gs, (0, ctx.one), word) == expected[-1], word
-        if gated.tables is not None:
+        if isinstance(gated.arithmetic, GarsideTables):
             assert (_public(gated, _fold(gated, (0, ()), word))
                     == expected[-1]), word
             key = (0, ctx.one)
@@ -175,14 +181,14 @@ def test_the_gate_fails_where_mcms_are_not_unique():
     for name, delta in (("M1", "aa"), ("M1", "ab"), ("M2", "aa"),
                         ("M2", "ab"), ("M3", "ac")):
         ctx, gs = structure(fixture(name), delta)
-        assert gs.tables is None, (name, delta)
+        assert not isinstance(gs.arithmetic, GarsideTables), (name, delta)
 
 
 @pytest.mark.parametrize("presentation,delta,_,__", GATED, ids=GATED_IDS)
 def test_the_gate_passes_on_lattices(presentation, delta, _, __):
     ctx, gs = structure(presentation, delta)
-    tables = gs.tables
-    assert tables is not None
+    tables = gs.arithmetic
+    assert isinstance(tables, GarsideTables)
     assert tables.elements == sorted(gs.div_delta.members)
     assert tables.elements[tables.delta] == gs.delta
     for i, s in enumerate(tables.elements):
@@ -194,7 +200,7 @@ def test_the_gate_passes_on_lattices(presentation, delta, _, __):
 def test_phi_has_order_three_on_the_birman_ko_lee_generators():
     ctx, gs = structure(BKL_B3, "ab")
     assert gs.order == 3
-    assert gs.tables.phi != gs.tables.phi_inv
+    assert gs.arithmetic.phi != gs.arithmetic.phi_inv
 
 
 def test_the_gate_rejects_a_poset_that_is_no_lattice_or_not_cancellative():
@@ -214,6 +220,9 @@ def test_the_gate_rejects_a_poset_that_is_no_lattice_or_not_cancellative():
     for i, s in enumerate(tables.elements):
         star = tables.elements[tables.dual[i]]
         assert ctx.mul(s, star) == ctx.element("abc")
+    # Div(ab) is a lattice with complements, but lacks the atom c
+    S = element_set(ctx, ("", "a", "b", "ab"))
+    assert garside_tables(ctx, S, S) is None
     # in ab = aa, a a = a b: aa has two left quotients by a
     ctx = MonoidContext(oracles.NOT_LEFT_CANCELLATIVE)
     S = element_set(ctx, ("", "a", "b", "aa"))
@@ -312,7 +321,7 @@ def test_the_slides_built_at_the_gate_equal_the_kernel(
     # a pair a|b with a b = s t, a covering b, and a != s; pairs beyond
     # the kernel's reach (type B3 past norm 12) are not compared
     ctx, gs = structure(presentation, delta)
-    tables = gs.tables
+    tables = gs.arithmetic
     ref = MonoidContext(presentation)
     ref_div = divisors(ref, ref.element(delta))
     assert ref.caches["garside_tables"] == {}
@@ -418,7 +427,7 @@ def test_span_inputs_are_checked_with_and_without_tables(tables):
     delta = ctx.element("s1s2s1")
     span = (build_structure(ctx, delta).div_delta if tables
             else divisors(ctx, delta))
-    assert (span_tables(ctx, span) is not None) == tables
+    assert isinstance(span_arithmetic(ctx, span), GarsideTables) == tables
     for f in (normalize, normalize_all):
         with pytest.raises(PresentationError):
             f(ctx, span, "ab?")
@@ -432,9 +441,127 @@ def test_span_inputs_are_checked_with_and_without_tables(tables):
     assert len(normalize_all(ctx, span, "", cap=0)) == 1
 
 
+# -- one arithmetic object per span -----------------------------------
+
+
+def seeded_words(presentation, reach, count, seed=1):
+    """Raw words of 0 to ``reach`` letters, seeded."""
+    rng = random.Random(seed)
+    return [
+        "".join(rng.choice(presentation.chars)
+                for _ in range(rng.randint(0, reach)))
+        for _ in range(count)]
+
+
+@pytest.mark.parametrize("presentation,delta,_,reach", GATED, ids=GATED_IDS)
+def test_least_words_read_off_the_tables_equal_the_kernel(
+        presentation, delta, _, reach, tmp_path, capsys):
+    # the kernel reduces each word in a context that has no tables
+    ctx, gs = structure(presentation, delta)
+    ref = MonoidContext(presentation)
+    words = seeded_words(presentation, reach, 40)
+    assert max(map(len, words)) == reach
+    for w in words:
+        assert gs.arithmetic.least_word(w) == ref.canonical(w).canon, w
+    # the CLI reads the element off the tables, as the kernel shows it
+    path = tmp_path / "presentation.txt"
+    path.write_text(serialize_presentation(presentation))
+    for w in sorted(words, key=len)[-4:]:
+        for command in ("normalize", "all-normal-forms"):
+            assert main([command, "--json", "--file", str(path), "--delta",
+                         ctx.show(gs.delta), ref.show(w)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["element"] == ref.show(ref.canonical(w)), w
+
+
+def test_covering_of_elements_that_are_not_simple_equals_the_kernel():
+    for name, delta in (("B3", "s1s2s1"), ("free_comm(3)", "abc")):
+        ctx, gs = structure(fixture(name), delta)
+        ref = MonoidContext(fixture(name))
+        ref_div = divisors(ref, ref.element(delta))
+        ball = sorted(ctx.enumerate_ball(3))
+        for x, y in itertools.product(ball, repeat=2):
+            rx, ry = ref.canonical(x.canon), ref.canonical(y.canon)
+            assert (covers(ctx, gs.div_delta, x, y)
+                    == covers(ref, ref_div, rx, ry)), (name, x, y)
+
+
+def test_the_proof_of_delta_is_asked_for_only_past_the_gate(monkeypatch):
+    def failed(ctx, d, bound=None):
+        return VerificationReport("garside", "fail")
+
+    def unasked(ctx, d, bound=None):
+        raise AssertionError("is_garside asked before the gate passed")
+
+    # M3 with delta = ac fails the gate: the kernel, with no proof asked
+    monkeypatch.setattr(delta_layer, "is_garside", unasked)
+    ctx = MonoidContext(fixture("M3"))
+    got = choose_arithmetic(ctx, ctx.element("ac"))
+    assert got.__class__ is SpanKernel
+    assert span_arithmetic(ctx, divisors(ctx, ctx.element("ac"))) is got
+    # B3 passes the gate, and a failed proof keeps the kernel
+    monkeypatch.setattr(delta_layer, "is_garside", failed)
+    ctx = MonoidContext(fixture("B3"))
+    assert choose_arithmetic(ctx, ctx.element("s1s2s1")).__class__ is SpanKernel
+    monkeypatch.undo()
+    assert isinstance(choose_arithmetic(ctx, ctx.element("s1s2s1")),
+                      GarsideTables)
+
+
+# a dual that sends two ids to one: the orbit of its square never
+# returns to the identity, so building the twists would not end
+BAD_DUAL = """
+from garside import MonoidContext, fixture
+from garside.delta import GarsideTables
+ctx = MonoidContext(fixture("B3"))
+try:
+    GarsideTables(ctx, sorted(ctx.enumerate_ball(1)), [1, 1, 0], [None] * 9,
+                  {})
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_tables_reject_a_dual_that_is_no_permutation():
+    proc = run_python(["-c", BAD_DUAL])
+    assert proc.returncode == 0, proc.stderr
+    assert "must permute the ids" in proc.stdout
+
+
+# normalize and all-normal-forms on a seeded raw 256-letter B5 word
+# within 2 GB of address space: the CLI passes the word to the tables
+B5_CLI = """
+import contextlib, io, json, random, resource
+limit = 2_000_000 * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from garside import parse_presentation
+from garside.cli import main
+pres = parse_presentation(open({path!r}).read())
+rng = random.Random(256)
+w = pres.decode_word("".join(rng.choice(pres.chars) for _ in range(256)))
+for command in ("normalize", "all-normal-forms"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([command, "--json", "--file", {path!r}, "--delta",
+                     {delta!r}, w]) == 0
+    got = json.loads(out.getvalue())
+    forms = got["forms"] if "forms" in got else [got["factors"]]
+    assert len(forms) == 1
+    norms = [len(pres.encode_word(f)) for f in forms[0]]
+    print(sum(norms), len(pres.encode_word(got["element"])))
+"""
+
+
+def test_the_cli_normalises_a_raw_256_letter_b5_word_within_2_gb():
+    proc = run_python(["-c", B5_CLI.format(path=str(B5_FILE),
+                                           delta=B5_DELTA)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["256"] * 4
+
+
 def test_b5_passes_the_gate_and_builds_its_automaton_fast():
     ctx, gs = structure(parse_presentation(B5_FILE.read_text()), B5_DELTA)
-    assert gs.tables is not None
+    assert isinstance(gs.arithmetic, GarsideTables)
     assert len(gs.div_delta) == len(gs.simples) == 120
     t0 = time.perf_counter()
     auto = build_automaton(ctx, gs)
