@@ -21,11 +21,11 @@ from __future__ import annotations
 import csv
 import io
 
-from .congruence import Element, MonoidContext, ResourceLimitExceeded
+from .congruence import MonoidContext, ResourceLimitExceeded
 from .reports import Record, VerificationReport
-from .structure import _coerce_set, covers, enumerate_simples
-from .normal import NormalSequence, _slide, left_mult_update, normalize_all
-from .delta import GarsideStructure, _fold, _key, _no_path, mul_letter
+from .structure import _coerce_set
+from .normal import NormalSequence, left_mult_update, normalize_all
+from .delta import GarsideStructure, _no_path, mul_letter
 
 __all__ = [
     "DELTA_INV",
@@ -140,7 +140,7 @@ def build_automaton(ctx: MonoidContext, gs: GarsideStructure) -> NormalFormAutom
     plain = tuple(s for s in sorted(gs.simples) if s.norm and s != delta)
     letters = plain + (delta, DELTA_INV)
     states = (INITIAL,) + letters + (FAIL,)
-    div = gs.div_delta
+    covers = gs.arithmetic.covers
     table = {}
     for l in letters:
         table[(INITIAL, l)] = l
@@ -152,7 +152,7 @@ def build_automaton(ctx: MonoidContext, gs: GarsideStructure) -> NormalFormAutom
         table[(y, delta)] = FAIL
         table[(y, DELTA_INV)] = FAIL
         for x in plain:
-            table[(y, x)] = x if covers(ctx, div, y, x) else FAIL
+            table[(y, x)] = x if covers(y, x) else FAIL
     auto = NormalFormAutomaton(ctx, gs, letters, states, table)
     cache[gs.delta] = auto
     return auto
@@ -301,10 +301,10 @@ class _CayleyGraph:
     def neighbours(self, node) -> tuple:
         got = self.adjacency[node]
         if got is None:
-            gs = self.gs
+            fold = self.gs.arithmetic.fold
             key = self.keys[node]
             got = self.adjacency[node] = tuple(
-                self.intern(_fold(gs, key, ((letter, sign),)))
+                self.intern(fold(key, ((letter, sign),)))
                 for letter in self.letters for sign in (1, -1))
         return got
 
@@ -331,14 +331,15 @@ def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
     allowed.
 
     This is always the explicit bounded search, on every structure: the
-    oracle of the Garside tables' distance (``_table_distance``).  It
-    runs from the lesser internal key of the pair to the greater, so
-    the node counts it checks against ``node_cap`` are a function of
-    the pair; the cache keeps them next to the distance, and a cached
-    pair raises exactly where a fresh search with the same ``max_dist``
-    and ``node_cap`` would."""
-    key1 = _key(gs, key1)
-    key2 = _key(gs, key2)
+    oracle of the Garside tables' distance (``GarsideTables.distance``).
+    It runs from the lesser stripped internal key of the pair to the
+    greater, so the node counts it checks against ``node_cap`` are a
+    function of the pair; the cache keeps them next to the distance,
+    and a cached pair raises exactly where a fresh search with the same
+    ``max_dist`` and ``node_cap`` would."""
+    key = gs.arithmetic.key
+    key1 = key(key1)
+    key2 = key(key2)
     if key1 == key2:
         return 0
     cache = ctx.caches[("cayley", gs.delta)]
@@ -393,11 +394,6 @@ def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
     return dist
 
 
-def _table_distance(ctx, gs, key1, key2, max_dist=16):
-    """``cayley_distance`` on Garside tables: ``GarsideTables.distance``."""
-    return gs.arithmetic.distance(key1, key2, max_dist)
-
-
 def synchronous_distance(ctx: MonoidContext, gs: GarsideStructure, u, v,
                          max_dist: int = 16,
                          node_cap: int = 200_000) -> int:
@@ -417,10 +413,11 @@ def synchronous_distance(ctx: MonoidContext, gs: GarsideStructure, u, v,
 
 def _chain(gs, start, word) -> list:
     """The internal keys of start * word[:i] for i = 0 .. len(word)."""
+    fold = gs.arithmetic.fold
     keys = [start]
     for letter in word:
-        keys.append(_fold(gs, keys[-1], ((gs.delta, -1) if letter is DELTA_INV
-                                         else (letter, 1),)))
+        keys.append(fold(keys[-1], ((gs.delta, -1) if letter is DELTA_INV
+                                    else (letter, 1),)))
     return keys
 
 
@@ -431,8 +428,9 @@ def _translated_distance(ctx, gs, y_key, p, q, max_dist, node_cap,
     internal) of the identity or of one alphabet letter.  The two
     prefix-key chains are folded here and measured by
     ``_chain_distance``."""
-    return _chain_distance(ctx, gs, _chain(gs, _key(gs, y_key), p),
-                           _chain(gs, (0, gs.arithmetic.one), q),
+    arith = gs.arithmetic
+    return _chain_distance(ctx, gs, _chain(gs, arith.key(y_key), p),
+                           _chain(gs, (0, arith.one), q),
                            max_dist, node_cap, floor)
 
 
@@ -517,7 +515,8 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
     plain_clamped = 0
     checked = 0
     multi_pairs = 0
-    one = (0, gs.arithmetic.one)
+    arith = gs.arithmetic
+    one = (0, arith.one)
     # per x.canon, the normal forms of x in order and their prefix-key
     # chains from the identity: y * x and delta \ x recur across the ball
     forms_memo = {}
@@ -566,7 +565,7 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
             continue
         for y in auto.letters:
             if y is DELTA_INV:
-                y_key = _key(gs, (1, ctx.one))
+                y_key = arith.key((1, ctx.one))
                 rest = ctx.left_divides(gs.delta, x)
                 if rest is None:
                     target_chains = [_chain(gs, one, (DELTA_INV,) + f.factors)
@@ -574,7 +573,7 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
                 else:
                     target_chains = chains_of(rest)
             else:
-                y_key = _key(gs, (0, y))
+                y_key = arith.key((0, y))
                 yx = ctx.mul(y, x)
                 targets = forms_of(yx)
                 target_chains = chains_of(yx)
@@ -607,7 +606,7 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
                     # the targets are every normal form of y * x: a slid
                     # form among them passes left_mult_update's checks,
                     # and its distance was measured above
-                    slid = _slide(ctx, S, y, p.factors).factors
+                    slid = arith.slid(y, p.factors)
                     d = next((dq for q, dq in zip(targets, dists)
                               if q.factors == slid), None)
                     if d is None:

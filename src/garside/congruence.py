@@ -80,17 +80,17 @@ class MonoidContext:
     ``caches`` is a scratch area for the higher layers, keyed per
     spanning set or Garside element: the primitive closure per cap
     (``"primitives"``), divisor sets, factorisations, simple elements,
-    the simples grouped by divisor set for greedy heads
-    (``"head_index"``), normal forms, the automaton, for ``mcms`` the
-    right multiples by norm (``"multiples"``) and each word's letter
-    successors (``"successors"``), and for ``cayley_distance`` the pair
-    distances (``("cayley", delta)``) and the Cayley graph of interned
-    fraction keys (``"cayley_graph"``).  Each span has one arithmetic
-    object (``"garside_tables"``): the Garside tables where Div(delta)
-    passes their gate, which number the simples, hold every slide and
-    the word lengths per pair of keys, and reduce no word; else the
-    kernel, which memoises per letter the (m, phi^t(c)) of
-    g^-1 = c delta^-m for its fraction keys.  Class words and canonical
+    the automaton, for ``mcms`` the right multiples by norm
+    (``"multiples"``) and each word's letter successors
+    (``"successors"``), and for ``cayley_distance`` the pair distances
+    (``("cayley", delta)``) and the Cayley graph of interned fraction
+    keys (``"cayley_graph"``).  Each span has one arithmetic object
+    (``"garside_tables"``): the Garside tables where Div(delta) passes
+    their gate, which number the simples, hold every slide and the word
+    lengths per pair of keys, and reduce no word; else the kernel, which
+    memoises the simples grouped by divisor set for greedy heads, the
+    normal forms of each element, and for fraction keys per letter the
+    (m, phi^t(c)) of g^-1 = c delta^-m.  Class words and canonical
     and left-complement entries count against ``max_cached_words``; the
     shared rewriting systems, the Cayley caches and the arithmetic
     objects (|Div(delta)|^2 table entries) count against no cap.

@@ -10,12 +10,13 @@ relations alone.  A group element is the fraction key (k, x) meaning
 d^(-k) x with k minimal, which gives a normal form and a word problem
 for the enveloping group of fractions.
 
-Keys are multiplied by one fold, ``_fold``.  It carries
-d^(-k) phi^(-t)(x): since y d^(-1) = d^(-1) phi^(-1)(y), a letter g
-multiplies x by phi^t(g), and an inverse g^(-1), written c d^(-m) with
-g c = d^m, multiplies x by phi^t(c) and adds m to k and to t.  So each
-letter is one right multiplication, phi is applied once per word, and
-leading powers of d are stripped as the fold goes (phi fixes d).
+Keys are multiplied by one fold, ``fold`` on the span's arithmetic
+object (below).  It carries d^(-k) phi^(-t)(x): since
+y d^(-1) = d^(-1) phi^(-1)(y), a letter g multiplies x by phi^t(g), and
+an inverse g^(-1), written c d^(-m) with g c = d^m, multiplies x by
+phi^t(c) and adds m to k and to t.  So each letter is one right
+multiplication, phi is applied once per word, and leading powers of d
+are stripped as the fold goes (phi fixes d).
 
 Each span Div(d) has one arithmetic object, chosen once by
 ``choose_arithmetic`` and registered for the span: its
@@ -27,7 +28,8 @@ the internal and public key, the form's factors and the distance.  On
 the tables a key is (k, f), f the table ids of the Delta-normal form of
 x, and no word longer than d is reduced.  Keys take the public form
 (k, x) only at ``mul_letter`` and the arguments of
-``automaton.cayley_distance``.
+``automaton.cayley_distance``; ``key`` strips a public key on either
+arithmetic, so (k + 1, d x) and (k, x) are one key.
 
 "Delta-simple" and "Delta-normal" mean simple/normal with respect to
 the span Div(delta); the simple elements usually form a strictly
@@ -427,7 +429,7 @@ class GarsideTables:
             form = self._slid(self.ids[word[1:]], form[1:])
         return "".join(letters)
 
-    # -- fraction keys (k, f), f a form of ids: see ``_fold``
+    # -- fraction keys (k, f), f a form of ids: see ``fold``
 
     def key(self, key):
         """The internal key of a public or internal fraction key."""
@@ -448,8 +450,9 @@ class GarsideTables:
         return k - i, form[i:]
 
     def fold(self, key, letters):
-        """``_fold``: each factor s of a letter's normal form is one
-        ``times`` through the row of phi^t, s^(-1) as s* delta^(-1)."""
+        """The fold of the module docstring: each factor s of a letter's
+        normal form is one ``times`` through the row of phi^t, s^(-1) as
+        s* delta^(-1)."""
         k, x = key
         t = 0
         ids = self.ids
@@ -639,27 +642,11 @@ def _strip(gs: GarsideStructure, k: int, x: Element):
     return k - i, chain[i]
 
 
-def _key(gs: GarsideStructure, key):
-    """The internal, stripped form of a fraction key (k, x)."""
-    return gs.arithmetic.key(key)
-
-
-def _public(gs: GarsideStructure, key):
-    """The fraction key (k, x) of an internal key."""
-    return gs.arithmetic.public(key)
-
-
 def mul_letter(gs: GarsideStructure, key, g: Element, sign: int):
     """Right-multiply the fraction key (k, x), i.e. delta^(-k) x, by
     g^sign and strip the result."""
-    return _public(gs, _fold(gs, _key(gs, key), ((g, sign),)))
-
-
-def _fold(gs: GarsideStructure, key, letters):
-    """The internal key times a signed word (pairs (element, +-1)),
-    stripped: the fold of the module docstring, on the structure's
-    arithmetic."""
-    return gs.arithmetic.fold(key, letters)
+    arith = gs.arithmetic
+    return arith.public(arith.fold(arith.key(key), ((g, sign),)))
 
 
 class FractionKernel(SpanKernel):
@@ -675,14 +662,18 @@ class FractionKernel(SpanKernel):
         self._letters = {}
 
     def key(self, key):
+        """The stripped key (k, x): the public key is the internal one."""
+        return _strip(self.gs, *key)
+
+    def public(self, key):
         return key
 
-    public = key
     factors = SpanKernel.normal_form
 
     def fold(self, key, letters):
-        """``_fold``: x's word is canonical, so each letter is reduced
-        incrementally, its (m, phi^t(c)) memoised (``_letter``)."""
+        """The fold of the module docstring: x's word is canonical, so
+        each letter is reduced incrementally, its (m, phi^t(c))
+        memoised (``_letter``)."""
         gs = self.gs
         k, x = key
         t = 0
@@ -748,17 +739,13 @@ def _reduced(ctx: MonoidContext, letters) -> list:
     return out
 
 
-def _fraction_key(gs: GarsideStructure, reduced) -> tuple:
-    """The stripped internal key of a freely reduced signed word."""
-    return _fold(gs, (0, gs.arithmetic.one), reduced)
-
-
 def fraction_of_signed(ctx: MonoidContext, gs: GarsideStructure,
                        letters) -> FractionForm:
     """Fold a signed word (pairs (element, +-1)) into a fraction form,
     after free reduction."""
-    k, x = _fraction_key(gs, _reduced(ctx, letters))
-    return FractionForm(k, NormalSequence(gs.arithmetic.factors(x),
+    arith = gs.arithmetic
+    k, x = arith.fold((0, arith.one), _reduced(ctx, letters))
+    return FractionForm(k, NormalSequence(arith.factors(x),
                                           gs.div_delta.label))
 
 
@@ -830,7 +817,9 @@ def group_equal(ctx: MonoidContext, gs: GarsideStructure, w1, w2) -> bool:
     ru, rv = _reduced(ctx, u), _reduced(ctx, v)
     if len(ru) < len(u) or len(rv) < len(v):
         ru, rv = _middles(ru, rv)
-    return _fraction_key(gs, ru) == _fraction_key(gs, rv)
+    arith = gs.arithmetic
+    one = (0, arith.one)
+    return arith.fold(one, ru) == arith.fold(one, rv)
 
 
 # -- structural checks -------------------------------------------------

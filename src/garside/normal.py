@@ -112,24 +112,17 @@ def left_mult_update(ctx: MonoidContext, S, y, seq) -> NormalSequence:
     simples = enumerate_simples(ctx, S).members
     if y not in simples:
         raise ValueError(f"{ctx.show(y)} is not simple over the given set")
-    if not is_normal(ctx, S, factors):
-        raise ValueError("input sequence is not normal over the given set")
-    result = _slide(ctx, S, y, factors)
     arith = span_arithmetic(ctx, S)
-    if not (arith.is_normal(result.factors) and arith.least_word(
+    if not arith.is_normal(factors):
+        raise ValueError("input sequence is not normal over the given set")
+    result = arith.slid(y, factors)
+    if not (arith.is_normal(result) and arith.least_word(
             y.canon + "".join(f.canon for f in factors))
-            == arith.least_word("".join(f.canon for f in result.factors))):
+            == arith.least_word("".join(f.canon for f in result))):
         raise RuntimeError(
             f"sliding update produced a non-normal sequence for "
             f"{ctx.show(y)} * {'|'.join(ctx.show(f) for f in factors)}")
-    return result
-
-
-def _slide(ctx, S, y, factors) -> NormalSequence:
-    """``left_mult_update``'s slide of the non-identity simple y through
-    the normal sequence ``factors`` over the span S, with neither its
-    validation nor its checks: the span arithmetic's ``slid``."""
-    return NormalSequence(span_arithmetic(ctx, S).slid(y, factors), S.label)
+    return NormalSequence(result, S.label)
 
 
 # -- derivations -------------------------------------------------------

@@ -409,24 +409,26 @@ class SpanKernel:
     ``delta.GarsideTables`` is on tables.  A greedy head of x is a
     simple divisor with the S-divisor set of x, the lex-least one in
     ``normal_form``; covering compares divisor sets.  Normal forms are
-    tuples of elements, which ``normal`` labels."""
+    tuples of elements, which ``normal`` labels.  The head index and
+    the normal forms of ``normal_forms`` are memoised on the object."""
 
     def __init__(self, ctx: MonoidContext, S: ElementSet):
         self.ctx = ctx
         self.S = S
+        self._head_index = None
+        self._forms = {}  # element -> frozenset of its normal forms
 
     def _index(self):
         """The non-identity simples grouped by S-divisor set, each group
         in plain lex order of the words (the tie-break of greedy heads)."""
-        ctx, S = self.ctx, self.S
-        cache = ctx.caches["head_index"]
-        got = cache.get(S.members)
+        got = self._head_index
         if got is None:
+            ctx, S = self.ctx, self.S
             got = {}
             for s in sorted((s for s in enumerate_simples(ctx, S).members
                              if s.norm), key=lambda e: e.canon):
                 got.setdefault(divisors_in(ctx, S, s), []).append(s)
-            cache[S.members] = got
+            self._head_index = got
         return got
 
     def _heads(self, index, x):
@@ -457,7 +459,7 @@ class SpanKernel:
         ctx = self.ctx
         x = ctx.canonical(x)
         index = self._index()
-        memo = ctx.caches[("normalize_all", self.S.members)]
+        memo = self._forms
 
         def rec(e) -> frozenset:
             if not e.norm:
@@ -480,8 +482,7 @@ class SpanKernel:
         simples = enumerate_simples(self.ctx, self.S).members
         if not all(f.norm and f in simples for f in factors):
             return False
-        return all(covers(self.ctx, self.S, x, y)
-                   for x, y in zip(factors, factors[1:]))
+        return all(self.covers(x, y) for x, y in zip(factors, factors[1:]))
 
     def covers(self, x, y) -> bool:
         ctx, S = self.ctx, self.S

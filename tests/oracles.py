@@ -20,8 +20,8 @@ form, where ``ftp_probe`` does each of these once per call.
 
 ``_step`` is a per-letter step of a fraction key on the kernel that
 multiplies an inverse in through its complement in a power of delta and
-applies phi^(-m) at once: the reference of ``delta._fold``, which
-defers phi to the end of the word.
+applies phi^(-m) at once: the reference of ``FractionKernel.fold``,
+which defers phi to the end of the word.
 """
 
 import random
@@ -32,7 +32,6 @@ from garside import (DELTA_INV, Element, GarsideStructure, NormalSequence,
                      build_automaton, left_mult_update, normalize_all,
                      parse_presentation, synchronous_distance)
 from garside.automaton import _translated_distance
-from garside.delta import _key
 from garside.structure import _coerce_set
 
 LENGTH_ONE = Presentation(["s1", "s2", "s3"],
@@ -288,7 +287,7 @@ def ftp_probe_per_call(ctx, gs, radius, span=None, max_dist=24,
     def forms_of(x):
         return sorted(normalize_all(ctx, S, x), key=NormalSequence.sort_key)
 
-    one = _key(gs, (0, ctx.one))
+    one = gs.arithmetic.key((0, ctx.one))
     for x in sorted(ctx.enumerate_ball(radius)):
         forms = forms_of(x)
         checked += 1
@@ -310,14 +309,14 @@ def ftp_probe_per_call(ctx, gs, radius, span=None, max_dist=24,
             continue
         for y in auto.letters:
             if y is DELTA_INV:
-                y_key = _key(gs, (1, ctx.one))
+                y_key = gs.arithmetic.key((1, ctx.one))
                 rest = ctx.left_divides(gs.delta, x)
                 if rest is None:
                     targets = [(DELTA_INV,) + f.factors for f in forms_of(x)]
                 else:
                     targets = [f.factors for f in forms_of(rest)]
             else:
-                y_key = _key(gs, (0, y))
+                y_key = gs.arithmetic.key((0, y))
                 targets = [f.factors for f in forms_of(ctx.mul(y, x))]
             for p in forms:
                 dists = []

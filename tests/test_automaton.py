@@ -11,8 +11,8 @@ from garside import (DELTA_INV, MonoidContext, NormalSequence,
 from garside.automaton import (_append, _translated_distance,
                                cayley_distance, charpoly)
 from garside.delta import GarsideTables, _strip
+from garside.structure import SpanKernel
 import garside.automaton as automaton
-import garside.normal as normal
 from garside.cli import _delta_summary
 
 import oracles
@@ -358,11 +358,11 @@ def test_a_slide_outside_the_targets_fails_left_mult_update(monkeypatch,
     # a slide that drops y is no normal form of y * x: it is not among
     # the targets, and left_mult_update's check of it raises, on the
     # tables (B3) and on the kernel (M1)
-    def dropped(ctx, S, y, factors):
-        return NormalSequence(tuple(factors), S.label)
+    def dropped(self, y, factors):
+        return tuple(factors)
 
-    monkeypatch.setattr(normal, "_slide", dropped)
-    monkeypatch.setattr(automaton, "_slide", dropped)
+    monkeypatch.setattr(SpanKernel, "slid", dropped)
+    monkeypatch.setattr(GarsideTables, "slid", dropped)
     ctx = MonoidContext(fixture(name))
     with pytest.raises(RuntimeError, match="sliding update"):
         ftp_probe(ctx, structure(ctx, delta), radius)

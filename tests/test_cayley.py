@@ -152,6 +152,24 @@ def test_mul_letter_by_non_letters_warm_and_fresh(name, delta):
                                    fg))
 
 
+@pytest.mark.parametrize("name,delta", [
+    ("M1", "aa"), ("M2", "ab"), ("M3", "ac"), ("B3", "s1s2s1"),
+    ("free_comm(3)", "abc")])
+def test_an_unstripped_public_key_is_the_element_it_names(name, delta):
+    # (k + 1, delta x) is delta^-(k+1) delta x = delta^-k x: both kinds
+    # of arithmetic strip a public key, so the search sees one element
+    ctx, gs = structure(name, delta)
+    keys = ball_keys(gs)
+    targets = keys[::3] + [(0, ctx.one)]
+    for k, x in keys[::2]:
+        raised = (k + 1, ctx.mul(gs.delta, x))
+        assert cayley_distance(ctx, gs, raised, (k, x)) == 0
+        assert cayley_distance(ctx, gs, (k, x), raised) == 0
+        for t in targets:
+            assert (cayley_distance(ctx, gs, raised, t)
+                    == cayley_distance(ctx, gs, (k, x), t)), (k, x, t)
+
+
 def test_cached_distance_honours_the_node_cap_like_a_fresh_search():
     # from the identity, delta^-1 s1s1s1s2s2s2 is 5 away; a fresh search
     # checks 90 nodes against the cap before it meets

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from garside import (MonoidContext, build_structure, delta, fixture,
                      fraction_of_signed, group_equal)
-from garside.delta import (GarsideTables, _fraction_key, _public, _reduced,
+from garside.delta import (FractionKernel, GarsideTables, _reduced,
                            mul_letter)
 
 # fixture -> its minimal Garside element
@@ -104,7 +104,8 @@ def answers_and_keys(name, d, queries, warm):
         for w1, w2 in reversed(queries):
             group_equal(ctx, gs, w1, w2)
     return [(group_equal(ctx, gs, w1, w2),
-             [_public(gs, _fraction_key(gs, _reduced(ctx, w)))
+             [gs.arithmetic.public(gs.arithmetic.fold(
+                 (0, gs.arithmetic.one), _reduced(ctx, w)))
               for w in (w1, w2)])
             for w1, w2 in queries]
 
@@ -259,23 +260,26 @@ def test_common_affix_edge_cases(name, d, tables):
 
 
 def counters(monkeypatch):
-    """Count the calls to ``_reduced`` and ``_fold`` and the letters
-    folded."""
+    """Count the calls to ``_reduced`` and to the arithmetic's ``fold``
+    and the letters folded."""
     calls = Counter()
-    reduced, fold = delta._reduced, delta._fold
+    reduced = delta._reduced
 
     def counting_reduced(ctx, word):
         calls["reduced"] += 1
         return reduced(ctx, word)
 
-    def counting_fold(gs, key, word):
-        word = list(word)
-        calls["fold"] += 1
-        calls["letters"] += len(word)
-        return fold(gs, key, word)
+    def counting(fold):
+        def counting_fold(self, key, word):
+            word = list(word)
+            calls["fold"] += 1
+            calls["letters"] += len(word)
+            return fold(self, key, word)
+        return counting_fold
 
     monkeypatch.setattr(delta, "_reduced", counting_reduced)
-    monkeypatch.setattr(delta, "_fold", counting_fold)
+    for arithmetic in (GarsideTables, FractionKernel):
+        monkeypatch.setattr(arithmetic, "fold", counting(arithmetic.fold))
     return calls
 
 

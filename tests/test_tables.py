@@ -30,12 +30,10 @@ from garside import (DELTA_INV, ElementSet, MonoidContext,
                      divisors, fixture, fraction_of_signed, group_equal,
                      normalize, normalize_all, parse_presentation,
                      synchronous_distance, to_fraction)
-from garside.automaton import (_append, _cayley_graph, _table_distance,
-                               cayley_distance)
+from garside.automaton import _append, _cayley_graph, cayley_distance
 from garside import delta as delta_layer
 from garside.cli import main
-from garside.delta import (FractionKernel, GarsideTables, _fold,
-                           _fraction_key, _key, _public, _strip,
+from garside.delta import (FractionKernel, GarsideTables, _strip,
                            choose_arithmetic, garside_tables, mul_letter)
 from garside.presentation import serialize_presentation
 from garside.structure import SpanKernel, span_arithmetic
@@ -146,10 +144,10 @@ def test_the_deferred_twist_equals_the_per_letter_steps(
         for (g, sign), want in zip(word, expected[1:]):
             key = mul_letter(gs, key, g, sign)
             assert key == want, (word, g, sign)
-        assert _fold(gs, (0, ctx.one), word) == expected[-1], word
+        assert gs.arithmetic.fold((0, ctx.one), word) == expected[-1], word
         if isinstance(gated.arithmetic, GarsideTables):
-            assert (_public(gated, _fold(gated, (0, ()), word))
-                    == expected[-1]), word
+            assert (gated.arithmetic.public(
+                gated.arithmetic.fold((0, ()), word)) == expected[-1]), word
             key = (0, ctx.one)
             for (g, sign), want in zip(word, expected[1:]):
                 key = mul_letter(gated, key, g, sign)
@@ -265,7 +263,9 @@ def test_table_keys_equal_kernel_keys(presentation, delta, _, reach):
         for (g, sign), want in zip(word, expected[1:]):
             key = mul_letter(gs, key, g, sign)
             assert key == want, (word, g, sign)
-        assert _public(gs, _fraction_key(gs, word)) == expected[-1], word
+        arith = gs.arithmetic
+        assert (arith.public(arith.fold((0, arith.one), word))
+                == expected[-1]), word
         form = fraction_of_signed(ctx, gs, word)
         assert ((form.k, form.tail.product(ctx))
                 == _strip(gs, *expected[-1]))
@@ -508,6 +508,31 @@ def test_the_proof_of_delta_is_asked_for_only_past_the_gate(monkeypatch):
                       GarsideTables)
 
 
+@pytest.mark.parametrize("name,delta", [
+    ("M1", "aa"), ("M1", "ab"), ("M2", "aa"), ("M2", "ab"), ("M2", "ac"),
+    ("M3", "ac"), ("B3", "s1s2s1")])
+def test_normal_forms_stay_when_the_span_gets_its_arithmetic(name, delta):
+    # before build_structure a SpanKernel made by span_arithmetic
+    # answers, with its memos on itself; after, the object that
+    # choose_arithmetic registered answers from memos of its own
+    ctx = MonoidContext(fixture(name))
+    d = ctx.element(delta)
+    div = divisors(ctx, d)
+    ball = sorted(ctx.enumerate_ball(6))
+
+    def forms():
+        return [(normalize(ctx, div, x), normalize_all(ctx, div, x))
+                for x in ball]
+
+    before = span_arithmetic(ctx, div)
+    assert before.__class__ is SpanKernel
+    expected = forms()
+    gs = build_structure(ctx, d)
+    assert span_arithmetic(ctx, div) is gs.arithmetic
+    assert gs.arithmetic is not before
+    assert forms() == expected
+
+
 # a dual that sends two ids to one: the orbit of its square never
 # returns to the identity, so building the twists would not end
 BAD_DUAL = """
@@ -704,7 +729,9 @@ def test_b4_200_letter_words_in_milliseconds():
     t0 = time.perf_counter()
     assert group_equal(ctx, gs, identity, [])
     assert time.perf_counter() - t0 < 1.0
-    assert _fraction_key(gs, identity) == _fraction_key(gs, [])
+    arith = gs.arithmetic
+    one = (0, arith.one)
+    assert arith.fold(one, identity) == arith.fold(one, [])
     # one sign flipped is another braid (another degree), and one
     # letter changed is another braid of the same degree
     flipped = e2[:100] + [(e2[100][0], -e2[100][1])] + e2[101:]
@@ -757,15 +784,16 @@ def test_table_lengths_equal_the_cayley_search(presentation, delta, _, __):
     ref, rgs = structure(presentation, delta)
     keys = public_ball_keys(gs)
     rkeys = [(k, ref.canonical(x.canon)) for k, x in keys]
-    internal = [_key(gs, key) for key in keys]
+    internal = [gs.arithmetic.key(key) for key in keys]
+    table_distance = gs.arithmetic.distance
     lengths = Counter()
     for (a, ra), (b, rb) in itertools.product(zip(internal, rkeys),
                                               repeat=2):
-        d = _table_distance(ctx, gs, a, b)
+        d = table_distance(a, b, 16)
         assert d == cayley_distance(ref, rgs, ra, rb), (a, b)
         lengths[d] += 1
         # max_dist binds as in the search
-        assert (outcome(_table_distance, ctx, gs, a, b, max_dist=d - 1)
+        assert (outcome(table_distance, a, b, max_dist=d - 1)
                 == outcome(cayley_distance, ref, rgs, ra, rb,
                            max_dist=d - 1))
     assert set(lengths) == {0, 1, 2, 3, 4}
