@@ -25,7 +25,7 @@ from .congruence import MonoidContext, ResourceLimitExceeded
 from .reports import Record, VerificationReport
 from .structure import _coerce_set
 from .normal import NormalSequence, left_mult_update, normalize_all
-from .delta import GarsideStructure, _no_path, mul_letter
+from .delta import GarsideStructure, _no_path
 
 __all__ = [
     "DELTA_INV",
@@ -269,13 +269,6 @@ def _letter_value(gs, letter):
     return x
 
 
-def _append(gs, key, letter, sign=1):
-    """Right-multiply the fraction key (k, x) by letter^sign."""
-    if letter is DELTA_INV:
-        letter, sign = gs.delta, -sign
-    return mul_letter(gs, key, letter, sign)
-
-
 class _CayleyGraph:
     """The Cayley graph of the group of fractions over the automaton's
     monoid letters, with internal fraction keys interned as ints.  Each
@@ -407,8 +400,9 @@ def synchronous_distance(ctx: MonoidContext, gs: GarsideStructure, u, v,
     for letter in u + v:
         if letter is not DELTA_INV:
             _letter_value(gs, letter)
-    return _translated_distance(ctx, gs, (0, gs.arithmetic.one), u, v,
-                                max_dist, node_cap)
+    one = (0, gs.arithmetic.one)
+    return _chain_distance(ctx, gs, _chain(gs, one, u), _chain(gs, one, v),
+                           max_dist, node_cap)
 
 
 def _chain(gs, start, word) -> list:
@@ -419,19 +413,6 @@ def _chain(gs, start, word) -> list:
         keys.append(fold(keys[-1], ((gs.delta, -1) if letter is DELTA_INV
                                     else (letter, 1),)))
     return keys
-
-
-def _translated_distance(ctx, gs, y_key, p, q, max_dist, node_cap,
-                         floor=None):
-    """Supremum over positions i of dist(y * p[:i], q[:i]), clamping
-    each word at its own length; y_key is the fraction key (public or
-    internal) of the identity or of one alphabet letter.  The two
-    prefix-key chains are folded here and measured by
-    ``_chain_distance``."""
-    arith = gs.arithmetic
-    return _chain_distance(ctx, gs, _chain(gs, arith.key(y_key), p),
-                           _chain(gs, (0, arith.one), q),
-                           max_dist, node_cap, floor)
 
 
 def _chain_distance(ctx, gs, pk, qk, max_dist, node_cap, floor=None):

@@ -80,12 +80,13 @@ class MonoidContext:
     ``caches`` is a scratch area for the higher layers, keyed per
     spanning set or Garside element: the primitive closure per cap
     (``"primitives"``), divisor sets, factorisations, simple elements,
-    the automaton, for ``mcms`` the right multiples by norm
+    the structure (``"structure"``) and automaton of each Garside
+    element, for ``mcms`` the right multiples by norm
     (``"multiples"``) and each word's letter successors
     (``"successors"``), and for ``cayley_distance`` the pair distances
     (``("cayley", delta)``) and the Cayley graph of interned fraction
     keys (``"cayley_graph"``).  Each span has one arithmetic object
-    (``"garside_tables"``): the Garside tables where Div(delta) passes
+    (``"arithmetic"``): the Garside tables where Div(delta) passes
     their gate, which number the simples, hold every slide and the word
     lengths per pair of keys, and reduce no word; else the kernel, which
     memoises the simples grouped by divisor set for greedy heads, the

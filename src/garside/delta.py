@@ -21,15 +21,16 @@ are stripped as the fold goes (phi fixes d).
 Each span Div(d) has one arithmetic object, chosen once by
 ``choose_arithmetic`` and registered for the span: its
 ``GarsideTables`` where Div(d) is a lattice (their gate), else the
-kernel's ``FractionKernel``.  Both answer the same calls, so no caller
-asks which it holds: normal forms of raw words, ``is_normal``,
-``covers``, the slide, the least word, and on fraction keys the fold,
-the internal and public key, the form's factors and the distance.  On
-the tables a key is (k, f), f the table ids of the Delta-normal form of
-x, and no word longer than d is reduced.  Keys take the public form
-(k, x) only at ``mul_letter`` and the arguments of
-``automaton.cayley_distance``; ``key`` strips a public key on either
-arithmetic, so (k + 1, d x) and (k, x) are one key.
+kernel's ``FractionKernel``.  Both answer the same ten calls, so no
+caller asks which it holds: the normal form and all normal forms of a
+raw word, ``covers``, the slide, the least word, and on fraction keys
+the identity ``one``, ``key``, the fold, the form's factors and the
+distance.  Normality is one test on top of them, ``normal.is_normal``.
+On the tables a key is (k, f), f the table ids of the Delta-normal
+form of x, and no word longer than d is reduced.  Keys take the public
+form (k, x) only at the arguments of ``automaton.cayley_distance``;
+``key`` strips a public key on either arithmetic, so (k + 1, d x) and
+(k, x) are one key.
 
 "Delta-simple" and "Delta-normal" mean simple/normal with respect to
 the span Div(delta); the simple elements usually form a strictly
@@ -61,7 +62,7 @@ __all__ = [
 ]
 
 
-def is_garside(ctx: MonoidContext, d, bound=None) -> VerificationReport:
+def is_garside(ctx: MonoidContext, d) -> VerificationReport:
     """Is Div(d) spanning, with left divisors equal to right divisors?"""
     d = ctx.canonical(d)
     div = divisors(ctx, d)
@@ -74,7 +75,7 @@ def is_garside(ctx: MonoidContext, d, bound=None) -> VerificationReport:
             witness={"element": ctx.show(d), "left_only": left_only,
                      "right_only": right_only},
             details={"reason": "left and right divisors differ"})
-    rep = is_spanning(ctx, div, bound=bound)
+    rep = is_spanning(ctx, div)
     return VerificationReport(
         "garside", rep.status, complete=rep.complete, witness=rep.witness,
         details={"element": ctx.show(d), "divisors": len(div)})
@@ -176,9 +177,6 @@ class GarsideStructure(Record):
         return self.ctx.canonical(
             x.canon.translate(self._translations[power % self.order]))
 
-    def phi_on_divs(self, x) -> Element:
-        return self.star[self.star[self.ctx.canonical(x)]]
-
     def normalize(self, x) -> NormalSequence:
         return normalize(self.ctx, self.div_delta, x)
 
@@ -214,8 +212,13 @@ def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
     elements.  Raises ValueError unless phi is an automorphism with
     x delta = delta phi(x) for every x; then delta^e is central.  The
     proof uses the atoms and the relations only, so no ball beyond the
-    atoms is enumerated."""
+    atoms is enumerated.  The structure is memoised per delta on the
+    context, so its arithmetic and that arithmetic's memos are kept."""
     delta = ctx.canonical(delta)
+    cache = ctx.caches["structure"]
+    got = cache.get(delta)
+    if got is not None:
+        return got
     rep = is_garside(ctx, delta)
     if not rep.passed:
         raise ValueError(f"not a Garside element: {rep.summary()}")
@@ -267,6 +270,7 @@ def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
     # length of a word gives x delta = delta phi(x) for every x.  Hence
     # x delta^e = delta^e phi^e(x) = delta^e x: delta^e is central.
     gs.arithmetic = choose_arithmetic(ctx, delta, gs)
+    cache[delta] = gs
     return gs
 
 
@@ -280,7 +284,7 @@ def choose_arithmetic(ctx: MonoidContext, delta, gs=None):
     tables = garside_tables(ctx, div, enumerate_simples(ctx, div))
     if tables is None or (gs is None and not is_garside(ctx, delta).passed):
         tables = SpanKernel(ctx, div) if gs is None else FractionKernel(gs)
-    ctx.caches["garside_tables"][div.members] = tables
+    ctx.caches["arithmetic"][div.members] = tables
     return tables
 
 
@@ -307,7 +311,7 @@ class GarsideTables:
     """
 
     __slots__ = ("ctx", "elements", "ids", "n", "delta", "dual", "phi",
-                 "phi_inv", "twists", "lengths", "_atoms", "_slides")
+                 "twists", "lengths", "_atoms", "_slides")
     one = ()  # the x of the identity key (0, x)
 
     def __init__(self, ctx, elements, dual, slides, atoms):
@@ -329,7 +333,6 @@ class GarsideTables:
         while row != identity:
             self.twists.append(row)
             row = [self.phi[i] for i in row]
-        self.phi_inv = self.twists[-1]
         self.lengths = {}
         self._atoms = atoms    # letter -> id of its atom
         self._slides = slides  # i * n + j -> the slide of s_i|s_j
@@ -384,13 +387,6 @@ class GarsideTables:
             raise _too_many(self.ctx, cap, x)
         return frozenset([self.normal_form(x)])
 
-    def is_normal(self, factors) -> bool:
-        """Are the elements non-identity simples, each pair of
-        neighbours left-weighted?"""
-        ids = [self.ids.get(f.canon) for f in factors]
-        return all(ids) and all(self._slides[i * self.n + j] is None
-                                for i, j in zip(ids, ids[1:]))
-
     def covers(self, x: Element, y: Element) -> bool:
         """Is the pair x|y left-weighted?  Past the simples, x covers y
         when x y has the head of x: Div(z) meets Div(delta) in Div(head)."""
@@ -436,11 +432,6 @@ class GarsideTables:
         if key[1].__class__ is not Element:
             return key
         return self._strip(key[0], self.form(key[1].canon))
-
-    def public(self, key):
-        k, form = key
-        return k, self.ctx.canonical("".join(self.elements[i].canon
-                                             for i in form))
 
     def _strip(self, k: int, form: tuple):
         """_strip on a Delta-normal form: its leading delta factors."""
@@ -642,13 +633,6 @@ def _strip(gs: GarsideStructure, k: int, x: Element):
     return k - i, chain[i]
 
 
-def mul_letter(gs: GarsideStructure, key, g: Element, sign: int):
-    """Right-multiply the fraction key (k, x), i.e. delta^(-k) x, by
-    g^sign and strip the result."""
-    arith = gs.arithmetic
-    return arith.public(arith.fold(arith.key(key), ((g, sign),)))
-
-
 class FractionKernel(SpanKernel):
     """The arithmetic of a structure whose span fails the tables' gate:
     ``SpanKernel``, and fraction keys (k, x) folded on the kernel."""
@@ -664,9 +648,6 @@ class FractionKernel(SpanKernel):
     def key(self, key):
         """The stripped key (k, x): the public key is the internal one."""
         return _strip(self.gs, *key)
-
-    def public(self, key):
-        return key
 
     factors = SpanKernel.normal_form
 
@@ -720,16 +701,11 @@ def to_fraction(ctx: MonoidContext, gs: GarsideStructure, numerator,
     return fraction_of_signed(ctx, gs, [(numerator, 1), (denominator, -1)])
 
 
-def _reduced(ctx: MonoidContext, letters) -> list:
-    """The signed word with canonical elements and every adjacent
-    g g^-1 or g^-1 g cancelled.  Each sign is checked before its letter
-    takes part in a cancellation."""
+def _reduced(word) -> list:
+    """A signed word read by ``_checked`` with every adjacent g g^-1 or
+    g^-1 g cancelled."""
     out = []
-    for g, sign in letters:
-        if sign != 1 and sign != -1:
-            raise ValueError(f"bad sign {sign!r}")
-        if g.__class__ is not Element:
-            g = ctx.canonical(g)
+    for g, sign in word:
         if out:
             h, s = out[-1]
             if s != sign and h.canon == g.canon:
@@ -744,7 +720,7 @@ def fraction_of_signed(ctx: MonoidContext, gs: GarsideStructure,
     """Fold a signed word (pairs (element, +-1)) into a fraction form,
     after free reduction."""
     arith = gs.arithmetic
-    k, x = arith.fold((0, arith.one), _reduced(ctx, letters))
+    k, x = arith.fold((0, arith.one), _reduced(_checked(ctx, letters)[0]))
     return FractionForm(k, NormalSequence(arith.factors(x),
                                           gs.div_delta.label))
 
@@ -814,7 +790,7 @@ def group_equal(ctx: MonoidContext, gs: GarsideStructure, w1, w2) -> bool:
     if degree != other:
         return False
     u, v = _middles(w1, w2)
-    ru, rv = _reduced(ctx, u), _reduced(ctx, v)
+    ru, rv = _reduced(u), _reduced(v)
     if len(ru) < len(u) or len(rv) < len(v):
         ru, rv = _middles(ru, rv)
     arith = gs.arithmetic

@@ -58,11 +58,21 @@ class NormalSequence(FrozenRecord):
         return [ctx.show(f) for f in self.factors]
 
 
+def _normal(arith, simples, factors) -> bool:
+    """Are the factors non-identity simples, each covering the next
+    over the span of ``arith``?"""
+    return (all(f.norm and f in simples for f in factors)
+            and all(arith.covers(x, y) for x, y in zip(factors, factors[1:])))
+
+
 def is_normal(ctx: MonoidContext, S, seq) -> bool:
+    """Is the sequence normal over S: every factor a non-identity
+    S-simple, each covering the next?  On a span with Garside tables a
+    pair of simples covers when its slide is empty."""
     factors = seq.factors if isinstance(seq, NormalSequence) else seq
     S = _coerce_set(ctx, S)
-    return span_arithmetic(ctx, S).is_normal(
-        [ctx.canonical(f) for f in factors])
+    return _normal(span_arithmetic(ctx, S), enumerate_simples(ctx, S).members,
+                   [ctx.canonical(f) for f in factors])
 
 
 def normalize(ctx: MonoidContext, S, x) -> NormalSequence:
@@ -113,10 +123,10 @@ def left_mult_update(ctx: MonoidContext, S, y, seq) -> NormalSequence:
     if y not in simples:
         raise ValueError(f"{ctx.show(y)} is not simple over the given set")
     arith = span_arithmetic(ctx, S)
-    if not arith.is_normal(factors):
+    if not _normal(arith, simples, factors):
         raise ValueError("input sequence is not normal over the given set")
     result = arith.slid(y, factors)
-    if not (arith.is_normal(result) and arith.least_word(
+    if not (_normal(arith, simples, result) and arith.least_word(
             y.canon + "".join(f.canon for f in factors))
             == arith.least_word("".join(f.canon for f in result))):
         raise RuntimeError(

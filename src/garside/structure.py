@@ -392,7 +392,7 @@ def enumerate_simples(ctx: MonoidContext, S) -> ElementSet:
 def span_arithmetic(ctx: MonoidContext, S: ElementSet):
     """The arithmetic of the span S that ``delta.choose_arithmetic``
     registered, else a ``SpanKernel``, made on first use and kept."""
-    cache = ctx.caches["garside_tables"]
+    cache = ctx.caches["arithmetic"]
     got = cache.get(S.members)
     if got is None:
         got = cache[S.members] = SpanKernel(ctx, S)
@@ -477,12 +477,6 @@ class SpanKernel:
             return got
 
         return rec(x)
-
-    def is_normal(self, factors) -> bool:
-        simples = enumerate_simples(self.ctx, self.S).members
-        if not all(f.norm and f in simples for f in factors):
-            return False
-        return all(self.covers(x, y) for x, y in zip(factors, factors[1:]))
 
     def covers(self, x, y) -> bool:
         ctx, S = self.ctx, self.S

@@ -22,6 +22,13 @@ form, where ``ftp_probe`` does each of these once per call.
 multiplies an inverse in through its complement in a power of delta and
 applies phi^(-m) at once: the reference of ``FractionKernel.fold``,
 which defers phi to the end of the word.
+
+``step`` multiplies a public or internal fraction key by one letter on
+the span's arithmetic, its ``key`` then its ``fold``, and returns the
+public key (k, x), x the product of the ``factors`` of the form
+(``public``).  ``chain_distance`` is ``synchronous_distance`` with the
+first chain translated by a key: the prefix-key chains folded by
+``automaton._chain`` and measured by ``automaton._chain_distance``.
 """
 
 import random
@@ -31,7 +38,7 @@ from garside import (DELTA_INV, Element, GarsideStructure, NormalSequence,
                      Presentation, ResourceLimitExceeded, VerificationReport,
                      build_automaton, left_mult_update, normalize_all,
                      parse_presentation, synchronous_distance)
-from garside.automaton import _translated_distance
+from garside.automaton import _chain, _chain_distance
 from garside.structure import _coerce_set
 
 LENGTH_ONE = Presentation(["s1", "s2", "s3"],
@@ -321,12 +328,12 @@ def ftp_probe_per_call(ctx, gs, radius, span=None, max_dist=24,
             for p in forms:
                 dists = []
                 for q in targets:
-                    dists.append(_translated_distance(
+                    dists.append(chain_distance(
                         ctx, gs, y_key, p.factors, q, max_dist, node_cap))
                     if not plain_observations:
                         continue
                     try:
-                        max_plain = max(max_plain, _translated_distance(
+                        max_plain = max(max_plain, chain_distance(
                             ctx, gs, one, p.factors, q, bound_left,
                             node_cap, max_plain))
                     except ResourceLimitExceeded:
@@ -343,8 +350,8 @@ def ftp_probe_per_call(ctx, gs, radius, span=None, max_dist=24,
                 if y is DELTA_INV:
                     continue
                 slid = left_mult_update(ctx, S, y, p)
-                d = _translated_distance(ctx, gs, y_key, p.factors,
-                                         slid.factors, max_dist, node_cap)
+                d = chain_distance(ctx, gs, y_key, p.factors, slid.factors,
+                                   max_dist, node_cap)
                 max_sliding_simple = max(max_sliding_simple, d)
                 if y not in S.members:
                     continue
@@ -388,3 +395,28 @@ def _step(gs: GarsideStructure, x: Element, g: Element, sign: int):
         comp = ctx.left_divides(g, gs.delta_power(m))
         return m, gs.phi(ctx.mul(x, comp), -m)
     raise ValueError(f"bad sign {sign!r}")
+
+
+def public(gs, key):
+    """The public fraction key (k, x) of an internal key."""
+    k, x = key
+    return k, gs.ctx.canonical("".join(f.canon
+                                       for f in gs.arithmetic.factors(x)))
+
+
+def step(gs, key, letter, sign=1):
+    """The public key of key * letter^sign, key public or internal and
+    D' read as delta^-1."""
+    if letter is DELTA_INV:
+        letter, sign = gs.delta, -sign
+    arith = gs.arithmetic
+    return public(gs, arith.fold(arith.key(key), ((letter, sign),)))
+
+
+def chain_distance(ctx, gs, y_key, p, q, max_dist, node_cap, floor=None):
+    """Supremum over positions i of dist(y * p[:i], q[:i]), each word
+    clamped at its own length, for y_key a public or internal key."""
+    arith = gs.arithmetic
+    return _chain_distance(ctx, gs, _chain(gs, arith.key(y_key), p),
+                           _chain(gs, (0, arith.one), q),
+                           max_dist, node_cap, floor)

@@ -8,8 +8,7 @@ from garside import (DELTA_INV, MonoidContext, NormalSequence,
                      ResourceLimitExceeded, build_automaton,
                      build_structure, fixture, ftp_probe, growth, is_normal,
                      normalize_all, primitive_closure, synchronous_distance)
-from garside.automaton import (_append, _translated_distance,
-                               cayley_distance, charpoly)
+from garside.automaton import cayley_distance, charpoly
 from garside.delta import GarsideTables, _strip
 from garside.structure import SpanKernel
 import garside.automaton as automaton
@@ -247,8 +246,8 @@ def test_warm_caches_give_the_same_answers(name, delta, radius):
             for letter, sign in itertools.product(letters, (1, -1)):
                 fletter = (letter if letter is DELTA_INV
                            else fresh.canonical(letter.canon))
-                fnext = _append(fgs, fkey, fletter, sign)
-                wnext = _append(wgs, wkey, letter, sign)
+                fnext = oracles.step(fgs, fkey, fletter, sign)
+                wnext = oracles.step(wgs, wkey, letter, sign)
                 assert plain(wnext) == plain(fnext), (x, k, letter, sign)
                 assert (cayley_distance(fresh, fgs, fkey, fnext)
                         == cayley_distance(warm, wgs, wkey, wnext))
@@ -485,8 +484,9 @@ def test_floored_supremum_is_exact_above_the_floor(ctx_factory, name, delta):
         if y_key == (0, ctx.one):
             exact = synchronous_distance(ctx, gs, u, v)
         else:
-            exact = _translated_distance(ctx, gs, y_key, u, v, 16, 200_000)
-        got = _translated_distance(ctx, gs, y_key, u, v, 16, 200_000, floor)
+            exact = oracles.chain_distance(ctx, gs, y_key, u, v, 16, 200_000)
+        got = oracles.chain_distance(ctx, gs, y_key, u, v, 16, 200_000,
+                                     floor)
         if exact > floor:
             assert got == exact
             outcomes.add("exact")

@@ -3,7 +3,7 @@ references.
 
 ``reference_distance`` is the level-synchronized bidirectional search
 over fraction keys with no cache of any kind: every neighbour comes
-from ``_append`` on the full automaton alphabet, D' included, in a
+from ``oracles.step`` on the full automaton alphabet, D' included, in a
 structure of its own context.  ``cayley_distance`` interns keys, leaves
 the D' edges out and caches pair distances; it must agree with the
 reference on every distance and on every exception, however warm its
@@ -15,8 +15,9 @@ import pytest
 
 from garside import (DELTA_INV, MonoidContext, ResourceLimitExceeded,
                      build_automaton, build_structure, fixture, to_fraction)
-from garside.automaton import _append, cayley_distance
-from garside.delta import _strip, mul_letter
+from garside.automaton import cayley_distance
+from garside.delta import _strip
+from oracles import step
 
 CASES = (("M1", "aa"), ("M2", "aa"), ("M3", "ac"), ("B3", "s1s2s1"),
          ("free_comm(3)", "abc"))
@@ -33,7 +34,7 @@ def reference_distance(gs, key1, key2, max_dist=16, node_cap=200_000):
     letters = build_automaton(gs.ctx, gs).letters
 
     def neighbours(key):
-        return [_append(gs, key, letter, sign)
+        return [step(gs, key, letter, sign)
                 for letter in letters for sign in (1, -1)]
 
     front_a, front_b = {key1: 0}, {key2: 0}
@@ -92,7 +93,7 @@ def test_cayley_distance_matches_the_reference_search(name, delta):
     letters = build_automaton(ctx, gs).letters
     assert DELTA_INV in letters
     keys = ball_keys(gs)
-    targets = keys + [_append(gs, key, letter, sign) for key in keys
+    targets = keys + [step(gs, key, letter, sign) for key in keys
                       for letter, sign in itertools.product(letters, (1, -1))]
     # the node cap first, while the pair cache is cold: distance-1 pairs
     # are settled on the first expansion and every longer one trips it
@@ -141,11 +142,11 @@ def test_mul_letter_by_non_letters_warm_and_fresh(name, delta):
         fresh, fgs = structure(name, delta)
         fg = fresh.canonical(g.canon)
         for key, sign in itertools.product(keys, (1, -1)):
-            got = mul_letter(wgs, key, g, sign)
-            assert mul_letter(wgs, key, g, sign) == got
-            assert mul_letter(fgs, key, fg, sign) == got, (key, g, sign)
+            got = step(wgs, key, g, sign)
+            assert step(wgs, key, g, sign) == got
+            assert step(fgs, key, fg, sign) == got, (key, g, sign)
             # the stripped key is a normal form: g^sign g^-sign cancels
-            assert mul_letter(wgs, got, g, -sign) == key
+            assert step(wgs, got, g, -sign) == key
         for x in sorted(warm.enumerate_ball(2)):
             assert (to_fraction(warm, wgs, x, g)
                     == to_fraction(fresh, fgs, fresh.canonical(x.canon),

@@ -13,6 +13,7 @@ from garside import (MonoidContext, ResourceLimitExceeded,
                      to_fraction)
 from garside import delta
 from garside.delta import _check_preserves_relations
+from garside.structure import span_arithmetic
 
 
 def star_table(ctx, gs):
@@ -161,7 +162,7 @@ def test_phi_on_divs_matches_letterwise(m2, b3):
     for ctx, d in ((m2, "ac"), (b3, "s1s2s1")):
         gs = build_structure(ctx, ctx.element(d))
         for x in gs.div_delta:
-            assert gs.phi_on_divs(x) == gs.phi(x)
+            assert gs.star[gs.star[x]] == gs.phi(x)
 
 
 def test_divisors_of_garside_powers(m1, m3, b3):
@@ -274,11 +275,33 @@ def test_group_equal(m1):
 
 def test_structures_compare_equal_however_warm_their_memos():
     ctx = MonoidContext(fixture("M1"))
-    warm, cold = (build_structure(ctx, ctx.element("aa")) for _ in "wc")
+    warm = build_structure(ctx, ctx.element("aa"))
+    # build_structure keeps one structure per delta: drop it for a
+    # second, cold one on the same context
+    ctx.caches["structure"].clear()
+    cold = build_structure(ctx, ctx.element("aa"))
+    assert warm is not cold
     a, b = ctx.element("a"), ctx.element("b")
     assert group_equal(ctx, warm, [(b, -1), (a, 1)], [(a, -1), (b, 1)])
     assert warm == cold
     assert repr(warm) == repr(cold)
+
+
+@pytest.mark.parametrize("name,d", [("M1", "aa"), ("B3", "s1s2s1")])
+def test_a_second_build_structure_is_the_first(monkeypatch, name, d):
+    # the structure is kept per delta on its context: delta is not
+    # proved again, and the span's arithmetic keeps its memos
+    def unasked(ctx, d):
+        raise AssertionError("is_garside asked again")
+
+    ctx = MonoidContext(fixture(name))
+    gs = build_structure(ctx, ctx.element(d))
+    arithmetic = gs.arithmetic
+    monkeypatch.setattr(delta, "is_garside", unasked)
+    assert build_structure(ctx, ctx.element(d)) is gs
+    assert build_structure(ctx, gs.delta.canon) is gs
+    assert gs.arithmetic is arithmetic
+    assert span_arithmetic(ctx, gs.div_delta) is arithmetic
 
 
 def test_check_uniform_length_frozen(m1, m2, m3, b3):

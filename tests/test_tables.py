@@ -28,16 +28,16 @@ from garside import (DELTA_INV, ElementSet, MonoidContext,
                      VerificationReport,
                      build_automaton, build_structure, combine, covers,
                      divisors, fixture, fraction_of_signed, group_equal,
-                     normalize, normalize_all, parse_presentation,
+                     is_normal, normalize, normalize_all, parse_presentation,
                      synchronous_distance, to_fraction)
-from garside.automaton import _append, _cayley_graph, cayley_distance
+from garside.automaton import _cayley_graph, cayley_distance
 from garside import delta as delta_layer
 from garside.cli import main
 from garside.delta import (FractionKernel, GarsideTables, _strip,
-                           choose_arithmetic, garside_tables, mul_letter)
+                           choose_arithmetic, garside_tables)
 from garside.presentation import serialize_presentation
 from garside.structure import SpanKernel, span_arithmetic
-from oracles import _step
+from oracles import _step, public, step
 from test_burau import image, symbols
 from test_cli import run_python
 
@@ -131,9 +131,11 @@ def twisted_words(rng, gs, reach, count):
                          ids=[p.name for p, *_ in TWISTED])
 def test_the_deferred_twist_equals_the_per_letter_steps(
         presentation, delta, order, reach):
-    ctx = MonoidContext(presentation)
-    gated = build_structure(ctx, ctx.element(delta))
-    gs = build_structure(ctx, gated.delta)
+    # build_structure keeps one structure per delta on a context, so the
+    # kernel's structure is built on a context of its own
+    _, gated = structure(presentation, delta)
+    ctx, gs = structure(presentation, delta)
+    assert gs is not gated
     gs.arithmetic = FractionKernel(gs)
     assert gs.order == order
     words = twisted_words(random.Random(1995), gs, reach, 80)
@@ -142,15 +144,15 @@ def test_the_deferred_twist_equals_the_per_letter_steps(
         expected = kernel_keys(gs, word)
         key = (0, ctx.one)
         for (g, sign), want in zip(word, expected[1:]):
-            key = mul_letter(gs, key, g, sign)
+            key = step(gs, key, g, sign)
             assert key == want, (word, g, sign)
         assert gs.arithmetic.fold((0, ctx.one), word) == expected[-1], word
         if isinstance(gated.arithmetic, GarsideTables):
-            assert (gated.arithmetic.public(
-                gated.arithmetic.fold((0, ()), word)) == expected[-1]), word
+            assert (public(gated, gated.arithmetic.fold((0, ()), word))
+                    == expected[-1]), word
             key = (0, ctx.one)
             for (g, sign), want in zip(word, expected[1:]):
-                key = mul_letter(gated, key, g, sign)
+                key = step(gated, key, g, sign)
                 assert key == want, (word, g, sign)
         twisted += sum(gs.embedding_exponent(g) for g, s in word
                        if s < 0) % order != 0
@@ -192,13 +194,13 @@ def test_the_gate_passes_on_lattices(presentation, delta, _, __):
     for i, s in enumerate(tables.elements):
         assert tables.elements[tables.dual[i]] == gs.star[s]
         assert tables.elements[tables.phi[i]] == gs.phi(s)
-        assert tables.elements[tables.phi_inv[i]] == gs.phi(s, -1)
+        assert tables.elements[tables.twists[-1][i]] == gs.phi(s, -1)
 
 
 def test_phi_has_order_three_on_the_birman_ko_lee_generators():
     ctx, gs = structure(BKL_B3, "ab")
     assert gs.order == 3
-    assert gs.arithmetic.phi != gs.arithmetic.phi_inv
+    assert gs.arithmetic.phi != gs.arithmetic.twists[-1]
 
 
 def test_the_gate_rejects_a_poset_that_is_no_lattice_or_not_cancellative():
@@ -261,10 +263,10 @@ def test_table_keys_equal_kernel_keys(presentation, delta, _, reach):
         expected = kernel_keys(gs, word)
         key = (0, ctx.one)
         for (g, sign), want in zip(word, expected[1:]):
-            key = mul_letter(gs, key, g, sign)
+            key = step(gs, key, g, sign)
             assert key == want, (word, g, sign)
         arith = gs.arithmetic
-        assert (arith.public(arith.fold((0, arith.one), word))
+        assert (public(gs, arith.fold((0, arith.one), word))
                 == expected[-1]), word
         form = fraction_of_signed(ctx, gs, word)
         assert ((form.k, form.tail.product(ctx))
@@ -279,7 +281,7 @@ def test_normal_forms_and_covering_equal_the_kernel_path(
     # a context that never built a structure has no tables
     ref = MonoidContext(presentation)
     ref_div = divisors(ref, ref.element(delta))
-    assert ref.caches["garside_tables"] == {}
+    assert ref.caches["arithmetic"] == {}
 
     def words(seq):
         return [f.canon for f in seq.factors]
@@ -313,6 +315,32 @@ def test_normal_forms_and_covering_equal_the_kernel_path(
             assert (got if got == x else None) == expected, (y, x)
 
 
+@pytest.mark.parametrize("presentation,delta,_,__", GATED[:3],
+                         ids=GATED_IDS[:3])
+def test_normality_on_the_tables_equals_the_kernel(presentation, delta, _,
+                                                   __):
+    # every sequence of at most three items from Div(delta), the
+    # identity and two elements that are not simple
+    ctx, gs = structure(presentation, delta)
+    assert isinstance(gs.arithmetic, GarsideTables)
+    ref = MonoidContext(presentation)
+    ref_div = divisors(ref, ref.element(delta))
+    assert ref.caches["arithmetic"] == {}
+    others = sorted(x for x in ctx.ball_level(2)
+                    if x not in gs.simples.members)[:2]
+    assert len(others) == 2
+    items = sorted(gs.div_delta.members) + [ctx.one] + others
+    answers = Counter()
+    for n in range(4):
+        for seq in itertools.product(items, repeat=n):
+            got = is_normal(ctx, gs.div_delta, seq)
+            assert got == is_normal(ref, ref_div, seq), seq
+            answers[n, got] += 1
+    assert span_arithmetic(ref, ref_div).__class__ is SpanKernel
+    assert answers[0, True] == 1
+    assert all(answers[n, True] and answers[n, False] for n in (1, 2, 3))
+
+
 @pytest.mark.parametrize("presentation,delta,max_norm,_", GATED,
                          ids=GATED_IDS)
 def test_the_slides_built_at_the_gate_equal_the_kernel(
@@ -324,7 +352,7 @@ def test_the_slides_built_at_the_gate_equal_the_kernel(
     tables = gs.arithmetic
     ref = MonoidContext(presentation)
     ref_div = divisors(ref, ref.element(delta))
-    assert ref.caches["garside_tables"] == {}
+    assert ref.caches["arithmetic"] == {}
     simple = [ref.canonical(s.canon) for s in tables.elements]
     n = len(simple)
     compared = 0
@@ -487,10 +515,10 @@ def test_covering_of_elements_that_are_not_simple_equals_the_kernel():
 
 
 def test_the_proof_of_delta_is_asked_for_only_past_the_gate(monkeypatch):
-    def failed(ctx, d, bound=None):
+    def failed(ctx, d):
         return VerificationReport("garside", "fail")
 
-    def unasked(ctx, d, bound=None):
+    def unasked(ctx, d):
         raise AssertionError("is_garside asked before the gate passed")
 
     # M3 with delta = ac fails the gate: the kernel, with no proof asked
@@ -801,13 +829,13 @@ def test_table_lengths_equal_the_cayley_search(presentation, delta, _, __):
 
 def searched_synchronous_distance(gs, u, v, max_dist):
     """synchronous_distance with every prefix distance a Cayley search,
-    the keys folded letter by letter through ``_append``."""
+    the keys folded letter by letter through ``oracles.step``."""
     one = (0, gs.ctx.one)
     keys = []
     for word in (u, v):
         keys.append([one])
         for letter in word:
-            keys[-1].append(_append(gs, keys[-1][-1], letter))
+            keys[-1].append(step(gs, keys[-1][-1], letter))
     pk, qk = keys
     return max(cayley_distance(gs.ctx, gs, pk[min(i, len(u))],
                                qk[min(i, len(v))], max_dist=max_dist)
