@@ -6,9 +6,10 @@ Garside element: an inverse block may only appear as a prefix, the
 Garside letter only in a leading run, and consecutive plain factors
 must be linked by the covering relation over Div(delta).
 
-Growth counts accepted words by length through transition-matrix
-powering, so the coefficients satisfy the integer linear recurrence
-given by the matrix's characteristic polynomial.
+Growth counts accepted words by length by stepping a vector of
+per-state counts through the transition matrix, so the coefficients
+satisfy the integer linear recurrence given by the matrix's
+characteristic polynomial.
 
 Distances between words are measured in the Cayley graph of the group
 of fractions over the automaton alphabet: on Garside tables the length
@@ -259,14 +260,11 @@ def growth(ctx: MonoidContext, gs: GarsideStructure, n_max: int,
 # -- Cayley-graph distances --------------------------------------------
 
 
-def _letter_value(gs, letter):
-    if letter is DELTA_INV:
-        return None
+def _check_letter(gs, letter):
     x = gs.ctx.canonical(letter)
     if not x.norm or x not in gs.simples.members:
         raise ValueError(
             f"{gs.ctx.show(x)} is not an alphabet letter")
-    return x
 
 
 class _CayleyGraph:
@@ -399,9 +397,9 @@ def synchronous_distance(ctx: MonoidContext, gs: GarsideStructure, u, v,
     v = tuple(v)
     for letter in u + v:
         if letter is not DELTA_INV:
-            _letter_value(gs, letter)
+            _check_letter(gs, letter)
     one = (0, gs.arithmetic.one)
-    return _chain_distance(ctx, gs, _chain(gs, one, u), _chain(gs, one, v),
+    return _chain_distance(gs, _chain(gs, one, u), _chain(gs, one, v),
                            max_dist, node_cap)
 
 
@@ -415,7 +413,7 @@ def _chain(gs, start, word) -> list:
     return keys
 
 
-def _chain_distance(ctx, gs, pk, qk, max_dist, node_cap, floor=None):
+def _chain_distance(gs, pk, qk, max_dist, node_cap, floor=None):
     """Supremum over positions i of dist(pk[i], qk[i]) on two prefix-key
     chains (see ``_chain``), clamping each chain at its own end.
 
@@ -444,8 +442,7 @@ def _chain_distance(ctx, gs, pk, qk, max_dist, node_cap, floor=None):
 
 
 def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
-              span=None, max_dist: int = 24, node_cap: int = 200_000,
-              plain_observations: bool = True) -> VerificationReport:
+              span=None, plain_observations: bool = True) -> VerificationReport:
     """Empirical fellow-traveller check on a ball.
 
     Part (a): any two normal decompositions of one element stay within
@@ -466,8 +463,12 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
     cap; a position the bound skips is not counted, even where its
     search would have hit the node cap.
 
-    Each distance is the structure arithmetic's: on Garside tables no
-    search, no Cayley graph, and ``node_cap`` does not bind.
+    Each distance is the structure arithmetic's, with fixed bounds: at
+    most 24, found by a search of at most 200,000 Cayley-graph nodes;
+    past either bound it raises ``ResourceLimitExceeded`` (a plain one
+    is bounded by 3k and clamped instead, see above).  On Garside
+    tables there is no search, no Cayley graph, and the node bound
+    does not bind.
 
     Each piece of work is done once per call: the normal forms of each
     element, their prefix-key chains (in memos freed on return), and
@@ -478,6 +479,7 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
+    max_dist, node_cap = 24, 200_000
     auto = build_automaton(ctx, gs)
     if span is None:
         S = gs.div_delta
@@ -529,11 +531,11 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
                 multi_pairs += 1
                 for letter in p.factors + q.factors:
                     if letter not in letters:
-                        _letter_value(gs, letter)
+                        _check_letter(gs, letter)
                         letters.add(letter)
                 chains = chains_of(x)
-                d = _chain_distance(ctx, gs, chains[i], chains[j],
-                                    max_dist, node_cap)
+                d = _chain_distance(gs, chains[i], chains[j], max_dist,
+                                    node_cap)
                 max_multi = max(max_multi, d)
                 if d > bound_multi:
                     return VerificationReport(
@@ -564,12 +566,12 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
                 pk = _chain(gs, y_key, p.factors)
                 dists = []
                 for qk in target_chains:
-                    dists.append(_chain_distance(ctx, gs, pk, qk, max_dist,
+                    dists.append(_chain_distance(gs, pk, qk, max_dist,
                                                  node_cap))
                     if not plain_observations:
                         continue
                     try:
-                        dp = _chain_distance(ctx, gs, plain_chain, qk,
+                        dp = _chain_distance(gs, plain_chain, qk,
                                              bound_left, node_cap, max_plain)
                         max_plain = max(max_plain, dp)
                     except ResourceLimitExceeded:
@@ -592,8 +594,7 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
                               if q.factors == slid), None)
                     if d is None:
                         slid = left_mult_update(ctx, S, y, p).factors
-                        d = _chain_distance(ctx, gs, pk,
-                                            _chain(gs, one, slid),
+                        d = _chain_distance(gs, pk, _chain(gs, one, slid),
                                             max_dist, node_cap)
                     max_sliding_simple = max(max_sliding_simple, d)
                     if y not in S.members:

@@ -60,9 +60,9 @@ def _nonnegative_int(text) -> int:
 
 
 def _load_presentation(args) -> Presentation:
-    if getattr(args, "fixture", None):
+    if args.fixture:
         return fixture(args.fixture)
-    if getattr(args, "file", None):
+    if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
             return parse_presentation(fh.read(), name=args.file)
     raise PresentationError("no presentation given; use --fixture or --file")
@@ -76,19 +76,19 @@ def _context(args) -> MonoidContext:
 
 def _resolve_span(ctx, args):
     from .structure import ElementSet, divisors, primitive_closure
-    if getattr(args, "span", None):
+    if args.span:
         members = {ctx.one}
         for tok in args.span.replace(",", " ").split():
             members.add(ctx.element(tok))
         return ElementSet(frozenset(members), "span")
-    if getattr(args, "delta", None):
+    if args.delta:
         return divisors(ctx, ctx.element(args.delta))
     return primitive_closure(ctx)
 
 
 def _resolve_structure(ctx, args):
     from .delta import build_structure, find_minimal_garside
-    if getattr(args, "delta", None):
+    if args.delta:
         return build_structure(ctx, ctx.element(args.delta))
     res = find_minimal_garside(ctx, args.garside_norm)
     if not res.found:

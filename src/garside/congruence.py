@@ -23,7 +23,7 @@ from functools import total_ordering
 
 from .presentation import Presentation, PresentationError
 from .reports import FrozenRecord, VerificationReport
-from .rewrite import Completion, completion
+from .rewrite import completion
 
 __all__ = ["Element", "MonoidContext", "ResourceLimitExceeded"]
 
@@ -80,8 +80,9 @@ class MonoidContext:
     ``caches`` is a scratch area for the higher layers, keyed per
     spanning set or Garside element: the primitive closure per cap
     (``"primitives"``), divisor sets, factorisations, simple elements,
-    the structure (``"structure"``) and automaton of each Garside
-    element, for ``mcms`` the right multiples by norm
+    the structure (``"structure"``, which memoises each element's chain
+    of quotients by delta as far as stripping needed it) and automaton
+    of each Garside element, for ``mcms`` the right multiples by norm
     (``"multiples"``) and each word's letter successors
     (``"successors"``), and for ``cayley_distance`` the pair distances
     (``("cayley", delta)``) and the Cayley graph of interned fraction
@@ -264,7 +265,7 @@ class MonoidContext:
             return memo[key]
         z = y.canon
         for c in x.canon:
-            kernel = self._kernel(c)
+            kernel = self._least[c]
             if not kernel.left_cancellative(len(z)):
                 return self._remember(
                     memo, key, min(self.complements(x, y), default=None))
@@ -275,14 +276,6 @@ class MonoidContext:
             z = z[1:]
         return self._remember(memo, key, self._reduced(z))
 
-    def _kernel(self, c) -> Completion:
-        """The completion in which the letter c is least."""
-        return self._least[c]
-
-    def _reversed_kernel(self, c) -> Completion:
-        """The completion of the reversed relations in which c is least."""
-        return self._least_reversed[c]
-
     def complements(self, x, y) -> frozenset[Element]:
         """Every z with x z = y.  Where each letter of x cancels on the
         left up to norm(y) that is the complement of ``left_divides``
@@ -290,7 +283,7 @@ class MonoidContext:
         pair (counted in ``class_fallbacks``) and memoised."""
         x = self.canonical(x)
         y = self.canonical(y)
-        if all(self._kernel(c).left_cancellative(y.norm) for c in x.canon):
+        if all(self._least[c].left_cancellative(y.norm) for c in x.canon):
             z = self.left_divides(x, y)
             return frozenset() if z is None else frozenset([z])
         key = (x.canon, y.canon)

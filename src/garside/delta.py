@@ -44,7 +44,7 @@ from .reports import FrozenRecord, Record, VerificationReport
 from .structure import (ElementSet, SpanKernel, _codim1_divisors,
                         _too_many, divisors, divisors_in, enumerate_simples,
                         is_spanning, mcms, primitive_closure, right_divisors)
-from .normal import NormalSequence, normalize, normalize_all
+from .normal import NormalSequence, normalize_all
 
 __all__ = [
     "is_garside",
@@ -176,12 +176,6 @@ class GarsideStructure(Record):
         x = self.ctx.canonical(x)
         return self.ctx.canonical(
             x.canon.translate(self._translations[power % self.order]))
-
-    def normalize(self, x) -> NormalSequence:
-        return normalize(self.ctx, self.div_delta, x)
-
-    def normalize_all(self, x, cap=10_000):
-        return normalize_all(self.ctx, self.div_delta, x, cap=cap)
 
     def embedding_exponent(self, x) -> int:
         """Least m with x dividing delta^m (at most norm(x))."""
@@ -393,7 +387,8 @@ class GarsideTables:
         i = self.ids.get(x.canon)
         j = self.ids.get(y.canon)
         if i is None or j is None:
-            return self.form(x.canon)[:1] == self.form(x.canon + y.canon)[:1]
+            f = self.form(x.canon)
+            return f[:1] == self.fold((0, f), ((y, 1),))[1][:1]
         return self._slides[i * self.n + j] is None
 
     def _slid(self, cur: int, form) -> list:
@@ -811,7 +806,7 @@ def check_uniform_length(ctx: MonoidContext, gs: GarsideStructure,
     for x in ctx.enumerate_ball(radius):
         if not x.norm:
             continue
-        forms = gs.normalize_all(x)
+        forms = normalize_all(ctx, gs.div_delta, x)
         checked += 1
         if len(forms) > 1:
             multi += 1

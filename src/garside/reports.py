@@ -56,8 +56,7 @@ class VerificationReport(Record):
 
     ``status`` is ``"pass"`` or ``"fail"``.  ``complete`` is False when a
     search bound was exhausted, so a ``pass`` is only conclusive up to
-    the stated bound.  ``details`` carries check-specific extras and is
-    merged into the JSON form.
+    the stated bound.  ``details`` carries check-specific extras.
     """
 
     _fields = ("check", "status", "bound", "witness", "complete", "details")
@@ -74,16 +73,6 @@ class VerificationReport(Record):
     @property
     def passed(self):
         return self.status == "pass"
-
-    def to_json(self):
-        data = {"check": self.check, "status": self.status, "complete": self.complete}
-        if self.bound is not None:
-            data["bound"] = self.bound
-        if self.witness is not None:
-            data["witness"] = self.witness
-        for k, v in self.details.items():
-            data.setdefault(k, v)
-        return data
 
     def summary(self):
         parts = [f"{self.check}: {self.status}"]

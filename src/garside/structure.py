@@ -54,10 +54,10 @@ class ElementSet(FrozenRecord):
         return max((e.norm for e in self.members), default=0)
 
 
-def _coerce_set(ctx, S, label=""):
+def _coerce_set(ctx, S):
     if isinstance(S, ElementSet):
         return S
-    return ElementSet(frozenset(ctx.canonical(x) for x in S), label)
+    return ElementSet(frozenset(ctx.canonical(x) for x in S))
 
 
 def atoms(ctx: MonoidContext) -> ElementSet:
@@ -338,7 +338,7 @@ def _codim1_divisors(ctx: MonoidContext, x: Element) -> set:
     word = x.canon[::-1]
     out = set()
     for a in sorted(ctx.ball_level(1)):
-        kernel = ctx._reversed_kernel(a.canon)
+        kernel = ctx._least_reversed[a.canon]
         if not kernel.left_cancellative(x.norm):
             return {p for p, z in _factorisations(ctx, x) if z.norm == 1}
         rev = kernel.reduce(word)

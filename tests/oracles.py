@@ -329,12 +329,12 @@ def ftp_probe_per_call(ctx, gs, radius, span=None, max_dist=24,
                 dists = []
                 for q in targets:
                     dists.append(chain_distance(
-                        ctx, gs, y_key, p.factors, q, max_dist, node_cap))
+                        gs, y_key, p.factors, q, max_dist, node_cap))
                     if not plain_observations:
                         continue
                     try:
                         max_plain = max(max_plain, chain_distance(
-                            ctx, gs, one, p.factors, q, bound_left,
+                            gs, one, p.factors, q, bound_left,
                             node_cap, max_plain))
                     except ResourceLimitExceeded:
                         plain_clamped += 1
@@ -350,7 +350,7 @@ def ftp_probe_per_call(ctx, gs, radius, span=None, max_dist=24,
                 if y is DELTA_INV:
                     continue
                 slid = left_mult_update(ctx, S, y, p)
-                d = chain_distance(ctx, gs, y_key, p.factors, slid.factors,
+                d = chain_distance(gs, y_key, p.factors, slid.factors,
                                    max_dist, node_cap)
                 max_sliding_simple = max(max_sliding_simple, d)
                 if y not in S.members:
@@ -413,10 +413,10 @@ def step(gs, key, letter, sign=1):
     return public(gs, arith.fold(arith.key(key), ((letter, sign),)))
 
 
-def chain_distance(ctx, gs, y_key, p, q, max_dist, node_cap, floor=None):
+def chain_distance(gs, y_key, p, q, max_dist, node_cap, floor=None):
     """Supremum over positions i of dist(y * p[:i], q[:i]), each word
     clamped at its own length, for y_key a public or internal key."""
     arith = gs.arithmetic
-    return _chain_distance(ctx, gs, _chain(gs, arith.key(y_key), p),
+    return _chain_distance(gs, _chain(gs, arith.key(y_key), p),
                            _chain(gs, (0, arith.one), q),
                            max_dist, node_cap, floor)

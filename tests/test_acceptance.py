@@ -338,7 +338,7 @@ def test_criterion_09_automaton_language_and_growth(m1, m2, m3, b3,
 
             buckets = Counter()
             for x in ctx.enumerate_ball(4 * gs.delta.norm):
-                forms = gs.normalize_all(x)
+                forms = normalize_all(ctx, gs.div_delta, x)
                 assert len(forms) == 1
                 buckets[len(next(iter(forms)))] += 1
             series = growth(ctx, gs, 4, mode="monoid", unique_forms=True)

@@ -484,8 +484,8 @@ def test_floored_supremum_is_exact_above_the_floor(ctx_factory, name, delta):
         if y_key == (0, ctx.one):
             exact = synchronous_distance(ctx, gs, u, v)
         else:
-            exact = oracles.chain_distance(ctx, gs, y_key, u, v, 16, 200_000)
-        got = oracles.chain_distance(ctx, gs, y_key, u, v, 16, 200_000,
+            exact = oracles.chain_distance(gs, y_key, u, v, 16, 200_000)
+        got = oracles.chain_distance(gs, y_key, u, v, 16, 200_000,
                                      floor)
         if exact > floor:
             assert got == exact

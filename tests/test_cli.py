@@ -144,6 +144,14 @@ def test_graph_warns_on_non_spanning_set(capsys):
     assert out.startswith("digraph characteristic {")
 
 
+def test_graph_warning_states_the_bound(capsys):
+    code, _, err = run(capsys, ["graph", "--fixture", "M1", "--span", "a",
+                                "--bound", "3"])
+    assert code == 0
+    assert err == ("warning: the set does not span: spanning: fail "
+                   "(bound 3) witness={'missing_atom': 'b'}\n")
+
+
 def test_distance(capsys):
     code, out, _ = run(capsys, ["distance", "--fixture", "M1",
                                 "aa aa", "ab ab"])

@@ -9,8 +9,8 @@ from garside import (MonoidContext, ResourceLimitExceeded,
                      check_normal_uniqueness_criterion, combine, divisors,
                      enumerate_simples, find_minimal_garside, fixture,
                      fraction_of_signed, group_equal, is_garside,
-                     parse_presentation, primitive_closure, right_divisors,
-                     to_fraction)
+                     normalize, normalize_all, parse_presentation,
+                     primitive_closure, right_divisors, to_fraction)
 from garside import delta
 from garside.delta import _check_preserves_relations
 from garside.structure import span_arithmetic
@@ -342,9 +342,9 @@ def test_uniqueness_criterion_vacuous_cases(m1):
 
 def test_delta_normalize_helpers(b3):
     gs = build_structure(b3, b3.element("s1s2s1"))
-    seq = gs.normalize(b3.mul(gs.delta, b3.element("s1")))
+    seq = normalize(b3, gs.div_delta, b3.mul(gs.delta, b3.element("s1")))
     assert [b3.show(x) for x in seq.factors] == ["s1s2s1", "s1"]
-    forms = gs.normalize_all(b3.element("s1s2"))
+    forms = normalize_all(b3, gs.div_delta, b3.element("s1s2"))
     assert {tuple(b3.show(x) for x in f.factors) for f in forms} \
         == {("s1s2",)}
     with pytest.raises(ValueError, match="negative power"):

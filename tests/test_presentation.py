@@ -41,6 +41,19 @@ def test_parse_errors():
         parse_presentation("gens: a b\nrels: a=\n")
 
 
+def test_parse_errors_on_relation_lines():
+    with pytest.raises(PresentationError, match="duplicate 'rels:' line"):
+        parse_presentation("gens: a b\nrels: aa=bb\nrels: ab=ba\n")
+    # a side that encodes to the empty word
+    with pytest.raises(PresentationError, match="1=1 has an empty side"):
+        parse_presentation("gens: a b\nrels: 1=1\n")
+
+
+def test_parse_skips_empty_relation_chunks():
+    p = parse_presentation("gens: a b\nrels: aa=bb;; ab=ba;\n")
+    assert p.relations == (("aa", "bb"), ("ab", "ba"))
+
+
 def test_presentation_validation():
     with pytest.raises(PresentationError):
         Presentation([], [])
@@ -89,6 +102,18 @@ def test_signed_words():
     assert p.decode_signed(()) == "1"
     with pytest.raises(PresentationError):
         p.encode_signed("'a")
+
+
+def test_word_input_errors():
+    p = fixture("M1")
+    with pytest.raises(PresentationError,
+                       match="unknown symbol at position 3 in signed word"):
+        p.encode_signed("ab'c")
+    with pytest.raises(PresentationError, match="expected a word string"):
+        p.encode_word(["a"])
+    with pytest.raises(PresentationError,
+                       match="expected a signed word string"):
+        p.encode_signed(None)
 
 
 def test_serialize_round_trip():

@@ -97,3 +97,19 @@ def test_defaults_match_the_former_dataclasses():
     assert Derivation((), ()).steps is not Derivation((), ()).steps
     assert (VerificationReport("c", "pass").details
             is not VerificationReport("c", "pass").details)
+
+
+def test_summary_states_the_bound_and_an_incomplete_search():
+    # the text that ``garside graph`` warns with and ``build_structure``
+    # raises with
+    assert VerificationReport("garside", "pass").summary() == "garside: pass"
+    report = VerificationReport("spanning", "pass", bound=4, complete=False)
+    assert report.summary() == (
+        "spanning: pass (bound 4) "
+        "[search bound reached; possibly incomplete]")
+    report = VerificationReport("spanning", "fail", bound=2, complete=False,
+                                witness={"missing_atom": "b"})
+    assert report.summary() == (
+        "spanning: fail (bound 2) "
+        "[search bound reached; possibly incomplete] "
+        "witness={'missing_atom': 'b'}")
