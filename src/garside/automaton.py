@@ -386,13 +386,13 @@ def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
 
 
 def synchronous_distance(ctx: MonoidContext, gs: GarsideStructure, u, v,
-                         max_dist: int = 16,
-                         node_cap: int = 200_000) -> int:
+                         max_dist: int = 16) -> int:
     """Supremum over positions i of the Cayley distance between the
     i-th prefix products, clamping each word at its own length.
 
     Each distance is the structure arithmetic's (``_chain_distance``),
-    and one beyond ``max_dist`` raises ``ResourceLimitExceeded``."""
+    and one beyond ``max_dist`` raises ``ResourceLimitExceeded``; where
+    it is a search, so does one of more than 200,000 nodes."""
     u = tuple(u)
     v = tuple(v)
     for letter in u + v:
@@ -400,7 +400,7 @@ def synchronous_distance(ctx: MonoidContext, gs: GarsideStructure, u, v,
             _check_letter(gs, letter)
     one = (0, gs.arithmetic.one)
     return _chain_distance(gs, _chain(gs, one, u), _chain(gs, one, v),
-                           max_dist, node_cap)
+                           max_dist, 200_000)
 
 
 def _chain(gs, start, word) -> list:

@@ -5,10 +5,13 @@ coincide and Div(d) spans the monoid.  The star map sends each divisor
 x to the complement x* with x x* = d; its square phi = ** permutes the
 atoms and extends letterwise to an automorphism with x d = d phi(x),
 and d^e is central where e is the order of phi.  ``build_structure``
-proves both identities on the whole monoid from the atoms and the
-relations alone.  A group element is the fraction key (k, x) meaning
-d^(-k) x with k minimal, which gives a normal form and a word problem
-for the enveloping group of fractions.
+proves d a Garside element on its germ, Div(d) with the partial
+product st defined where st lies in Div(d), wherever the tables' gate
+passes (``_proved_tables``), and with ``is_garside``'s mcm search on
+the kernel elsewhere.  It proves both identities on the whole monoid
+from the atoms and the relations alone.  A group element is the
+fraction key (k, x) meaning d^(-k) x with k minimal, which gives a
+normal form and a word problem for the enveloping group of fractions.
 
 Keys are multiplied by one fold, ``fold`` on the span's arithmetic
 object (below).  It carries d^(-k) phi^(-t)(x): since
@@ -19,18 +22,19 @@ multiplication, phi is applied once per word, and leading powers of d
 are stripped as the fold goes (phi fixes d).
 
 Each span Div(d) has one arithmetic object, chosen once by
-``choose_arithmetic`` and registered for the span: its
-``GarsideTables`` where Div(d) is a lattice (their gate), else the
-kernel's ``FractionKernel``.  Both answer the same ten calls, so no
-caller asks which it holds: the normal form and all normal forms of a
-raw word, ``covers``, the slide, the least word, and on fraction keys
-the identity ``one``, ``key``, the fold, the form's factors and the
-distance.  Normality is one test on top of them, ``normal.is_normal``.
-On the tables a key is (k, f), f the table ids of the Delta-normal
-form of x, and no word longer than d is reduced.  Keys take the public
-form (k, x) only at the arguments of ``automaton.cayley_distance``;
-``key`` strips a public key on either arithmetic, so (k + 1, d x) and
-(k, x) are one key.
+``build_structure``, or by ``choose_arithmetic`` where no structure is
+built, and registered for the span: its ``GarsideTables`` where Div(d)
+is a lattice (their gate) and d is proved Garside, else the kernel's
+``FractionKernel`` (``SpanKernel`` without a structure).  Both answer
+the same ten calls, so no caller asks which it holds: the normal form
+and all normal forms of a raw word, ``covers``, the slide, the least
+word, and on fraction keys the identity ``one``, ``key``, the fold,
+the form's factors and the distance.  Normality is one test on top of
+them, ``normal.is_normal``.  On the tables a key is (k, f), f the
+table ids of the Delta-normal form of x, and no word longer than d is
+reduced.  Keys take the public form (k, x) only at the arguments of
+``automaton.cayley_distance``; ``key`` strips a public key on either
+arithmetic, so (k + 1, d x) and (k, x) are one key.
 
 "Delta-simple" and "Delta-normal" mean simple/normal with respect to
 the span Div(delta); the simple elements usually form a strictly
@@ -144,7 +148,7 @@ class GarsideStructure(Record):
     """A Garside element with its divisors, simple elements, star map
     and the automorphism phi, certified by ``build_structure``:
     x delta = delta phi(x) for every x, and delta^order is central.
-    ``arithmetic`` is the span's arithmetic (``choose_arithmetic``)."""
+    ``arithmetic`` is the span's arithmetic, which it chose."""
 
     _fields = ("ctx", "delta", "div_delta", "simples", "star", "phi_atoms",
                "order")
@@ -202,22 +206,32 @@ def _check_preserves_relations(ctx: MonoidContext, letter_map: dict):
 
 
 def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
-    """Compute the star map, phi and its order, and enumerate the simple
-    elements.  Raises ValueError unless phi is an automorphism with
+    """Prove delta a Garside element, compute the star map, phi and its
+    order, and the simple elements.  The proof is the germ's where
+    Div(delta) passes the tables' gate and its germ conditions
+    (``_proved_tables``): the simples are then Div(delta) itself, and no
+    mcm is searched on the kernel.  Elsewhere it is ``is_garside``, and
+    the simples are enumerated on the kernel.  Raises ValueError unless
+    delta is a Garside element and phi is an automorphism with
     x delta = delta phi(x) for every x; then delta^e is central.  The
-    proof uses the atoms and the relations only, so no ball beyond the
-    atoms is enumerated.  The structure is memoised per delta on the
-    context, so its arithmetic and that arithmetic's memos are kept."""
+    proof of phi uses the atoms and the relations only, so no ball
+    beyond the atoms is enumerated.  The structure is memoised per delta
+    on the context, so its arithmetic and that arithmetic's memos are
+    kept."""
     delta = ctx.canonical(delta)
     cache = ctx.caches["structure"]
     got = cache.get(delta)
     if got is not None:
         return got
-    rep = is_garside(ctx, delta)
-    if not rep.passed:
-        raise ValueError(f"not a Garside element: {rep.summary()}")
     div = divisors(ctx, delta)
-    simples = enumerate_simples(ctx, div)
+    tables = _proved_tables(ctx, delta, div)
+    if tables is not None:
+        simples = ctx.caches["simples"][div.members]
+    else:
+        rep = is_garside(ctx, delta)
+        if not rep.passed:
+            raise ValueError(f"not a Garside element: {rep.summary()}")
+        simples = enumerate_simples(ctx, div)
 
     star = {}
     for x in div:
@@ -246,11 +260,11 @@ def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
     _check_preserves_relations(
         ctx, {c: base[ctx.canonical(c).canon] for c in chars})
     # phi^m on the atoms for m below the order of phi
-    tables = [{c: c for c in base}]
-    while (row := {c: base[t] for c, t in tables[-1].items()}) != tables[0]:
-        tables.append(row)
-    gs = GarsideStructure(ctx, delta, div, simples, star, tuple(tables),
-                          len(tables))
+    rows = [{c: c for c in base}]
+    while (row := {c: base[t] for c, t in rows[-1].items()}) != rows[0]:
+        rows.append(row)
+    gs = GarsideStructure(ctx, delta, div, simples, star, tuple(rows),
+                          len(rows))
 
     # star^2 must agree with the letterwise map on every divisor
     for x in div:
@@ -263,21 +277,28 @@ def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
     # gives a delta = a a* a** = delta phi(a), and induction on the
     # length of a word gives x delta = delta phi(x) for every x.  Hence
     # x delta^e = delta^e phi^e(x) = delta^e x: delta^e is central.
-    gs.arithmetic = choose_arithmetic(ctx, delta, gs)
+    if tables is None:
+        tables = garside_tables(ctx, div, simples) or FractionKernel(gs)
+    gs.arithmetic = ctx.caches["arithmetic"][div.members] = tables
     cache[delta] = gs
     return gs
 
 
-def choose_arithmetic(ctx: MonoidContext, delta, gs=None):
+def choose_arithmetic(ctx: MonoidContext, delta):
     """Choose the arithmetic of the span Div(delta) and register it for
-    the span (``structure.span_arithmetic``): the ``GarsideTables`` where
-    the span passes their gate and delta is a Garside element, else the
-    kernel, a ``FractionKernel`` for the structure gs.  Without gs no
-    structure is built, and ``is_garside`` is asked only past the gate."""
+    the span (``structure.span_arithmetic``) without building a
+    structure: the ``GarsideTables`` where delta is proved a Garside
+    element on its germ (``_proved_tables``), else the tables where the
+    simples are Div(delta), the gate passes and ``is_garside`` passes,
+    else the kernel's ``SpanKernel``.  ``is_garside`` is asked only past
+    the gate."""
+    delta = ctx.canonical(delta)
     div = divisors(ctx, delta)
-    tables = garside_tables(ctx, div, enumerate_simples(ctx, div))
-    if tables is None or (gs is None and not is_garside(ctx, delta).passed):
-        tables = SpanKernel(ctx, div) if gs is None else FractionKernel(gs)
+    tables = _proved_tables(ctx, delta, div)
+    if tables is None:
+        tables = garside_tables(ctx, div, enumerate_simples(ctx, div))
+        if tables is None or not is_garside(ctx, delta).passed:
+            tables = SpanKernel(ctx, div)
     ctx.caches["arithmetic"][div.members] = tables
     return tables
 
@@ -288,9 +309,10 @@ def choose_arithmetic(ctx: MonoidContext, delta, gs=None):
 class GarsideTables:
     """Div(delta) as a lattice, with the simples numbered in shortlex
     order: id 0 is the identity and the last id is delta.  ``ids`` maps
-    the canonical word of each simple to its id.  Past their gate the
-    tables are the span's arithmetic (``choose_arithmetic``): they answer
-    the calls of ``FractionKernel``, and only this class reads the ids.
+    the canonical word of each simple to its id.  Past their gate, with
+    delta proved Garside, the tables are the span's arithmetic: they
+    answer the calls of ``FractionKernel``, and only this class reads
+    the ids.
 
     Where any two simples have a greatest common divisor in Div(delta)
     on each side, every Delta-normal form is read off tables on the ids
@@ -330,6 +352,19 @@ class GarsideTables:
         self.lengths = {}
         self._atoms = atoms    # letter -> id of its atom
         self._slides = slides  # i * n + j -> the slide of s_i|s_j
+
+    def cancellative(self) -> bool:
+        """Is the partial product s.t = st, defined where st is in
+        Div(delta), cancellative on each side?  It is read off the
+        slides, s|t sliding to st|1 exactly where st is defined, and no
+        row and no column of its table may repeat a product."""
+        n = self.n
+        slides = self._slides
+        products = [(i, j, got[0]) for i in range(n) for j in range(1, n)
+                    if (got := slides[i * n + j]) is not None
+                    and not got[1]]
+        return (len({(i, p) for i, _, p in products}) == len(products)
+                == len({(j, p) for _, j, p in products}))
 
     def times(self, form, t) -> tuple:
         """The normal form of form * s_t: s_t is appended and the pairs
@@ -497,18 +532,20 @@ def _no_path(max_dist) -> ResourceLimitExceeded:
         f"no path of length <= {max_dist} between the elements")
 
 
-def garside_tables(ctx: MonoidContext, div: ElementSet, simples: ElementSet):
+def garside_tables(ctx: MonoidContext, div: ElementSet, simples=None):
     """The tables of Div(delta), or None where the gate fails.
 
-    The gate: the simples are the divisors themselves and hold every
-    atom, left division by an atom is unique within Div(delta), the
-    left divisor sets (and the right ones) of any two simples intersect
-    in the divisor set of a simple, and every element s has a complement
-    s* = s^-1 delta in the set, delta its last element, with s -> s* a
-    bijection.  The sets are int bitmasks, so each pair is one dict
-    lookup per side.  Past the gate every slide is built from the left
-    gcds and the left quotients."""
-    if simples.members != div.members:
+    The gate: the simples, where they are given, are the divisors
+    themselves; Div(delta) holds every atom, left division by an atom
+    is unique within it, the left divisor sets (and the right ones) of
+    any two elements intersect in the divisor set of an element, and
+    every element s has a complement s* = s^-1 delta in the set, delta
+    its last element, with s -> s* a bijection.  The sets are int
+    bitmasks, so each pair is one dict lookup per side.  Past the gate
+    every slide is built from the left gcds and the left quotients.
+    Without the simples the gate proves nothing about delta; the germ
+    conditions of ``_proved_tables`` do."""
+    if simples is not None and simples.members != div.members:
         return None
     elements = sorted(div.members)
     n = len(elements)
@@ -574,6 +611,39 @@ def garside_tables(ctx: MonoidContext, div: ElementSet, simples: ElementSet):
                 q = below[m]
                 slides[i * n + j] = (dual_inv[q[d]], q[j])
     return GarsideTables(ctx, elements, dual, slides, atoms)
+
+
+def _proved_tables(ctx: MonoidContext, delta: Element, div: ElementSet):
+    """The tables of div = Div(delta) where the gate passes and the germ
+    of the span proves delta a Garside element, else None.
+
+    The germ is Div(delta) with the partial product s.t = st, defined
+    where st lies in Div(delta).  Past the gate its divisibility is a
+    lattice on each side, and it proves delta Garside (Dehornoy et al.,
+    *Foundations of Garside Theory*, 2015, ch. VI, the recognition of
+    Garside germs; Dehornoy and Paris, *Proc. LMS* 79, 1999) when
+    - the left divisors of delta are its right divisors, so that the
+      germ is associative;
+    - both sides of every relation lie in Div(delta), so that the germ
+      presents the monoid: their prefixes do too;
+    - the partial product is cancellative on each side
+      (``GarsideTables.cancellative``).
+    The first two need no tables, so a span that fails them builds
+    none.  Where all pass, the simples are Div(delta): they are
+    registered for the span (``enumerate_simples`` reads them), so none
+    is enumerated."""
+    if right_divisors(ctx, delta).members != div.members:
+        return None
+    # the two sides of a relation are one element
+    if any(ctx.canonical(lhs) not in div.members
+           for lhs, _ in ctx.presentation.relations):
+        return None
+    tables = garside_tables(ctx, div)
+    if tables is None or not tables.cancellative():
+        return None
+    ctx.caches["simples"][div.members] = ElementSet(
+        div.members, f"simples({div.label or len(div)})")
+    return tables
 
 
 # -- fractions ---------------------------------------------------------

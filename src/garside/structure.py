@@ -390,8 +390,9 @@ def enumerate_simples(ctx: MonoidContext, S) -> ElementSet:
 
 
 def span_arithmetic(ctx: MonoidContext, S: ElementSet):
-    """The arithmetic of the span S that ``delta.choose_arithmetic``
-    registered, else a ``SpanKernel``, made on first use and kept."""
+    """The arithmetic of the span S that ``delta.build_structure`` or
+    ``delta.choose_arithmetic`` registered, else a ``SpanKernel``, made
+    on first use and kept."""
     cache = ctx.caches["arithmetic"]
     got = cache.get(S.members)
     if got is None:

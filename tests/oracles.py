@@ -275,9 +275,11 @@ def cancellation_scan(ctx, n) -> VerificationReport:
         details={"radius": n})
 
 
-def ftp_probe_per_call(ctx, gs, radius, span=None, max_dist=24,
-                       node_cap=200_000, plain_observations=True):
-    """``ftp_probe``'s report, each distance computed on its own."""
+def ftp_probe_per_call(ctx, gs, radius, span=None, plain_observations=True):
+    """``ftp_probe``'s report, each distance computed on its own, with
+    its bounds: distances of at most 24, searches of at most 200,000
+    nodes."""
+    max_dist, node_cap = 24, 200_000
     auto = build_automaton(ctx, gs)
     if span is None:
         S = gs.div_delta
@@ -302,8 +304,7 @@ def ftp_probe_per_call(ctx, gs, radius, span=None, max_dist=24,
             for q in forms[i + 1:]:
                 multi_pairs += 1
                 d = synchronous_distance(ctx, gs, p.factors, q.factors,
-                                         max_dist=max_dist,
-                                         node_cap=node_cap)
+                                         max_dist=max_dist)
                 max_multi = max(max_multi, d)
                 if d > bound_multi:
                     return VerificationReport(

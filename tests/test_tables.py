@@ -28,15 +28,15 @@ from garside import (DELTA_INV, ElementSet, MonoidContext,
                      VerificationReport,
                      build_automaton, build_structure, combine, covers,
                      divisors, fixture, fraction_of_signed, group_equal,
-                     is_normal, normalize, normalize_all, parse_presentation,
-                     synchronous_distance, to_fraction)
+                     is_garside, is_normal, normalize, normalize_all,
+                     parse_presentation, synchronous_distance, to_fraction)
 from garside.automaton import _cayley_graph, cayley_distance
-from garside import delta as delta_layer
+from garside import delta as delta_layer, structure as structure_layer
 from garside.cli import main
 from garside.delta import (FractionKernel, GarsideTables, _strip,
                            choose_arithmetic, garside_tables)
 from garside.presentation import serialize_presentation
-from garside.structure import SpanKernel, span_arithmetic
+from garside.structure import SpanKernel, enumerate_simples, span_arithmetic
 from oracles import _step, public, step
 from test_burau import image, symbols
 from test_cli import run_python
@@ -527,13 +527,132 @@ def test_the_proof_of_delta_is_asked_for_only_past_the_gate(monkeypatch):
     got = choose_arithmetic(ctx, ctx.element("ac"))
     assert got.__class__ is SpanKernel
     assert span_arithmetic(ctx, divisors(ctx, ctx.element("ac"))) is got
-    # B3 passes the gate, and a failed proof keeps the kernel
+    # B3 passes the gate, and where both proofs fail, the germ's and
+    # is_garside, the kernel is kept
     monkeypatch.setattr(delta_layer, "is_garside", failed)
+    monkeypatch.setattr(delta_layer, "_proved_tables", no_germ)
     ctx = MonoidContext(fixture("B3"))
     assert choose_arithmetic(ctx, ctx.element("s1s2s1")).__class__ is SpanKernel
     monkeypatch.undo()
     assert isinstance(choose_arithmetic(ctx, ctx.element("s1s2s1")),
                       GarsideTables)
+
+
+# -- delta proved on its germ -----------------------------------------
+
+GERMS = (
+    (fixture("B3"), "s1s2s1"),
+    (fixture("free_comm(3)"), "abc"),
+    (fixture("free_comm(4)"), "abcd"),
+    (oracles.B4, "s1s2s1s3s2s1"),
+)
+
+
+def no_germ(ctx, delta, div):
+    return None
+
+
+@pytest.mark.parametrize("presentation,delta", GERMS,
+                         ids=[p.name for p, _ in GERMS])
+def test_build_structure_proves_delta_on_its_germ(presentation, delta,
+                                                  monkeypatch):
+    def unasked(*args, **kwargs):
+        raise AssertionError("the kernel proof was asked")
+
+    for layer, name in ((delta_layer, "is_garside"),
+                        (delta_layer, "is_spanning"),
+                        (delta_layer, "enumerate_simples"),
+                        (structure_layer, "is_spanning"),
+                        (structure_layer, "enumerate_simples"),
+                        (structure_layer, "mcms")):
+        monkeypatch.setattr(layer, name, unasked)
+    ctx = MonoidContext(presentation)
+    gs = build_structure(ctx, ctx.element(delta))
+    assert isinstance(gs.arithmetic, GarsideTables)
+    # the structure the kernel proves, with the germ check set aside
+    monkeypatch.undo()
+    monkeypatch.setattr(delta_layer, "_proved_tables", no_germ)
+    ref = MonoidContext(presentation)
+    kernel = build_structure(ref, ref.element(delta))
+    for field in ("delta", "div_delta", "simples", "star", "phi_atoms",
+                  "order"):
+        assert getattr(gs, field) == getattr(kernel, field), field
+    tables, ref_tables = gs.arithmetic, kernel.arithmetic
+    assert isinstance(ref_tables, GarsideTables)
+    assert tables.elements == ref_tables.elements
+    assert tables.dual == ref_tables.dual
+    assert tables._slides == ref_tables._slides
+    # the simples, enumerated on a context that proved nothing
+    other = MonoidContext(presentation)
+    assert gs.simples == enumerate_simples(
+        other, divisors(other, other.element(delta)))
+    # the germ's simples are those of the span for every later caller
+    assert enumerate_simples(ctx, gs.div_delta) is gs.simples
+
+
+# past the gate, each presentation fails one germ condition: ab right
+# divides aaa (= aab) but does not left divide it, and aaa = bbb lies
+# outside Div(aba); Delta is no Garside element of either.  In the
+# third, aab = aba follows from ab = ba but lies outside Div(ab): the
+# germ proves nothing, and is_garside proves ab Garside
+LEFT_IS_NOT_RIGHT = parse_presentation("gens: a b\nrels: aaa = bbb; aab = bbb",
+                                       name="left-is-not-right")
+LONG_RELATION = parse_presentation("gens: a b\nrels: aba = bab; aaa = bbb",
+                                   name="long-relation")
+REDUNDANT = parse_presentation("gens: a b\nrels: ab = ba; aab = aba",
+                               name="redundant")
+
+
+@pytest.mark.parametrize("presentation,delta,garside", [
+    (LEFT_IS_NOT_RIGHT, "aaa", False), (LONG_RELATION, "aba", False),
+    (REDUNDANT, "ab", True)], ids=["left-is-not-right", "long-relation",
+                                   "redundant"])
+def test_the_germ_proves_nothing_where_a_condition_fails(presentation, delta,
+                                                         garside):
+    ctx = MonoidContext(presentation)
+    d = ctx.element(delta)
+    div = divisors(ctx, d)
+    assert garside_tables(ctx, div) is not None
+    assert delta_layer._proved_tables(ctx, d, div) is None
+    assert "simples" not in ctx.caches
+    assert is_garside(ctx, d).passed == garside
+    if not garside:
+        with pytest.raises(ValueError, match="not a Garside element"):
+            build_structure(ctx, d)
+        return
+    # today's path: is_garside, the simples on the kernel, then the gate
+    gs = build_structure(ctx, d)
+    assert isinstance(gs.arithmetic, GarsideTables)
+    assert gs.simples == enumerate_simples(MonoidContext(presentation), div)
+
+
+# every element up to a norm; on the lattices the germ proves exactly
+# what is_garside proves, on the paper's thin monoids it proves nothing
+SWEEP = (
+    (fixture("M1"), 6, "thin"), (fixture("M2"), 6, "thin"),
+    (fixture("M3"), 6, "thin"), (fixture("B3"), 6, "lattice"),
+    (fixture("free_comm(3)"), 6, "lattice"), (oracles.B4, 6, "lattice"),
+    (LEFT_IS_NOT_RIGHT, 5, None), (LONG_RELATION, 5, None),
+)
+
+
+@pytest.mark.parametrize("presentation,norm,kind", SWEEP,
+                         ids=[p.name for p, *_ in SWEEP])
+def test_a_germ_proof_is_a_garside_proof(presentation, norm, kind):
+    ctx = MonoidContext(presentation)
+    ref = MonoidContext(presentation)
+    germ, kernel = set(), set()
+    for n in range(norm + 1):
+        for d in ctx.ball_level(n):
+            if delta_layer._proved_tables(ctx, d, divisors(ctx, d)):
+                germ.add(d.canon)
+            if is_garside(ref, d.canon).passed:
+                kernel.add(d.canon)
+    assert germ <= kernel, germ - kernel
+    if kind == "lattice":
+        assert germ == kernel and germ
+    elif kind == "thin":
+        assert not germ and kernel
 
 
 @pytest.mark.parametrize("name,delta", [
