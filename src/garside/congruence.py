@@ -1,4 +1,4 @@
-"""Word problem engine: canonical forms, divisibility, congruence classes.
+"""Word problem engine: canonical forms, divisibility, balls.
 
 Everything rests on homogeneity: relations preserve length, so the
 congruence class of a word is a finite set of words of the same length.
@@ -8,12 +8,11 @@ its class, and the norm is the common length.
 Canonical forms, products, equality and left division come from the
 length-bounded completions of :mod:`garside.rewrite`, which reduce a
 word to the least word of its class without enumerating the class.
-``class_of`` enumerates a class by breadth-first closure under single
-relation applications; it is the reference the kernel is tested
-against, and the fallback for left divisions where the completion
-cannot certify left cancellation: as a rewrite inside a prefix extends
-to the whole word, the words ``w[l:]`` of ``class(y)`` whose prefix is
-congruent to ``x`` form a union of classes, the complements of x in y.
+Where the completion cannot certify left cancellation, the complements
+of x in y are read off the ball instead: as relations preserve length,
+every z with x z = y has norm ``norm(y) - norm(x)``, so they are the z
+of that ball level whose product with x is y.  No congruence class is
+enumerated here; the breadth-first class oracle lives in the tests.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ class MonoidContext:
     """All word-problem state for one presentation.
 
     Canonical forms (``_canon``, per word), left complements (of
-    ``left_divides``, and of ``complements`` where it reads classes),
-    congruence classes (``class_of``) and ball levels are memoized here.
+    ``left_divides``, and of ``complements`` where it scans the ball)
+    and ball levels are memoized here.
     ``caches`` is a scratch area for the higher layers, keyed per
     spanning set or Garside element: the primitive closure per cap
     (``"primitives"``), divisor sets, factorisations, simple elements,
@@ -92,12 +91,13 @@ class MonoidContext:
     lengths per pair of keys, and reduce no word; else the kernel, which
     memoises the simples grouped by divisor set for greedy heads, the
     normal forms of each element, and for fraction keys per letter the
-    (m, phi^t(c)) of g^-1 = c delta^-m.  Class words and canonical
-    and left-complement entries count against ``max_cached_words``; the
-    shared rewriting systems, the Cayley caches and the arithmetic
-    objects (|Div(delta)|^2 table entries) count against no cap.
-    ``class_fallbacks`` counts the distinct pairs whose left division
-    enumerated classes because left cancellation could not be certified.
+    (m, phi^t(c)) of g^-1 = c delta^-m.  Canonical and left-complement
+    entries count against ``max_cached_words``, ball levels against
+    ``max_ball_elements``; the shared rewriting systems, the Cayley
+    caches and the arithmetic objects (|Div(delta)|^2 table entries)
+    count against no cap.  ``ball_fallbacks`` counts the distinct pairs
+    whose left complements were read off the ball because left
+    cancellation could not be certified.
     """
 
     def __init__(self, presentation: Presentation,
@@ -105,12 +105,6 @@ class MonoidContext:
         self.presentation = presentation
         self.max_cached_words = max_cached_words
         self.max_ball_elements = max_ball_elements
-        rules = []
-        for lhs, rhs in presentation.relations:
-            rules.append((lhs, rhs))
-            rules.append((rhs, lhs))
-        self._rules = tuple(rules)
-        self._classes: dict[str, frozenset[str]] = {}
         self._cached_words = 0
         self._canon: dict[str, Element] = {}
         self._completion = completion(presentation.relations,
@@ -125,10 +119,10 @@ class MonoidContext:
             for rels in (presentation.relations, backwards))
         self._levels: list[frozenset[Element]] = []
         self._left_complements: dict[tuple[str, str], Element | None] = {}
-        self._class_complements: dict[tuple[str, str],
-                                      frozenset[Element]] = {}
+        self._ball_complements: dict[tuple[str, str],
+                                     frozenset[Element]] = {}
         self.caches: dict = defaultdict(dict)
-        self.class_fallbacks = 0
+        self.ball_fallbacks = 0
         self.one = Element("")
 
     def __repr__(self):
@@ -157,8 +151,8 @@ class MonoidContext:
         return self.presentation.decode_word(self._word_of(x))
 
     def _remember(self, memo, key, value):
-        """Store a memo entry; like a class word it counts against
-        ``max_cached_words``, checked before the entry is added."""
+        """Store a memo entry; it counts against ``max_cached_words``,
+        checked before the entry is added."""
         if self._cached_words >= self.max_cached_words:
             raise ResourceLimitExceeded(
                 f"word cache cap ({self.max_cached_words}) exceeded: "
@@ -197,46 +191,6 @@ class MonoidContext:
         return self._reduced(xw + self._word_of(y),
                              len(xw) if isinstance(x, Element) else 0)
 
-    # -- congruence classes --------------------------------------------
-
-    def class_of(self, word) -> frozenset[str]:
-        word = self._word_of(word)
-        cached = self._classes.get(word)
-        if cached is not None:
-            return cached
-        # the cap is checked on every insertion, the seed word included
-        room = self.max_cached_words - self._cached_words
-        if room < 1:
-            raise self._cache_full(word, 1)
-        seen = {word}
-        frontier = [word]
-        rules = self._rules
-        while frontier:
-            new = []
-            for w in frontier:
-                for lhs, rhs in rules:
-                    start = w.find(lhs)
-                    while start >= 0:
-                        w2 = w[:start] + rhs + w[start + len(lhs):]
-                        if w2 not in seen:
-                            seen.add(w2)
-                            if len(seen) > room:
-                                raise self._cache_full(word, len(seen))
-                            new.append(w2)
-                        start = w.find(lhs, start + 1)
-            frontier = new
-        cls = frozenset(seen)
-        self._cached_words += len(cls)
-        for w in cls:
-            self._classes[w] = cls
-        return cls
-
-    def _cache_full(self, word, count) -> ResourceLimitExceeded:
-        return ResourceLimitExceeded(
-            f"word cache cap ({self.max_cached_words}) exceeded: "
-            f"{self._cached_words} words cached, and the class of a "
-            f"norm-{len(word)} word has at least {count} more")
-
     # -- divisibility ----------------------------------------------------
 
     def divides(self, x, y) -> bool:
@@ -250,9 +204,8 @@ class MonoidContext:
         completion where c is least, c divides z exactly when the
         reduced word of z starts with c, and when c cancels on the left
         up to norm(z), the rest of any word of z that starts with c is
-        z/c.  Where that cancellation is not certified, the classes of
-        x and y are enumerated instead (counted in
-        ``class_fallbacks``)."""
+        z/c.  Where that cancellation is not certified, the least of
+        ``complements`` is taken instead."""
         x = self.canonical(x)
         y = self.canonical(y)
         if x.norm >= y.norm:
@@ -279,23 +232,24 @@ class MonoidContext:
     def complements(self, x, y) -> frozenset[Element]:
         """Every z with x z = y.  Where each letter of x cancels on the
         left up to norm(y) that is the complement of ``left_divides``
-        alone; otherwise it is read off the classes of x and y once per
-        pair (counted in ``class_fallbacks``) and memoised."""
+        alone.  Otherwise the ball level of norm norm(y) - norm(x),
+        which holds every such z, is scanned once per pair (counted in
+        ``ball_fallbacks``) and the answer memoised; the scan raises
+        ``ResourceLimitExceeded`` where the ball up to that level passes
+        ``max_ball_elements``."""
         x = self.canonical(x)
         y = self.canonical(y)
         if all(self._least[c].left_cancellative(y.norm) for c in x.canon):
             z = self.left_divides(x, y)
             return frozenset() if z is None else frozenset([z])
         key = (x.canon, y.canon)
-        got = self._class_complements.get(key)
+        got = self._ball_complements.get(key)
         if got is None:
-            self.class_fallbacks += 1
-            xcls = self.class_of(x.canon)
-            ell = x.norm
-            rests = {w[ell:] for w in self.class_of(y.canon)
-                     if w[:ell] in xcls}
-            got = self._remember(self._class_complements, key,
-                                 frozenset(map(self._reduced, rests)))
+            n = y.norm - x.norm
+            level = self.ball_level(n) if n >= 0 else ()
+            got = self._remember(self._ball_complements, key, frozenset(
+                z for z in level if self.mul(x, z) == y))
+            self.ball_fallbacks += 1
         return got
 
     # -- balls -----------------------------------------------------------

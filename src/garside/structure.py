@@ -5,7 +5,7 @@ arithmetic of a span (``SpanKernel``: greedy normal forms and slides).
 All searches are norm-bounded and honest about it: results carry a
 ``complete`` flag (or notes) when a bound was exhausted.  Everything
 runs on the rewriting kernel; only where it cannot certify left
-cancellation do complements fall back to classes (``complements``).
+cancellation are complements read off the ball (``complements``).
 """
 
 from __future__ import annotations
@@ -162,6 +162,8 @@ def _primitive_closure(ctx: MonoidContext, cap) -> ElementSet:
     members = {ctx.one} | set(ctx.ball_level(1))
     notes: list[str] = []
     done: set[frozenset] = set()
+    reach = max(max(e.norm for e in members),
+                ctx.presentation.max_relation_length)
     pending = [(a, b) for a in sorted(members) for b in sorted(members)
                if a != b and a.norm and b.norm]
     while pending:
@@ -172,8 +174,6 @@ def _primitive_closure(ctx: MonoidContext, cap) -> ElementSet:
         done.add(key)
         # one level past the default so the exhaustiveness certificate
         # (a clean level above the last mcm) has room to fire
-        reach = max(max(e.norm for e in members),
-                    ctx.presentation.max_relation_length)
         res = mcms(ctx, x, y, bound=x.norm + y.norm + reach + 1)
         if not res.complete:
             notes.append(
@@ -187,6 +187,7 @@ def _primitive_closure(ctx: MonoidContext, cap) -> ElementSet:
                         return ElementSet(frozenset(members), "primitives",
                                           tuple(notes))
                     members.add(comp)
+                    reach = max(reach, comp.norm)
                     pending.extend(
                         (comp, s) for s in sorted(members)
                         if s != comp and s.norm and comp.norm)

@@ -3,9 +3,10 @@ are run on.
 
 The oracles share no code with the package's word problem, except
 ``cancellation_scan``.  A congruence class is enumerated here by
-breadth-first closure under single relation applications, and
-divisibility, minimal common multiples and simple elements are read off
-classes by their definitions.  Elements come back as ``Element`` of the
+breadth-first closure under single relation applications; the package
+enumerates none, so this is the only BFS over classes.  Divisibility,
+minimal common multiples and simple elements are read off classes by
+their definitions.  Elements come back as ``Element`` of the
 least word of their class; arguments may be elements or internal words.
 
 ``cancellation_scan`` runs on the context's products and balls: it

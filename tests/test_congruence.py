@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 
 import pytest
@@ -17,16 +18,24 @@ def test_element_ordering_is_shortlex():
 
 
 def test_classes_m1(m1):
-    assert m1.class_of("aab") == frozenset({"aab", "aba", "baa", "bbb"})
-    assert m1.class_of("aaa") == frozenset({"aaa", "abb", "bba", "bab"})
-    assert m1.class_of("aa") == frozenset({"aa", "bb"})
-    assert m1.class_of("ab") == frozenset({"ab", "ba"})
+    # the oracle's BFS classes; each word's canonical word is their least
+    assert oracles.word_class(m1, "aab") == frozenset({"aab", "aba", "baa",
+                                                       "bbb"})
+    assert oracles.word_class(m1, "aaa") == frozenset({"aaa", "abb", "bba",
+                                                       "bab"})
+    assert oracles.word_class(m1, "aa") == frozenset({"aa", "bb"})
+    assert oracles.word_class(m1, "ab") == frozenset({"ab", "ba"})
+    for w in ("aab", "aaa", "aa", "ab"):
+        for v in oracles.word_class(m1, w):
+            assert m1.canonical(v).canon == min(oracles.word_class(m1, w))
     assert m1.canonical("bbb") == Element("aab")
     assert m1.canonical("ba") == Element("ab")
 
 
 def test_classes_m2(m2):
-    assert m2.class_of("ba") == frozenset({"ba", "ac", "cb"})
+    assert oracles.word_class(m2, "ba") == frozenset({"ba", "ac", "cb"})
+    for w in ("ba", "ac", "cb"):
+        assert m2.canonical(w) == Element("ac")
 
 
 def test_element_and_show(b3):
@@ -42,7 +51,7 @@ def test_element_and_show(b3):
         b3.element("q")
     with pytest.raises(PresentationError):
         # raw internal words must stay in the internal alphabet
-        b3.class_of("xz")
+        b3.canonical("xz")
 
 
 def test_mul(m1):
@@ -160,20 +169,31 @@ def test_passing_cancellativity_builds_no_ball():
     assert ctx._levels == []
 
 
+MEMO_FULL = ("word cache cap ({0}) exceeded: {0} words cached, and a "
+             "memo entry needs 1 more")
+
+
 def test_word_cache_cap():
+    # each left division memoises canonical forms and a left complement,
+    # until five entries fill the cap
     ctx = MonoidContext(fixture("B3"), max_cached_words=5)
-    with pytest.raises(ResourceLimitExceeded):
-        ctx.class_of("abababab")
+    with pytest.raises(ResourceLimitExceeded) as exc:
+        for n in range(1, 9):
+            ctx.left_divides("a", "ab" * n)
+            assert ctx._cached_words <= 5
+    assert str(exc.value) == MEMO_FULL.format(5)
+    assert ctx._cached_words == 5
 
 
 def test_word_cache_cap_message_counts_cached_words():
     ctx = MonoidContext(fixture("M1"), max_cached_words=2)
-    ctx.class_of("aa")  # the class {aa, bb} fills the cache
+    ctx.canonical("aa")
+    ctx.canonical("bb")  # two canonical entries fill the cache
+    assert ctx.canonical("aa") == ctx.canonical("bb")  # memo hits
     with pytest.raises(ResourceLimitExceeded) as exc:
-        ctx.class_of("a")  # a one-word class
-    assert str(exc.value) == ("word cache cap (2) exceeded: 2 words cached, "
-                              "and the class of a norm-1 word has at "
-                              "least 1 more")
+        ctx.canonical("a")
+    assert str(exc.value) == MEMO_FULL.format(2)
+    assert ctx._cached_words == 2
 
 
 def test_ball_cap():
@@ -184,13 +204,17 @@ def test_ball_cap():
 
 
 def test_word_cache_cap_fires_on_the_insertion_that_overshoots():
+    # the norm-8 words are 3^8 distinct keys; the 101st one raises
     ctx = MonoidContext(fixture("M2"), max_cached_words=100)
+    asked = 0
     with pytest.raises(ResourceLimitExceeded) as exc:
-        ctx.class_of("a" * 8)
-    assert str(exc.value) == ("word cache cap (100) exceeded: 0 words "
-                              "cached, and the class of a norm-8 word has "
-                              "at least 101 more")
-    assert ctx._cached_words == 0
+        for w in itertools.product("abc", repeat=8):
+            ctx.canonical("".join(w))
+            asked += 1
+            assert ctx._cached_words <= 100
+    assert asked == 100
+    assert str(exc.value) == MEMO_FULL.format(100)
+    assert ctx._cached_words == len(ctx._canon) == 100
 
 
 def test_left_divides_memo_matches_a_fresh_context(b3):

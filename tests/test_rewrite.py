@@ -1,6 +1,8 @@
 """The rewriting kernel: canonical forms and left division from
-length-bounded completions, checked against BFS classes (``class_of``)
-and against closed forms that share no code with the package."""
+length-bounded completions, and the ball scan that replaces them where
+left cancellation is not certified, checked against the BFS classes of
+``oracles`` and against closed forms that share no code with the
+package."""
 
 import itertools
 import random
@@ -23,18 +25,19 @@ def words(chars, lo, hi):
         yield from map("".join, itertools.product(chars, repeat=n))
 
 
-def class_quotient(oracle, x, y):
+def class_quotient(ctx, x, y):
     """The least z with x z = y, from the BFS classes of x and y."""
     if len(x) > len(y):
         return None
-    xcls = oracle.class_of(x)
-    rests = [w[len(x):] for w in oracle.class_of(y) if w[:len(x)] in xcls]
+    xcls = oracles.word_class(ctx, x)
+    rests = [w[len(x):] for w in oracles.word_class(ctx, y)
+             if w[:len(x)] in xcls]
     return min(rests) if rests else None
 
 
-def check_against_classes(ctx, oracle, x, y):
+def check_against_classes(ctx, x, y):
     z = ctx.left_divides(x, y)
-    expected = class_quotient(oracle, x, y)
+    expected = class_quotient(ctx, x, y)
     assert (None if z is None else z.canon) == expected, (x, y)
     assert ctx.divides(x, y) == (expected is not None), (x, y)
 
@@ -50,15 +53,13 @@ BALLS = [(fixture(name), r) for name, r in
                          ids=[p.name or "length_one" for p, _ in BALLS])
 def test_kernel_matches_bfs_classes_on_the_balls(presentation, radius):
     ctx = MonoidContext(presentation)
-    oracle = MonoidContext(presentation)
     chars = presentation.chars
     for w in words(chars, 0, radius):
-        assert ctx.canonical(w).canon == min(oracle.class_of(w)), w
+        assert ctx.canonical(w).canon == min(oracles.word_class(ctx, w)), w
     for y in ctx.enumerate_ball(radius):
         for x in words(chars, 1, 3):
-            check_against_classes(ctx, oracle, x, y.canon)
-    assert ctx.class_fallbacks == 0
-    assert not ctx._classes
+            check_against_classes(ctx, x, y.canon)
+    assert ctx.ball_fallbacks == 0
 
 
 # closed forms of three fixtures: the least word of the class of w
@@ -131,20 +132,18 @@ def test_kernel_matches_closed_forms(name):
             closed_quotient(canon, chars, x, y), pair
 
     check()
-    assert not ctx._classes
 
 
 @pytest.mark.parametrize("name,longest", [("B3", 14), ("M3", 8)])
 def test_kernel_matches_bfs_classes_on_random_words(name, longest):
     ctx = MonoidContext(fixture(name))
-    oracle = MonoidContext(fixture(name))
 
     @KERNEL
     @given(quotient_pairs(ctx.presentation.chars, longest))
     def check(pair):
         x, y = pair
-        assert ctx.canonical(y).canon == min(oracle.class_of(y))
-        check_against_classes(ctx, oracle, x, y)
+        assert ctx.canonical(y).canon == min(oracles.word_class(ctx, y))
+        check_against_classes(ctx, x, y)
 
     check()
 
@@ -175,36 +174,98 @@ def test_left_division_falls_back_where_cancellation_fails():
     assert not completion(p.relations, "ab").left_cancellative(2)
     assert completion(p.relations, "ba").left_cancellative(8)
     ctx = MonoidContext(p)
-    oracle = MonoidContext(p)
     ctx.left_divides("b", "bab")
-    assert ctx.class_fallbacks == 0
+    assert ctx.ball_fallbacks == 0
     ctx.left_divides("a", "ab")
-    assert ctx.class_fallbacks == 1
+    assert ctx.ball_fallbacks == 1
     for y in words(p.chars, 0, 5):
         for x in words(p.chars, 1, 3):
-            check_against_classes(ctx, oracle, x, y)
+            check_against_classes(ctx, x, y)
 
 
 def test_complements_read_classes_once_per_pair():
-    # on a b = a a the class path is taken for pairs whose x has an a;
-    # a second pass over the same pairs is answered from the memo
+    # on a b = a a the ball is scanned for pairs whose x has an a; a
+    # second pass over the same pairs is answered from the memo
     ctx = MonoidContext(NOT_LEFT_CANCELLATIVE)
+    # x longer than y, before any ball level is built
+    assert ctx.complements("aaa", "ab") == frozenset()
     pairs = [(x, y) for y in words("ab", 0, 5) for x in words("ab", 1, 3)]
     first = [ctx.complements(x, y) for x, y in pairs]
-    fallbacks = ctx.class_fallbacks
+    fallbacks = ctx.ball_fallbacks
     distinct = {(ctx.canonical(x), ctx.canonical(y)) for x, y in pairs
                 if "a" in x}
     assert 0 < fallbacks <= len(distinct)
     assert [ctx.complements(x, y) for x, y in pairs] == first
     for x, y in pairs:
         ctx.left_divides(x, y)
-    assert ctx.class_fallbacks == fallbacks
-    # every memo entry counts against max_cached_words, like a class word
-    assert ctx._cached_words == (len(ctx._classes) + len(ctx._canon)
+    assert ctx.ball_fallbacks == fallbacks
+    # every memo entry counts against max_cached_words
+    assert ctx._cached_words == (len(ctx._canon)
                                  + len(ctx._left_complements)
-                                 + len(ctx._class_complements))
+                                 + len(ctx._ball_complements))
     for (x, y), got in zip(pairs, first):
         assert got == oracles.left_complements(ctx, x, y), (x, y)
+
+
+def _cancels_left(p, letters, bound):
+    """Does each of the letters cancel on the left up to the bound?"""
+    return all(completion(p.relations, c + p.chars.replace(c, ""))
+               .left_cancellative(bound) for c in letters)
+
+
+# the presentations where some letter does not cancel on the left up to
+# norm 6, so that complements scans the ball
+BALL_SCANNED = [NOT_LEFT_CANCELLATIVE] + [
+    p for p in map(oracles.random_presentation, range(60))
+    if not _cancels_left(p, p.chars, 6)]
+
+
+@pytest.mark.parametrize("presentation", BALL_SCANNED,
+                         ids=[p.name or "ab=aa" for p in BALL_SCANNED])
+def test_ball_scan_matches_the_bfs_complements(presentation):
+    ctx = MonoidContext(presentation)
+    chars = presentation.chars
+    pairs = [(x, y) for x in words(chars, 1, 2) for y in words(chars, 0, 5)]
+    first = [ctx.complements(x, y) for x, y in pairs]
+    # the oracle's answer depends on the elements only: ask it once each
+    expected = {}
+    for (x, y), got in zip(pairs, first):
+        key = ctx.canonical(x), ctx.canonical(y)
+        if key not in expected:
+            expected[key] = oracles.left_complements(ctx, *key)
+        assert got == expected[key], (x, y)
+    # the scan runs once per distinct pair of elements whose x has a
+    # letter that does not cancel up to norm(y)
+    scanned = {(x, y) for x, y in expected
+               if not _cancels_left(presentation, x.canon, y.norm)}
+    assert scanned
+    assert ctx.ball_fallbacks == len(scanned)
+    assert [ctx.complements(x, y) for x, y in pairs] == first
+    assert ctx.ball_fallbacks == len(scanned)
+
+
+def test_ball_scan_stops_at_the_ball_cap():
+    ctx = MonoidContext(NOT_LEFT_CANCELLATIVE, max_ball_elements=10)
+    with pytest.raises(ResourceLimitExceeded) as exc:
+        ctx.complements("a", "a" * 12)
+    assert str(exc.value).startswith("ball enumeration exceeded 10 elements")
+    assert exc.value.level is not None
+    assert ("a", "a" * 12) not in ctx._ball_complements
+    assert ctx.ball_fallbacks == 0
+
+
+def test_long_left_divisions_where_cancellation_fails():
+    # on a b = a a every word a w is congruent to a^n, so a divides a
+    # word exactly when the word starts with a; the classes of these
+    # 24-letter words are far too large to enumerate, the ball is not
+    ctx = MonoidContext(NOT_LEFT_CANCELLATIVE)
+    rng = random.Random(24)
+    for _ in range(20):
+        y = "".join(rng.choice("ab") for _ in range(24))
+        z = ctx.left_divides("a", y)
+        assert (z is None) == (y[0] != "a"), y
+        if z is not None:
+            assert ctx.mul("a", z) == ctx.canonical(y)
 
 
 def test_the_fixtures_pass_the_cancellation_gate():
@@ -221,16 +282,13 @@ def test_long_m2_words_need_no_class():
     ctx = MonoidContext(fixture("M2"))
     assert ctx.canonical("b" * 16).canon == "a" * 16
     assert ctx.canonical("c" * 17).canon == m2_canon("c" * 17)
-    assert not ctx._classes
     gs = build_structure(ctx, ctx.element("aa"))
-    built = set(ctx._classes)
     x = ctx.canonical("c" * 16)
     assert _strip(gs, 8, x) == (0, ctx.one)
     assert _strip(gs, 9, x) == (1, ctx.one)
     # every norm-n element is a^(n-1) c, so aa divides it down to norm 2
     assert _strip(gs, 9, ctx.canonical("cb" * 8)) == (2, ctx.canonical("ab"))
-    assert set(ctx._classes) == built
-    assert ctx.class_fallbacks == 0
+    assert ctx.ball_fallbacks == 0
 
 
 def test_kernel_memos_stop_at_the_word_cap():

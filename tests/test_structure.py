@@ -265,18 +265,16 @@ def test_structure_layer_matches_class_oracles(presentation, radius,
                                               got.max_norm + 1)
     if presentation is oracles.NOT_LEFT_CANCELLATIVE:
         # a b = a a: a does not cancel on the left, so peeling a takes
-        # every complement from the classes, and b right-divides aa only
-        assert ctx.class_fallbacks > 0
+        # every complement from the ball, and b right-divides aa only
+        assert ctx.ball_fallbacks > 0
         aa = ctx.element("aa")
         assert right_divisors(ctx, aa).members - divisors(ctx, aa).members \
             == {ctx.element("b")}
     elif presentation is oracles.NOT_RIGHT_CANCELLATIVE:
         # b a = a a: a does not cancel on the right, so the divisors one
-        # letter shorter come from the factorisations; no class is needed
+        # letter shorter come from the factorisations; no ball is scanned
         reversed_rels = (("ab", "aa"),)
         assert not completion(reversed_rels, "ab").left_cancellative(2)
-        assert ctx.class_fallbacks == 0
-        assert not ctx._classes
+        assert ctx.ball_fallbacks == 0
     else:
-        assert ctx.class_fallbacks == 0
-        assert not ctx._classes
+        assert ctx.ball_fallbacks == 0
