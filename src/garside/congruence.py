@@ -87,11 +87,12 @@ class MonoidContext:
     (``("cayley", delta)``) and the Cayley graph of interned fraction
     keys (``"cayley_graph"``).  Each span has one arithmetic object
     (``"arithmetic"``): the Garside tables where Div(delta) passes
-    their gate, which number the simples, hold every slide and the word
-    lengths per pair of keys, and reduce no word; else the kernel, which
-    memoises the simples grouped by divisor set for greedy heads, the
-    normal forms of each element, and for fraction keys per letter the
-    (m, phi^t(c)) of g^-1 = c delta^-m.  Canonical and left-complement
+    their gate and its germ proves delta Garside, which number the
+    simples, hold every slide and the word lengths per pair of keys,
+    and reduce no word; else the kernel, which memoises the simples
+    grouped by divisor set for greedy heads, the normal forms of each
+    element, and for fraction keys per letter the (m, phi^t(c)) of
+    g^-1 = c delta^-m.  Canonical and left-complement
     entries count against ``max_cached_words``, ball levels against
     ``max_ball_elements``; the shared rewriting systems, the Cayley
     caches and the arithmetic objects (|Div(delta)|^2 table entries)
@@ -255,6 +256,9 @@ class MonoidContext:
     # -- balls -----------------------------------------------------------
 
     def ball_level(self, n) -> frozenset[Element]:
+        """The elements of norm n; ValueError for a negative n."""
+        if n < 0:
+            raise ValueError(f"no ball level of negative norm {n}")
         while len(self._levels) <= n:
             k = len(self._levels)
             if k == 0:

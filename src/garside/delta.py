@@ -24,15 +24,16 @@ are stripped as the fold goes (phi fixes d).
 Each span Div(d) has one arithmetic object, chosen once by
 ``build_structure``, or by ``choose_arithmetic`` where no structure is
 built, and registered for the span: its ``GarsideTables`` where Div(d)
-is a lattice (their gate) and d is proved Garside, else the kernel's
-``FractionKernel`` (``SpanKernel`` without a structure).  Both answer
-the same ten calls, so no caller asks which it holds: the normal form
-and all normal forms of a raw word, ``covers``, the slide, the least
-word, and on fraction keys the identity ``one``, ``key``, the fold,
-the form's factors and the distance.  Normality is one test on top of
-them, ``normal.is_normal``.  On the tables a key is (k, f), f the
-table ids of the Delta-normal form of x, and no word longer than d is
-reduced.  Keys take the public form (k, x) only at the arguments of
+passes their gate and its germ proves d Garside (``_proved_tables``,
+the only route onto the tables), else the kernel's ``FractionKernel``
+(``SpanKernel`` without a structure).  Both answer the same ten calls,
+so no caller asks which it holds: the normal form and all normal forms
+of a raw word, ``covers``, the slide, the least word, and on fraction
+keys the identity ``one``, ``key``, the fold, the form's factors and
+the distance.  Normality is one test on top of them,
+``normal.is_normal``.  On the tables a key is (k, f), f the table ids
+of the Delta-normal form of x, and no word longer than d is reduced.
+Keys take the public form (k, x) only at the arguments of
 ``automaton.cayley_distance``; ``key`` strips a public key on either
 arithmetic, so (k + 1, d x) and (k, x) are one key.
 
@@ -210,14 +211,16 @@ def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
     order, and the simple elements.  The proof is the germ's where
     Div(delta) passes the tables' gate and its germ conditions
     (``_proved_tables``): the simples are then Div(delta) itself, and no
-    mcm is searched on the kernel.  Elsewhere it is ``is_garside``, and
-    the simples are enumerated on the kernel.  Raises ValueError unless
-    delta is a Garside element and phi is an automorphism with
-    x delta = delta phi(x) for every x; then delta^e is central.  The
-    proof of phi uses the atoms and the relations only, so no ball
-    beyond the atoms is enumerated.  The structure is memoised per delta
-    on the context, so its arithmetic and that arithmetic's memos are
-    kept."""
+    mcm is searched on the kernel.  Elsewhere it is ``is_garside``, the
+    simples are enumerated on the kernel, and the arithmetic is the
+    kernel's ``FractionKernel``: ``is_garside`` rests on the mcm
+    search's clean-level certificate, which is not a proof, so no
+    tables are built on it.  Raises ValueError unless delta is a
+    Garside element and phi is an automorphism with x delta = delta
+    phi(x) for every x; then delta^e is central.  The proof of phi uses
+    the atoms and the relations only, so no ball beyond the atoms is
+    enumerated.  The structure is memoised per delta on the context, so
+    its arithmetic and that arithmetic's memos are kept."""
     delta = ctx.canonical(delta)
     cache = ctx.caches["structure"]
     got = cache.get(delta)
@@ -277,9 +280,8 @@ def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
     # gives a delta = a a* a** = delta phi(a), and induction on the
     # length of a word gives x delta = delta phi(x) for every x.  Hence
     # x delta^e = delta^e phi^e(x) = delta^e x: delta^e is central.
-    if tables is None:
-        tables = garside_tables(ctx, div, simples) or FractionKernel(gs)
-    gs.arithmetic = ctx.caches["arithmetic"][div.members] = tables
+    gs.arithmetic = ctx.caches["arithmetic"][div.members] = (
+        tables or FractionKernel(gs))
     cache[delta] = gs
     return gs
 
@@ -288,17 +290,11 @@ def choose_arithmetic(ctx: MonoidContext, delta):
     """Choose the arithmetic of the span Div(delta) and register it for
     the span (``structure.span_arithmetic``) without building a
     structure: the ``GarsideTables`` where delta is proved a Garside
-    element on its germ (``_proved_tables``), else the tables where the
-    simples are Div(delta), the gate passes and ``is_garside`` passes,
-    else the kernel's ``SpanKernel``.  ``is_garside`` is asked only past
-    the gate."""
+    element on its germ (``_proved_tables``), else the kernel's
+    ``SpanKernel``.  No mcm is searched and no simple enumerated."""
     delta = ctx.canonical(delta)
     div = divisors(ctx, delta)
-    tables = _proved_tables(ctx, delta, div)
-    if tables is None:
-        tables = garside_tables(ctx, div, enumerate_simples(ctx, div))
-        if tables is None or not is_garside(ctx, delta).passed:
-            tables = SpanKernel(ctx, div)
+    tables = _proved_tables(ctx, delta, div) or SpanKernel(ctx, div)
     ctx.caches["arithmetic"][div.members] = tables
     return tables
 
@@ -310,9 +306,9 @@ class GarsideTables:
     """Div(delta) as a lattice, with the simples numbered in shortlex
     order: id 0 is the identity and the last id is delta.  ``ids`` maps
     the canonical word of each simple to its id.  Past their gate, with
-    delta proved Garside, the tables are the span's arithmetic: they
-    answer the calls of ``FractionKernel``, and only this class reads
-    the ids.
+    delta proved Garside on its germ (``_proved_tables``), the tables
+    are the span's arithmetic: they answer the calls of
+    ``FractionKernel``, and only this class reads the ids.
 
     Where any two simples have a greatest common divisor in Div(delta)
     on each side, every Delta-normal form is read off tables on the ids
@@ -532,21 +528,18 @@ def _no_path(max_dist) -> ResourceLimitExceeded:
         f"no path of length <= {max_dist} between the elements")
 
 
-def garside_tables(ctx: MonoidContext, div: ElementSet, simples=None):
+def garside_tables(ctx: MonoidContext, div: ElementSet):
     """The tables of Div(delta), or None where the gate fails.
 
-    The gate: the simples, where they are given, are the divisors
-    themselves; Div(delta) holds every atom, left division by an atom
+    The gate: Div(delta) holds every atom, left division by an atom
     is unique within it, the left divisor sets (and the right ones) of
     any two elements intersect in the divisor set of an element, and
     every element s has a complement s* = s^-1 delta in the set, delta
     its last element, with s -> s* a bijection.  The sets are int
     bitmasks, so each pair is one dict lookup per side.  Past the gate
     every slide is built from the left gcds and the left quotients.
-    Without the simples the gate proves nothing about delta; the germ
-    conditions of ``_proved_tables`` do."""
-    if simples is not None and simples.members != div.members:
-        return None
+    The gate proves nothing about delta; the germ conditions of
+    ``_proved_tables``, its only caller, do."""
     elements = sorted(div.members)
     n = len(elements)
     ids = {e.canon: i for i, e in enumerate(elements)}

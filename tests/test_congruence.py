@@ -71,6 +71,23 @@ def test_ball_levels(m1, m2, b3):
     assert [len(b3.ball_level(n)) for n in range(7)] == [1, 2, 4, 7, 12, 20, 33]
 
 
+def test_no_ball_level_of_negative_norm():
+    # on a fresh context, and on one whose levels are built: no level
+    # is read from the end of the list
+    ctx = MonoidContext(fixture("M1"))
+    with pytest.raises(ValueError, match="negative norm -1"):
+        ctx.ball_level(-1)
+    assert len(ctx.ball_level(3)) == 2
+    with pytest.raises(ValueError, match="negative norm -1"):
+        ctx.ball_level(-1)
+    assert ctx.enumerate_ball(-1) == frozenset()
+    # complements keeps its own guard where it scans the ball
+    ctx = MonoidContext(oracles.NOT_LEFT_CANCELLATIVE)
+    ctx.ball_level(3)
+    assert ctx.complements("aaa", "ab") == frozenset()
+    assert ctx.ball_fallbacks == 1
+
+
 def test_free_monoid_balls():
     ctx = MonoidContext(fixture("free(2)"))
     assert [len(ctx.ball_level(n)) for n in range(5)] == [1, 2, 4, 8, 16]
