@@ -206,7 +206,9 @@ class MonoidContext:
         reduced word of z starts with c, and when c cancels on the left
         up to norm(z), the rest of any word of z that starts with c is
         z/c.  Where that cancellation is not certified, the least of
-        ``complements`` is taken instead."""
+        ``complements`` is taken instead.  Cancellation up to a norm
+        holds below it too, and z only shrinks, so each letter is
+        checked at its first occurrence in x only."""
         x = self.canonical(x)
         y = self.canonical(y)
         if x.norm >= y.norm:
@@ -218,11 +220,14 @@ class MonoidContext:
         if key in memo:
             return memo[key]
         z = y.canon
+        checked = ""
         for c in x.canon:
             kernel = self._least[c]
-            if not kernel.left_cancellative(len(z)):
-                return self._remember(
-                    memo, key, min(self.complements(x, y), default=None))
+            if c not in checked:
+                if not kernel.left_cancellative(len(z)):
+                    return self._remember(
+                        memo, key, min(self.complements(x, y), default=None))
+                checked += c
             if z[0] != c:
                 z = kernel.reduce(z)
                 if z[0] != c:

@@ -9,9 +9,11 @@ proves d a Garside element on its germ, Div(d) with the partial
 product st defined where st lies in Div(d), wherever the tables' gate
 passes (``_proved_tables``), and with ``is_garside``'s mcm search on
 the kernel elsewhere.  It proves both identities on the whole monoid
-from the atoms and the relations alone.  A group element is the
-fraction key (k, x) meaning d^(-k) x with k minimal, which gives a
-normal form and a word problem for the enveloping group of fractions.
+from the atoms and the relations alone, and enumerates no simple: the
+structure reads them on first use, and the fold reads none.  A group
+element is the fraction key (k, x) meaning d^(-k) x with k minimal,
+which gives a normal form and a word problem for the enveloping group
+of fractions.
 
 Keys are multiplied by one fold, ``fold`` on the span's arithmetic
 object (below).  It carries d^(-k) phi^(-t)(x): since
@@ -146,21 +148,24 @@ def find_minimal_garside(ctx: MonoidContext, max_norm: int = 4) -> GarsideSearch
 
 
 class GarsideStructure(Record):
-    """A Garside element with its divisors, simple elements, star map
-    and the automorphism phi, certified by ``build_structure``:
+    """A Garside element with its divisors, star map and the
+    automorphism phi, certified by ``build_structure``:
     x delta = delta phi(x) for every x, and delta^order is central.
-    ``arithmetic`` is the span's arithmetic, which it chose."""
+    ``arithmetic`` is the span's arithmetic, which it chose.  The
+    simple elements are not part of the proof: where ``simples`` is
+    None they are ``enumerate_simples`` of the span, read on first use
+    (its memo, so Div(delta) itself where the germ proved delta)."""
 
     _fields = ("ctx", "delta", "div_delta", "simples", "star", "phi_atoms",
                "order")
 
     def __init__(self, ctx: MonoidContext, delta: Element,
-                 div_delta: ElementSet, simples: ElementSet, star: dict,
-                 phi_atoms: tuple, order: int):
+                 div_delta: ElementSet, simples: ElementSet | None,
+                 star: dict, phi_atoms: tuple, order: int):
         self.ctx = ctx
         self.delta = delta
         self.div_delta = div_delta  # the span: left = right divisors of delta
-        self.simples = simples      # Div(delta)-simple elements
+        self.simples = simples      # Div(delta)-simple elements, or None
         self.star = star            # x -> x* with x x* = delta, on div_delta
         self.phi_atoms = phi_atoms  # phi_atoms[m][a] = phi^m(atom a), m < e
         self.order = order          # e with phi^e = identity
@@ -169,6 +174,19 @@ class GarsideStructure(Record):
         # by None once delta no longer left divides
         self._quotients = {}
         self._translations = tuple(str.maketrans(t) for t in phi_atoms)
+
+    @property
+    def simples(self) -> ElementSet:
+        """The Div(delta)-simple elements; may raise
+        ``ResourceLimitExceeded`` on the first read."""
+        got = self._simples
+        if got is None:
+            got = self._simples = enumerate_simples(self.ctx, self.div_delta)
+        return got
+
+    @simples.setter
+    def simples(self, value):
+        self._simples = value
 
     def delta_power(self, k: int) -> Element:
         if k < 0:
@@ -207,15 +225,16 @@ def _check_preserves_relations(ctx: MonoidContext, letter_map: dict):
 
 
 def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
-    """Prove delta a Garside element, compute the star map, phi and its
-    order, and the simple elements.  The proof is the germ's where
-    Div(delta) passes the tables' gate and its germ conditions
-    (``_proved_tables``): the simples are then Div(delta) itself, and no
-    mcm is searched on the kernel.  Elsewhere it is ``is_garside``, the
-    simples are enumerated on the kernel, and the arithmetic is the
+    """Prove delta a Garside element and compute the star map, phi and
+    its order.  The proof is the germ's where Div(delta) passes the
+    tables' gate and its germ conditions (``_proved_tables``): the
+    simples are then Div(delta) itself, and no mcm is searched on the
+    kernel.  Elsewhere it is ``is_garside``, and the arithmetic is the
     kernel's ``FractionKernel``: ``is_garside`` rests on the mcm
     search's clean-level certificate, which is not a proof, so no
-    tables are built on it.  Raises ValueError unless delta is a
+    tables are built on it.  No simple is enumerated here: the
+    structure reads them on first use (``GarsideStructure.simples``),
+    and the fold reads none.  Raises ValueError unless delta is a
     Garside element and phi is an automorphism with x delta = delta
     phi(x) for every x; then delta^e is central.  The proof of phi uses
     the atoms and the relations only, so no ball beyond the atoms is
@@ -228,13 +247,10 @@ def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
         return got
     div = divisors(ctx, delta)
     tables = _proved_tables(ctx, delta, div)
-    if tables is not None:
-        simples = ctx.caches["simples"][div.members]
-    else:
+    if tables is None:
         rep = is_garside(ctx, delta)
         if not rep.passed:
             raise ValueError(f"not a Garside element: {rep.summary()}")
-        simples = enumerate_simples(ctx, div)
 
     star = {}
     for x in div:
@@ -266,7 +282,7 @@ def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
     rows = [{c: c for c in base}]
     while (row := {c: base[t] for c, t in rows[-1].items()}) != rows[0]:
         rows.append(row)
-    gs = GarsideStructure(ctx, delta, div, simples, star, tuple(rows),
+    gs = GarsideStructure(ctx, delta, div, None, star, tuple(rows),
                           len(rows))
 
     # star^2 must agree with the letterwise map on every divisor
@@ -539,7 +555,14 @@ def garside_tables(ctx: MonoidContext, div: ElementSet):
     bitmasks, so each pair is one dict lookup per side.  Past the gate
     every slide is built from the left gcds and the left quotients.
     The gate proves nothing about delta; the germ conditions of
-    ``_proved_tables``, its only caller, do."""
+    ``_proved_tables``, its only caller, do.
+
+    The divisor sets come from products, with no divisibility test:
+    the left ones from the products p a (``_left_sets``), and the right
+    set of b from those of the c^-1 b, c an atom.  The right sets are
+    exact where Div(delta) is closed under right divisors, as it is
+    where its left divisors are its right ones, which
+    ``_proved_tables`` checks first."""
     elements = sorted(div.members)
     n = len(elements)
     ids = {e.canon: i for i, e in enumerate(elements)}
@@ -547,10 +570,11 @@ def garside_tables(ctx: MonoidContext, div: ElementSet):
              for c in ctx.presentation.chars}
     if None in atoms.values():
         return None
+    atom_list = sorted(ctx.ball_level(1))
     # quotients[c][b]: the id of c^-1 b for an atom c, else -1; the
     # extra last entry is -1 too, so that a row read at -1 gives -1
     quotients = {}
-    for a in sorted(ctx.ball_level(1)):
+    for a in atom_list:
         row = [-1] * (n + 1)
         for y, e in enumerate(elements):
             b = ids.get(ctx.mul(a, e).canon)
@@ -566,8 +590,7 @@ def garside_tables(ctx: MonoidContext, div: ElementSet):
             if row[b] >= 0:
                 mask |= right[row[b]]
         right[b] = mask
-    left = [sum(1 << ids[d.canon] for d in divisors_in(ctx, div, e))
-            for e in elements]
+    left = _left_sets(ctx, elements, ids, atom_list)
     # each set holds its element, so no two elements share one
     left_of = {m: i for i, m in enumerate(left)}
     right_of = {m: i for i, m in enumerate(right)}
@@ -604,6 +627,23 @@ def garside_tables(ctx: MonoidContext, div: ElementSet):
                 q = below[m]
                 slides[i * n + j] = (dual_inv[q[d]], q[j])
     return GarsideTables(ctx, elements, dual, slides, atoms)
+
+
+def _left_sets(ctx: MonoidContext, elements, ids, atoms) -> list:
+    """The left divisor sets within Div(delta) of its elements, shortlex
+    sorted, as bitmasks of their ids: |Div(delta)| times |atoms|
+    products and no divisibility test.  A proper left divisor of b
+    divides some p with p a = b, a an atom, so the set of b is b joined
+    with the sets of those p, each complete before b in shortlex order.
+    That is exact because Div(delta) is closed under left divisors, so
+    every such p lies in it."""
+    left = [1 << b for b in range(len(elements))]
+    for p, e in enumerate(elements):
+        for a in atoms:
+            b = ids.get(ctx.mul(e, a).canon)
+            if b is not None:
+                left[b] |= left[p]
+    return left
 
 
 def _proved_tables(ctx: MonoidContext, delta: Element, div: ElementSet):

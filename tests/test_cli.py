@@ -31,6 +31,14 @@ def test_analyze_matches_golden(capsys):
         (DATA / "analyze_m1.json").read_text())
 
 
+@pytest.mark.parametrize("name", ["M2", "M3"])
+def test_analyze_matches_golden_on_thin_fixtures(capsys, name):
+    # their simples strictly contain Div(delta), read after the proof
+    code, out, err = run(capsys, ["analyze", "--fixture", name, "--json"])
+    assert code == 0
+    assert out == (DATA / f"analyze_{name.lower()}.json").read_text()
+
+
 def test_analyze_matches_golden_where_cancellation_fails(tmp_path, capsys):
     path = tmp_path / "ab_aa.txt"
     path.write_text("gens: a b\nrels: ab = aa\n")

@@ -36,7 +36,8 @@ from garside.cli import main
 from garside.delta import (FractionKernel, GarsideTables, _strip,
                            choose_arithmetic, garside_tables)
 from garside.presentation import serialize_presentation
-from garside.structure import SpanKernel, enumerate_simples, span_arithmetic
+from garside.structure import (SpanKernel, divisors_in, enumerate_simples,
+                               span_arithmetic)
 from oracles import _step, public, step
 from test_burau import image, symbols
 from test_cli import run_python
@@ -589,6 +590,100 @@ def test_build_structure_proves_delta_on_its_germ(presentation, delta,
         other, divisors(other, other.element(delta)))
     # the germ's simples are those of the span for every later caller
     assert enumerate_simples(ctx, gs.div_delta) is gs.simples
+    assert gs.simples.members == gs.div_delta.members
+
+
+THIN = [("M1", "aa"), ("M1", "ab"), ("M2", "aa"), ("M2", "ab"),
+        ("M2", "ac"), ("M3", "ac")]
+
+
+@pytest.mark.parametrize("name,delta", THIN,
+                         ids=[f"{n}-{d}" for n, d in THIN])
+def test_build_structure_enumerates_no_simple(name, delta, monkeypatch):
+    # the thin spans are proved on the kernel, and their simples strictly
+    # contain Div(delta): none is enumerated until the structure is read
+    def unasked(*args, **kwargs):
+        raise AssertionError("the simples were enumerated")
+
+    for layer in (delta_layer, structure_layer):
+        monkeypatch.setattr(layer, "enumerate_simples", unasked)
+    ctx = MonoidContext(fixture(name))
+    gs = build_structure(ctx, ctx.element(delta))
+    assert isinstance(gs.arithmetic, FractionKernel)
+    # nor by the word problem: the fold reads no simple
+    a, b = ctx.element("a"), ctx.element("b")
+    assert (group_equal(ctx, gs, [(a, 1), (b, 1), (a, -1)], [(b, 1)])
+            == (ctx.mul(a, b) == ctx.mul(b, a)))
+    for lhs, rhs in ctx.presentation.relations:
+        word = ([(ctx.canonical(c), 1) for c in lhs]
+                + [(ctx.canonical(c), -1) for c in reversed(rhs)])
+        assert group_equal(ctx, gs, word, [])
+    assert "simples" not in ctx.caches
+    monkeypatch.undo()
+    # the first read is the span's memo, and the simples of a context
+    # that built no structure
+    other = MonoidContext(fixture(name))
+    want = enumerate_simples(other, divisors(other, other.element(delta)))
+    assert gs.simples == want
+    assert gs.simples is ctx.caches["simples"][gs.div_delta.members]
+    assert gs.simples is enumerate_simples(ctx, gs.div_delta)
+    assert gs.simples.members > gs.div_delta.members
+
+
+def test_simples_are_kept_as_given():
+    ctx = MonoidContext(fixture("M3"))
+    gs = build_structure(ctx, ctx.element("ac"))
+    given = ElementSet(frozenset([ctx.one]), "given")
+    object.__setattr__(gs, "simples", given)
+    assert gs.simples is given
+    assert "simples" not in ctx.caches
+    gs.simples = None
+    assert len(gs.simples) == 7 and "simples" in ctx.caches
+
+
+def left_set_masks(ctx, elements, ids):
+    """The left divisor sets within the set, as bitmasks of ids, by one
+    ``divides`` per pair."""
+    div = ElementSet(frozenset(elements), "set")
+    return [sum(1 << ids[d.canon] for d in divisors_in(ctx, div, e))
+            for e in elements]
+
+
+@pytest.mark.parametrize("presentation,delta", GERMS + (
+    (parse_presentation(B5_FILE.read_text()), B5_DELTA),),
+    ids=[p.name for p, _ in GERMS] + ["B5"])
+def test_the_left_sets_from_products_are_the_divisor_sets(presentation,
+                                                          delta):
+    ctx = MonoidContext(presentation)
+    elements = sorted(divisors(ctx, ctx.element(delta)))
+    ids = {e.canon: i for i, e in enumerate(elements)}
+    got = delta_layer._left_sets(ctx, elements, ids,
+                                 sorted(ctx.ball_level(1)))
+    assert got == left_set_masks(MonoidContext(presentation), elements, ids)
+
+
+def test_the_left_sets_the_gate_reaches_on_random_presentations(
+        monkeypatch):
+    # every Div(Delta) of norm <= 4 in the seeded presentations whose
+    # gate gets as far as the left sets
+    reached = []
+
+    def recorded(ctx, elements, ids, atoms):
+        got = left_sets(ctx, elements, ids, atoms)
+        reached.append((ctx.presentation, elements, ids, got))
+        return got
+
+    left_sets = delta_layer._left_sets
+    monkeypatch.setattr(delta_layer, "_left_sets", recorded)
+    for seed in range(60):
+        presentation = oracles.random_presentation(seed)
+        for d in sorted(MonoidContext(presentation).enumerate_ball(4)):
+            ctx = MonoidContext(presentation)
+            garside_tables(ctx, divisors(ctx, ctx.element(d.canon)))
+    assert len(reached) > 60
+    for presentation, elements, ids, got in reached:
+        ref = MonoidContext(presentation)
+        assert got == left_set_masks(ref, elements, ids), elements
 
 
 # past the gate, each presentation fails one germ condition: ab right
