@@ -24,9 +24,9 @@ import io
 
 from .congruence import MonoidContext, ResourceLimitExceeded
 from .reports import Record, VerificationReport
-from .structure import _coerce_set
+from .structure import _coerce_set, _no_path, span_arithmetic
 from .normal import NormalSequence, left_mult_update, normalize_all
-from .delta import GarsideStructure, _no_path
+from .delta import GarsideStructure
 
 __all__ = [
     "DELTA_INV",
@@ -141,7 +141,7 @@ def build_automaton(ctx: MonoidContext, gs: GarsideStructure) -> NormalFormAutom
     plain = tuple(s for s in sorted(gs.simples) if s.norm and s != delta)
     letters = plain + (delta, DELTA_INV)
     states = (INITIAL,) + letters + (FAIL,)
-    covers = gs.arithmetic.covers
+    covers = span_arithmetic(ctx, gs.div_delta).covers
     table = {}
     for l in letters:
         table[(INITIAL, l)] = l
@@ -500,6 +500,7 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
     multi_pairs = 0
     arith = gs.arithmetic
     one = (0, arith.one)
+    slide = span_arithmetic(ctx, gs.div_delta).slid
     # per x.canon, the normal forms of x in order and their prefix-key
     # chains from the identity: y * x and delta \ x recur across the ball
     forms_memo = {}
@@ -589,7 +590,7 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
                     # the targets are every normal form of y * x: a slid
                     # form among them passes left_mult_update's checks,
                     # and its distance was measured above
-                    slid = arith.slid(y, p.factors)
+                    slid = slide(y, p.factors)
                     d = next((dq for q, dq in zip(targets, dists)
                               if q.factors == slid), None)
                     if d is None:

@@ -13,12 +13,12 @@ resource cap is hit.
 
 Each subcommand imports the layers it runs (``structure``, ``normal``,
 ``delta``, ``automaton``) when it runs, so a process pays to load only
-those: ``graph`` stops at ``structure``, ``normalize``,
-``all-normal-forms`` and ``prove`` at ``normal``, ``word-problem`` at
-``delta``.  With --delta, ``normalize`` and ``all-normal-forms`` load
-``delta`` too, which chooses the span's arithmetic: on the Garside
-tables the raw word is never reduced, and the element printed is the
-least word read off its normal form.
+those: ``graph`` stops at ``structure``; ``normalize`` and
+``all-normal-forms``, with or without --delta, and ``prove`` at
+``normal``; ``word-problem`` at ``delta``.  Where the span's arithmetic is the
+Garside tables (``structure.span_arithmetic``), the raw word is never
+reduced, and the element printed is the least word read off its
+normal form.
 """
 
 from __future__ import annotations
@@ -237,17 +237,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_normal_forms(args) -> int:
-    """``normalize`` and ``all-normal-forms`` of a raw word.  A --delta
-    span has its arithmetic chosen once the word is read, and that
+    """``normalize`` and ``all-normal-forms`` of a raw word.  The span's
     arithmetic reads the element shown, the least word of its class."""
     from .normal import normalize, normalize_all
     from .structure import span_arithmetic
     ctx = _context(args)
     S = _resolve_span(ctx, args)
     word = ctx.presentation.encode_word(args.element)
-    if args.delta and not args.span:
-        from .delta import choose_arithmetic
-        choose_arithmetic(ctx, ctx.element(args.delta))
     payload = {"element": ctx.show(span_arithmetic(ctx, S).least_word(word)),
                "span": S.label}
     if args.command == "normalize":

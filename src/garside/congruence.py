@@ -86,13 +86,14 @@ class MonoidContext:
     (``"successors"``), and for ``cayley_distance`` the pair distances
     (``("cayley", delta)``) and the Cayley graph of interned fraction
     keys (``"cayley_graph"``).  Each span has one arithmetic object
-    (``"arithmetic"``): the Garside tables where Div(delta) passes
-    their gate and its germ proves delta Garside, which number the
+    (``"arithmetic"``), written only by ``structure.span_arithmetic``
+    on the span's first use: the Garside tables where the span is
+    Div(delta) and its germ proves delta Garside, which number the
     simples, hold every slide and the word lengths per pair of keys,
     and reduce no word; else the kernel, which memoises the simples
-    grouped by divisor set for greedy heads, the normal forms of each
-    element, and for fraction keys per letter the (m, phi^t(c)) of
-    g^-1 = c delta^-m.  Canonical and left-complement
+    grouped by divisor set for greedy heads and the normal forms of
+    each element (a structure on it keeps, per letter, the
+    (m, phi^t(c)) of g^-1 = c delta^-m).  Canonical and left-complement
     entries count against ``max_cached_words``, ball levels against
     ``max_ball_elements``; the shared rewriting systems, the Cayley
     caches and the arithmetic objects (|Div(delta)|^2 table entries)

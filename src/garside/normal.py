@@ -119,10 +119,11 @@ def left_mult_update(ctx: MonoidContext, S, y, seq) -> NormalSequence:
         factors = tuple(ctx.canonical(f) for f in seq)
     if not y.norm:
         return NormalSequence(factors, S.label)
+    # the arithmetic first: choosing the tables registers the simples
+    arith = span_arithmetic(ctx, S)
     simples = enumerate_simples(ctx, S).members
     if y not in simples:
         raise ValueError(f"{ctx.show(y)} is not simple over the given set")
-    arith = span_arithmetic(ctx, S)
     if not _normal(arith, simples, factors):
         raise ValueError("input sequence is not normal over the given set")
     result = arith.slid(y, factors)

@@ -30,6 +30,11 @@ public key (k, x), x the product of the ``factors`` of the form
 (``public``).  ``chain_distance`` is ``synchronous_distance`` with the
 first chain translated by a key: the prefix-key chains folded by
 ``automaton._chain`` and measured by ``automaton._chain_distance``.
+
+``kernel_span`` registers a ``SpanKernel`` for a span by hand, where
+``structure.span_arithmetic`` would choose the Garside tables, so that
+the kernel stays the reference of the tables' normal forms, covering
+and slides.
 """
 
 import random
@@ -40,7 +45,7 @@ from garside import (DELTA_INV, Element, GarsideStructure, NormalSequence,
                      build_automaton, left_mult_update, normalize_all,
                      parse_presentation, synchronous_distance)
 from garside.automaton import _chain, _chain_distance
-from garside.structure import _coerce_set
+from garside.structure import SpanKernel, _coerce_set
 
 LENGTH_ONE = Presentation(["s1", "s2", "s3"],
                           [("s1s2s1", "s2s1s2"), ("s3", "s1")])
@@ -53,6 +58,14 @@ B4 = parse_presentation("gens: s1 s2 s3\n"
                         name="B4")
 CYCLIC = parse_presentation("gens: a b c\nrels: abc = bca = cab",
                             name="cyclic")
+
+
+def kernel_span(ctx, S):
+    """The span S, with a ``SpanKernel`` registered for it on ctx as
+    its arithmetic: its normal forms and covering are the kernel's."""
+    S = _coerce_set(ctx, S)
+    ctx.caches["arithmetic"][S.members] = SpanKernel(ctx, S)
+    return S
 
 
 def random_presentation(seed) -> Presentation:

@@ -9,8 +9,8 @@ from garside import (DELTA_INV, MonoidContext, NormalSequence,
                      build_structure, fixture, ftp_probe, growth, is_normal,
                      normalize_all, primitive_closure, synchronous_distance)
 from garside.automaton import cayley_distance, charpoly
-from garside.delta import GarsideTables, _strip
-from garside.structure import SpanKernel
+from garside.delta import _strip
+from garside.structure import GarsideTables, SpanKernel
 import garside.automaton as automaton
 from garside.cli import _delta_summary
 

@@ -357,6 +357,8 @@ def test_importing_the_cli_loads_no_layer_and_no_dataclasses():
 @pytest.mark.parametrize("argv,layers", [
     (["graph", "--fixture", "M1"], {"structure"}),
     (["normalize", "--fixture", "M1", "aaa"], {"structure", "normal"}),
+    (["normalize", "--fixture", "B3", "--delta", "s1s2s1", "s1s2s2"],
+     {"structure", "normal"}),
     (["word-problem", "--fixture", "M1", "a b'", "b' a"],
      {"structure", "normal", "delta"})])
 def test_a_command_loads_only_its_own_layers(argv, layers):

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from garside import (MonoidContext, build_structure, delta, fixture,
                      fraction_of_signed, group_equal)
-from garside.delta import FractionKernel, GarsideTables, _checked, _reduced
+from garside.delta import FractionKernel, _checked, _reduced
+from garside.structure import GarsideTables
 from oracles import public, step
 
 # fixture -> its minimal Garside element

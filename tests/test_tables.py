@@ -1,11 +1,12 @@
 """Garside tables against the kernel path.
 
-Where Div(delta) is a lattice and its germ proves delta Garside,
-``build_structure`` attaches tables on the simples, and fraction keys,
-normal forms, covering and the automaton are read off them.  Here every such answer is compared with
-the kernel path: fraction keys folded by ``oracles._step`` and
-``_strip`` letter by letter, and normal forms and covering on a
-context of its own that never built a structure, so that it has no
+Where Div(delta) is a lattice and its germ proves delta Garside, the
+span's arithmetic is tables on the simples, and fraction keys, normal
+forms, covering and the automaton are read off them.  Here every such
+answer is compared with the kernel path: fraction keys folded by
+``oracles._step`` and ``_strip`` letter by letter, and normal forms and
+covering on a context of its own whose span has a ``SpanKernel``
+registered by hand (``oracles.kernel_span``), so that it has no
 tables.  The fold that defers phi is checked against the same steps
 where phi is not the identity, on the kernel and on the tables.  Long
 words are checked against oracles that share no code with the package:
@@ -28,17 +29,18 @@ from garside import (DELTA_INV, ElementSet, MonoidContext,
                      VerificationReport,
                      build_automaton, build_structure, combine, covers,
                      divisors, fixture, fraction_of_signed, group_equal,
-                     is_garside, is_normal, normalize, normalize_all,
-                     parse_presentation, synchronous_distance, to_fraction)
+                     is_garside, is_normal, left_mult_update, normalize,
+                     normalize_all, parse_presentation, synchronous_distance,
+                     to_fraction)
 from garside.automaton import _cayley_graph, cayley_distance
 from garside import delta as delta_layer, structure as structure_layer
 from garside.cli import main
-from garside.delta import (FractionKernel, GarsideTables, _strip,
-                           choose_arithmetic, garside_tables)
+from garside.delta import FractionKernel, _strip
 from garside.presentation import serialize_presentation
-from garside.structure import (SpanKernel, divisors_in, enumerate_simples,
+from garside.structure import (GarsideTables, SpanKernel, divisors_in,
+                               enumerate_simples, garside_tables,
                                span_arithmetic)
-from oracles import _step, public, step
+from oracles import _step, kernel_span, public, step
 from test_burau import image, symbols
 from test_cli import run_python
 
@@ -279,10 +281,8 @@ def test_table_keys_equal_kernel_keys(presentation, delta, _, reach):
 def test_normal_forms_and_covering_equal_the_kernel_path(
         presentation, delta, max_norm, _):
     ctx, gs = structure(presentation, delta)
-    # a context that never built a structure has no tables
     ref = MonoidContext(presentation)
-    ref_div = divisors(ref, ref.element(delta))
-    assert ref.caches["arithmetic"] == {}
+    ref_div = kernel_span(ref, divisors(ref, ref.element(delta)))
 
     def words(seq):
         return [f.canon for f in seq.factors]
@@ -325,8 +325,7 @@ def test_normality_on_the_tables_equals_the_kernel(presentation, delta, _,
     ctx, gs = structure(presentation, delta)
     assert isinstance(gs.arithmetic, GarsideTables)
     ref = MonoidContext(presentation)
-    ref_div = divisors(ref, ref.element(delta))
-    assert ref.caches["arithmetic"] == {}
+    ref_div = kernel_span(ref, divisors(ref, ref.element(delta)))
     others = sorted(x for x in ctx.ball_level(2)
                     if x not in gs.simples.members)[:2]
     assert len(others) == 2
@@ -352,8 +351,7 @@ def test_the_slides_built_at_the_gate_equal_the_kernel(
     ctx, gs = structure(presentation, delta)
     tables = gs.arithmetic
     ref = MonoidContext(presentation)
-    ref_div = divisors(ref, ref.element(delta))
-    assert ref.caches["arithmetic"] == {}
+    ref_div = kernel_span(ref, divisors(ref, ref.element(delta)))
     simple = [ref.canonical(s.canon) for s in tables.elements]
     n = len(simple)
     compared = 0
@@ -388,7 +386,8 @@ form = normalize(ctx, gs.div_delta, w)
 assert w not in ctx._canon
 assert sum(f.norm for f in form.factors) == 256
 ref = MonoidContext(oracles.B4)
-ref_div = divisors(ref, ref.element("s1s2s1s3s2s1"))
+ref_div = oracles.kernel_span(ref, divisors(ref,
+                                           ref.element("s1s2s1s3s2s1")))
 pairs = list(zip(form.factors, form.factors[1:]))
 assert pairs and all(covers(ref, ref_div, ref.canonical(x.canon),
                             ref.canonical(y.canon)) for x, y in pairs)
@@ -455,7 +454,7 @@ def test_span_inputs_are_checked_with_and_without_tables(tables):
     ctx = MonoidContext(fixture("B3"))
     delta = ctx.element("s1s2s1")
     span = (build_structure(ctx, delta).div_delta if tables
-            else divisors(ctx, delta))
+            else kernel_span(ctx, divisors(ctx, delta)))
     assert isinstance(span_arithmetic(ctx, span), GarsideTables) == tables
     for f in (normalize, normalize_all):
         with pytest.raises(PresentationError):
@@ -507,7 +506,7 @@ def test_covering_of_elements_that_are_not_simple_equals_the_kernel():
     for name, delta in (("B3", "s1s2s1"), ("free_comm(3)", "abc")):
         ctx, gs = structure(fixture(name), delta)
         ref = MonoidContext(fixture(name))
-        ref_div = divisors(ref, ref.element(delta))
+        ref_div = kernel_span(ref, divisors(ref, ref.element(delta)))
         ball = sorted(ctx.enumerate_ball(3))
         for x, y in itertools.product(ball, repeat=2):
             rx, ry = ref.canonical(x.canon), ref.canonical(y.canon)
@@ -525,18 +524,22 @@ def test_the_proof_of_delta_is_asked_for_only_past_the_gate(monkeypatch):
     # M3 with delta = ac fails the gate: the kernel, with no proof asked
     monkeypatch.setattr(delta_layer, "is_garside", unasked)
     ctx = MonoidContext(fixture("M3"))
-    got = choose_arithmetic(ctx, ctx.element("ac"))
+    got = span_arithmetic(ctx, divisors(ctx, ctx.element("ac")))
     assert got.__class__ is SpanKernel
     assert span_arithmetic(ctx, divisors(ctx, ctx.element("ac"))) is got
     # B3 passes the gate, and where both proofs fail, the germ's and
-    # is_garside, the kernel is kept
+    # is_garside, the kernel is kept and no structure is built
     monkeypatch.setattr(delta_layer, "is_garside", failed)
-    monkeypatch.setattr(delta_layer, "_proved_tables", no_germ)
+    monkeypatch.setattr(structure_layer, "_proved_tables", no_germ)
     ctx = MonoidContext(fixture("B3"))
-    assert choose_arithmetic(ctx, ctx.element("s1s2s1")).__class__ is SpanKernel
+    div = divisors(ctx, ctx.element("s1s2s1"))
+    assert span_arithmetic(ctx, div).__class__ is SpanKernel
+    with pytest.raises(ValueError, match="not a Garside element"):
+        build_structure(ctx, ctx.element("s1s2s1"))
     monkeypatch.undo()
-    assert isinstance(choose_arithmetic(ctx, ctx.element("s1s2s1")),
-                      GarsideTables)
+    other = MonoidContext(fixture("B3"))
+    assert isinstance(span_arithmetic(other, divisors(
+        other, other.element("s1s2s1"))), GarsideTables)
 
 
 # -- delta proved on its germ -----------------------------------------
@@ -549,7 +552,7 @@ GERMS = (
 )
 
 
-def no_germ(ctx, delta, div):
+def no_germ(ctx, div):
     return None
 
 
@@ -573,7 +576,7 @@ def test_build_structure_proves_delta_on_its_germ(presentation, delta,
     # the structure the kernel proves, with the germ check set aside,
     # and the tables of its span
     monkeypatch.undo()
-    monkeypatch.setattr(delta_layer, "_proved_tables", no_germ)
+    monkeypatch.setattr(structure_layer, "_proved_tables", no_germ)
     ref = MonoidContext(presentation)
     kernel = build_structure(ref, ref.element(delta))
     for field in ("delta", "div_delta", "simples", "star", "phi_atoms",
@@ -630,6 +633,18 @@ def test_build_structure_enumerates_no_simple(name, delta, monkeypatch):
     assert gs.simples.members > gs.div_delta.members
 
 
+def test_repr_and_equality_enumerate_no_simple(monkeypatch):
+    def unasked(*args, **kwargs):
+        raise AssertionError("the simples were enumerated")
+
+    for layer in (delta_layer, structure_layer):
+        monkeypatch.setattr(layer, "enumerate_simples", unasked)
+    ctx = MonoidContext(fixture("M3"))
+    gs = build_structure(ctx, ctx.element("ac"))
+    assert "_simples=None" in repr(gs)
+    assert gs == gs
+
+
 def test_simples_are_kept_as_given():
     ctx = MonoidContext(fixture("M3"))
     gs = build_structure(ctx, ctx.element("ac"))
@@ -657,7 +672,7 @@ def test_the_left_sets_from_products_are_the_divisor_sets(presentation,
     ctx = MonoidContext(presentation)
     elements = sorted(divisors(ctx, ctx.element(delta)))
     ids = {e.canon: i for i, e in enumerate(elements)}
-    got = delta_layer._left_sets(ctx, elements, ids,
+    got = structure_layer._left_sets(ctx, elements, ids,
                                  sorted(ctx.ball_level(1)))
     assert got == left_set_masks(MonoidContext(presentation), elements, ids)
 
@@ -673,8 +688,8 @@ def test_the_left_sets_the_gate_reaches_on_random_presentations(
         reached.append((ctx.presentation, elements, ids, got))
         return got
 
-    left_sets = delta_layer._left_sets
-    monkeypatch.setattr(delta_layer, "_left_sets", recorded)
+    left_sets = structure_layer._left_sets
+    monkeypatch.setattr(structure_layer, "_left_sets", recorded)
     for seed in range(60):
         presentation = oracles.random_presentation(seed)
         for d in sorted(MonoidContext(presentation).enumerate_ball(4)):
@@ -718,11 +733,11 @@ def test_the_germ_proves_nothing_where_a_condition_fails(presentation, delta,
     d = ctx.element(delta)
     div = divisors(ctx, d)
     assert garside_tables(ctx, div) is not None
-    assert delta_layer._proved_tables(ctx, d, div) is None
+    assert structure_layer._proved_tables(ctx, div) is None
     assert "simples" not in ctx.caches
     assert is_garside(ctx, d).passed == garside
     other = MonoidContext(presentation)
-    got = choose_arithmetic(other, other.element(delta))
+    got = span_arithmetic(other, divisors(other, other.element(delta)))
     assert got.__class__ is SpanKernel
     if not garside:
         with pytest.raises(ValueError, match="not a Garside element"):
@@ -750,13 +765,16 @@ def test_powers_of_four_are_equal_where_ab_is_no_garside_element(capsys,
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("pick", ["build_structure", "choose_arithmetic"])
+@pytest.mark.parametrize("pick", ["build_structure", "span_arithmetic"])
 def test_random_51_normalises_as_its_kernel(pick):
     assert RANDOM_51.relations == oracles.random_presentation(51).relations
     ctx = MonoidContext(RANDOM_51)
     d = ctx.element("aa")
     div = divisors(ctx, d)
-    getattr(delta_layer, pick)(ctx, d)
+    if pick == "build_structure":
+        build_structure(ctx, d)
+    else:
+        span_arithmetic(ctx, div)
     ref = MonoidContext(RANDOM_51)
     ref_div = divisors(ref, ref.element("aa"))
     want = normalize(ref, ref_div, "aba")
@@ -769,7 +787,7 @@ def test_random_51_normalises_as_its_kernel(pick):
 def test_the_tables_answer_as_the_kernel_on_random_presentations():
     # every Delta of norm <= 4 that build_structure puts on tables, in
     # the seeded presentations: each raw word of length <= 5 has the
-    # normal form of a context that never chose an arithmetic.  Tables
+    # normal form of a context whose span keeps the kernel.  Tables
     # need the gate, so the others are not built
     structures = 0
     for seed in range(60):
@@ -789,7 +807,7 @@ def test_the_tables_answer_as_the_kernel_on_random_presentations():
                 continue
             structures += 1
             ref = MonoidContext(presentation)
-            ref_div = divisors(ref, ref.element(d.canon))
+            ref_div = kernel_span(ref, divisors(ref, ref.element(d.canon)))
             for w in words:
                 assert (normalize(ctx, div, w)
                         == normalize(ref, ref_div, w)), (seed, d, w)
@@ -814,7 +832,7 @@ def test_a_germ_proof_is_a_garside_proof(presentation, norm, kind):
     germ, kernel = set(), set()
     for n in range(norm + 1):
         for d in ctx.ball_level(n):
-            if delta_layer._proved_tables(ctx, d, divisors(ctx, d)):
+            if structure_layer._proved_tables(ctx, divisors(ctx, d)):
                 germ.add(d.canon)
             if is_garside(ref, d.canon).passed:
                 kernel.add(d.canon)
@@ -825,36 +843,90 @@ def test_a_germ_proof_is_a_garside_proof(presentation, norm, kind):
         assert not germ and kernel
 
 
+LATTICES = ("B3", "free_comm(3)", "B4")
+
+
 @pytest.mark.parametrize("name,delta", [
     ("M1", "aa"), ("M1", "ab"), ("M2", "aa"), ("M2", "ab"), ("M2", "ac"),
-    ("M3", "ac"), ("B3", "s1s2s1")])
+    ("M3", "ac"), ("B3", "s1s2s1"), ("free_comm(3)", "abc"),
+    ("B4", "s1s2s1s3s2s1")])
 def test_normal_forms_stay_when_the_span_gets_its_arithmetic(name, delta):
-    # before build_structure a SpanKernel made by span_arithmetic
-    # answers, with its memos on itself; after, the object that
-    # choose_arithmetic registered answers from memos of its own
-    ctx = MonoidContext(fixture(name))
+    # the arithmetic span_arithmetic chose before build_structure
+    # answers after it too, with the same memos: normal forms, covering
+    # and normality do not depend on the order of the calls
+    ctx = MonoidContext(oracles.B4 if name == "B4" else fixture(name))
     d = ctx.element(delta)
     div = divisors(ctx, d)
     ball = sorted(ctx.enumerate_ball(6))
+    pairs = list(itertools.product(sorted(ctx.enumerate_ball(2)), repeat=2))
 
     def forms():
-        return [(normalize(ctx, div, x), normalize_all(ctx, div, x))
-                for x in ball]
+        return ([(normalize(ctx, div, x), normalize_all(ctx, div, x))
+                 for x in ball]
+                + [(covers(ctx, div, x, y), is_normal(ctx, div, (x, y)))
+                   for x, y in pairs])
 
     before = span_arithmetic(ctx, div)
-    assert before.__class__ is SpanKernel
+    assert isinstance(before, GarsideTables) == (name in LATTICES)
     expected = forms()
     gs = build_structure(ctx, d)
-    assert span_arithmetic(ctx, div) is gs.arithmetic
-    assert gs.arithmetic is not before
+    assert span_arithmetic(ctx, div) is before
+    assert (gs.arithmetic is before) == (name in LATTICES)
     assert forms() == expected
+
+
+@pytest.mark.parametrize("presentation,delta,tables", [
+    (fixture("B3"), "s1s2s1", True), (fixture("free_comm(3)"), "abc", True),
+    (oracles.B4, "s1s2s1s3s2s1", True),
+    (parse_presentation(B5_FILE.read_text()), B5_DELTA, True),
+    (fixture("M1"), "aa", False), (fixture("M1"), "ab", False),
+    (fixture("M2"), "aa", False), (fixture("M2"), "ab", False),
+    (fixture("M2"), "ac", False), (fixture("M3"), "ac", False),
+    (RANDOM_51, "aa", False), (FOUR_POWERS, "ab", False)],
+    ids=["B3", "free_comm(3)", "B4", "B5", "M1-aa", "M1-ab", "M2-aa",
+         "M2-ab", "M2-ac", "M3-ac", "random51", "four-powers"])
+def test_a_span_gets_one_arithmetic_on_a_fresh_context(presentation, delta,
+                                                      tables):
+    ctx = MonoidContext(presentation)
+    d = ctx.element(delta)
+    div = divisors(ctx, d)
+    got = span_arithmetic(ctx, div)
+    assert got.__class__ is (GarsideTables if tables else SpanKernel)
+    gs = build_structure(ctx, d)
+    assert span_arithmetic(ctx, div) is got
+    if tables:
+        assert gs.arithmetic is got
+    else:
+        # the structure's fraction keys take their forms from the span
+        assert gs.arithmetic.factors == got.normal_form
+
+
+def test_cold_left_mult_update_and_is_normal_enumerate_no_simple(
+        monkeypatch):
+    # on B4 the span gets its tables, and their simples, before any
+    # simple is asked for
+    def unasked(*args, **kwargs):
+        raise AssertionError("a simple was enumerated on the kernel")
+
+    monkeypatch.setattr(structure_layer, "_codim1_divisors", unasked)
+    for call in ("left_mult_update", "is_normal"):
+        ctx = MonoidContext(oracles.B4)
+        div = divisors(ctx, ctx.element("s1s2s1s3s2s1"))
+        s1, s2s1 = ctx.element("s1"), ctx.element("s2s1")
+        if call == "left_mult_update":
+            got = left_mult_update(ctx, div, s1, [s2s1])
+            assert [f.canon for f in got.factors] == [ctx.mul(s1, s2s1).canon]
+        else:
+            assert is_normal(ctx, div, [s2s1, s1])
+            assert not is_normal(ctx, div, [s1, s2s1])
+        assert isinstance(span_arithmetic(ctx, div), GarsideTables)
 
 
 # a dual that sends two ids to one: the orbit of its square never
 # returns to the identity, so building the twists would not end
 BAD_DUAL = """
 from garside import MonoidContext, fixture
-from garside.delta import GarsideTables
+from garside.structure import GarsideTables
 ctx = MonoidContext(fixture("B3"))
 try:
     GarsideTables(ctx, sorted(ctx.enumerate_ball(1)), [1, 1, 0], [None] * 9,
