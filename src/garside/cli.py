@@ -3,7 +3,9 @@
 Subcommands: analyze, normalize, all-normal-forms, word-problem,
 automaton, growth, graph, distance, prove.  Presentations come from
 --fixture (built-in names) or --file (gens:/rels: format); see the
-README for word syntaxes.
+README for word syntaxes.  No option is accepted that a run would not
+read: --delta excludes --span and --garside-norm, automaton's --json
+excludes --full, and prove --identity takes one word.
 
 Exit codes: 0 for completed runs (including runs whose mathematical
 checks report failures; those are findings, and runs whose reader
@@ -74,13 +76,19 @@ def _context(args) -> MonoidContext:
                          max_ball_elements=args.ball_cap)
 
 
+def _elements(ctx, text, delta_inv=None):
+    """The elements of a comma- or space-separated list of words; given
+    *delta_inv*, the tokens D', D^-1 and D-1 stand for it."""
+    return tuple(
+        delta_inv if delta_inv is not None and tok in ("D'", "D^-1", "D-1")
+        else ctx.element(tok) for tok in text.replace(",", " ").split())
+
+
 def _resolve_span(ctx, args):
     from .structure import ElementSet, divisors, primitive_closure
     if args.span:
-        members = {ctx.one}
-        for tok in args.span.replace(",", " ").split():
-            members.add(ctx.element(tok))
-        return ElementSet(frozenset(members), "span")
+        return ElementSet(frozenset({ctx.one, *_elements(ctx, args.span)}),
+                          "span")
     if args.delta:
         return divisors(ctx, ctx.element(args.delta))
     return primitive_closure(ctx)
@@ -101,17 +109,6 @@ def _resolve_structure(ctx, args):
 def _parse_signed(ctx, text):
     return tuple((ctx.canonical(ch), sign)
                  for ch, sign in ctx.presentation.encode_signed(text))
-
-
-def _parse_letter_word(ctx, text):
-    from .automaton import DELTA_INV
-    letters = []
-    for tok in text.replace(",", " ").split():
-        if tok in ("D'", "D^-1", "D-1"):
-            letters.append(DELTA_INV)
-        else:
-            letters.append(ctx.element(tok))
-    return tuple(letters)
 
 
 def _emit(args, payload, text):
@@ -228,6 +225,8 @@ def cmd_analyze(args) -> int:
             deltas.append(_delta_summary(ctx, d, DEFAULT_UNIFORM_RADIUS))
         except ResourceLimitExceeded as exc:
             report.notes.append(f"structure for {ctx.show(d)} capped: {exc}")
+        except ValueError as exc:
+            report.notes.append(f"structure for {ctx.show(d)} refused: {exc}")
     stages["garside_structures"] = deltas
 
     return _emit(args, report.to_json(), report.to_text())
@@ -335,11 +334,11 @@ def cmd_graph(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    from .automaton import synchronous_distance
+    from .automaton import DELTA_INV, synchronous_distance
     ctx = _context(args)
     gs = _resolve_structure(ctx, args)
-    u = _parse_letter_word(ctx, args.left)
-    v = _parse_letter_word(ctx, args.right)
+    u = _elements(ctx, args.left, DELTA_INV)
+    v = _elements(ctx, args.right, DELTA_INV)
     d = synchronous_distance(ctx, gs, u, v)
     return _emit(args, {"distance": d, "delta": ctx.show(gs.delta)}, str(d))
 
@@ -354,9 +353,8 @@ def cmd_prove(args) -> int:
     else:
         if args.right is None:
             raise ValueError("prove needs two words, or --identity")
-        u = tuple(ctx.element(t) for t in args.left.replace(",", " ").split())
-        v = tuple(ctx.element(t) for t in args.right.replace(",", " ").split())
-        deriv = grid_prove_equality(ctx, S, u, v)
+        deriv = grid_prove_equality(ctx, S, _elements(ctx, args.left),
+                                    _elements(ctx, args.right))
     text = (f"relations used: {deriv.relation_count}\n"
             f"steps: {len(deriv.steps)}")
     return _emit(args, deriv.to_json(ctx), text)
@@ -381,8 +379,13 @@ def build_parser() -> _Parser:
                               "free(n), free_comm(n))")
         src.add_argument("--file", help="presentation file")
         if "json" in options:
-            p.add_argument("--json", action="store_true",
-                           help="machine-readable output")
+            # --full shapes the DOT output that --json replaces
+            fmt = p.add_mutually_exclusive_group()
+            fmt.add_argument("--json", action="store_true",
+                             help="machine-readable output")
+            if "full" in options:
+                fmt.add_argument("--full", action="store_true",
+                                 help="include the failure state")
         if "bound" in options:
             p.add_argument("--bound", type=_nonnegative_int, default=None,
                            help="override search bound for mcm "
@@ -396,16 +399,20 @@ def build_parser() -> _Parser:
         p.add_argument("--ball-cap", type=_nonnegative_int,
                        default=DEFAULT_BALL_CAP, dest="ball_cap",
                        help="max enumerated elements")
+        # a given Garside element stands in for the search that
+        # --garside-norm budgets and for the span --span names
+        alt = p.add_mutually_exclusive_group() if "delta" in options else p
         if "garside-norm" in options:
-            p.add_argument("--garside-norm", type=_nonnegative_int,
-                           default=DEFAULT_GARSIDE_NORM, dest="garside_norm",
-                           help="norm budget for the Garside search")
+            alt.add_argument("--garside-norm", type=_nonnegative_int,
+                             default=DEFAULT_GARSIDE_NORM,
+                             dest="garside_norm",
+                             help="norm budget for the Garside search")
         if "delta" in options:
-            p.add_argument("--delta", help="Garside element (word)")
+            alt.add_argument("--delta", help="Garside element (word)")
         if "span" in options:
-            p.add_argument("--span", help="comma-separated spanning set; "
-                                          "defaults to the primitive "
-                                          "closure")
+            alt.add_argument("--span", help="comma-separated spanning set; "
+                                            "defaults to the primitive "
+                                            "closure")
 
     p = sub.add_parser("analyze", help="full pipeline report")
     common(p, "json", "bound", "radius", "garside-norm",
@@ -430,9 +437,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_word_problem)
 
     p = sub.add_parser("automaton", help="normal-form automaton (DOT/JSON)")
-    common(p, "json", "delta", "garside-norm")
-    p.add_argument("--full", action="store_true",
-                   help="include the failure state")
+    common(p, "json", "full", "delta", "garside-norm")
     p.set_defaults(func=cmd_automaton)
 
     p = sub.add_parser("growth", help="growth series (CSV/JSON)")
@@ -459,10 +464,11 @@ def build_parser() -> _Parser:
                             "signed identity word from nothing")
     common(p, "json", "delta", "span")
     p.add_argument("left")
-    p.add_argument("right", nargs="?")
-    p.add_argument("--identity", action="store_true",
-                   help="treat the single argument as a signed word "
-                        "representing 1")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("right", nargs="?")
+    one.add_argument("--identity", action="store_true",
+                     help="treat the single argument as a signed word "
+                          "representing 1")
     p.set_defaults(func=cmd_prove)
 
     return parser

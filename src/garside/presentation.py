@@ -92,11 +92,12 @@ class Presentation:
     def symbol_of(self, char):
         return self._char2sym[char]
 
-    def encode_word(self, text):
-        """Translate a user word (juxtaposed symbols, optional spaces,
-        ``1`` for the empty word) into the internal alphabet."""
+    def _scan(self, text, kind):
+        """The (internal char, sign) pairs of a ``"word"`` or, where an
+        apostrophe after a symbol inverts it, a ``"signed word"``."""
         if not isinstance(text, str):
-            raise PresentationError(f"expected a word string, got {text!r}")
+            raise PresentationError(f"expected a {kind} string, got {text!r}")
+        signed = kind == "signed word"
         out = []
         i = 0
         n = len(text)
@@ -105,18 +106,33 @@ class Presentation:
             if ch.isspace():
                 i += 1
                 continue
+            if signed and ch == "'":
+                raise PresentationError(
+                    f"dangling inverse mark at position {i} in {text!r}")
             if ch == "1":
                 i += 1
+                if signed and i < n and text[i] == "'":
+                    i += 1
                 continue
             for sym in self._symbols_by_length:
                 if text.startswith(sym, i):
-                    out.append(self._sym2char[sym])
+                    c = self._sym2char[sym]
                     i += len(sym)
                     break
             else:
                 raise PresentationError(
-                    f"unknown symbol at position {i} in word {text!r}")
-        return "".join(out)
+                    f"unknown symbol at position {i} in {kind} {text!r}")
+            sign = 1
+            if signed and i < n and text[i] == "'":
+                sign = -1
+                i += 1
+            out.append((c, sign))
+        return out
+
+    def encode_word(self, text):
+        """Translate a user word (juxtaposed symbols, optional spaces,
+        ``1`` for the empty word) into the internal alphabet."""
+        return "".join(c for c, _ in self._scan(text, "word"))
 
     def decode_word(self, word):
         if not word:
@@ -129,38 +145,7 @@ class Presentation:
         Returns a tuple of (internal char, +1 or -1) pairs.  ``1`` and
         ``1'`` both contribute nothing.
         """
-        if not isinstance(text, str):
-            raise PresentationError(f"expected a signed word string, got {text!r}")
-        out = []
-        i = 0
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch == "'":
-                raise PresentationError(
-                    f"dangling inverse mark at position {i} in {text!r}")
-            if ch == "1":
-                i += 1
-                if i < n and text[i] == "'":
-                    i += 1
-                continue
-            for sym in self._symbols_by_length:
-                if text.startswith(sym, i):
-                    c = self._sym2char[sym]
-                    i += len(sym)
-                    break
-            else:
-                raise PresentationError(
-                    f"unknown symbol at position {i} in signed word {text!r}")
-            sign = 1
-            if i < n and text[i] == "'":
-                sign = -1
-                i += 1
-            out.append((c, sign))
-        return tuple(out)
+        return tuple(self._scan(text, "signed word"))
 
     def decode_signed(self, pairs):
         if not pairs:

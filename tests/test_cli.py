@@ -211,6 +211,59 @@ def test_exit_code_usage_errors(capsys):
     assert code == 1 and "spanning" in err
 
 
+# two options of which a run reads only one
+@pytest.mark.parametrize("argv,names", [
+    (["normalize", "--delta", "aa", "--span", "a b", "aaa"],
+     ("--delta", "--span")),
+    (["all-normal-forms", "--span", "a b", "--delta", "aa", "aaa"],
+     ("--delta", "--span")),
+    (["graph", "--delta", "aa", "--span", "a b"], ("--delta", "--span")),
+    (["prove", "--delta", "aa", "--span", "a b", "a a", "b b"],
+     ("--delta", "--span")),
+    (["word-problem", "--delta", "aa", "--garside-norm", "0", "a", "a"],
+     ("--delta", "--garside-norm")),
+    (["automaton", "--garside-norm", "2", "--delta", "aa"],
+     ("--delta", "--garside-norm")),
+    (["growth", "--delta", "aa", "--garside-norm", "2"],
+     ("--delta", "--garside-norm")),
+    (["distance", "--delta", "aa", "--garside-norm", "2", "a", "a"],
+     ("--delta", "--garside-norm")),
+    (["automaton", "--json", "--full"], ("--json", "--full")),
+    (["prove", "--identity", "a a'", "b b"], ("--identity", "right"))],
+    ids=["normalize", "all-normal-forms", "graph", "prove", "word-problem",
+         "automaton", "growth", "distance", "automaton-json-full",
+         "prove-identity"])
+def test_options_that_exclude_each_other_are_usage_errors(capsys, argv,
+                                                          names):
+    code, out, err = run(capsys, [argv[0], "--fixture", "M1", *argv[1:]])
+    assert code == 1 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "not allowed with" in errors[0]
+    assert all(f"argument {name}" in errors[0] for name in names)
+
+
+def test_an_inverse_mark_is_an_unknown_symbol_in_a_positive_word(capsys):
+    with pytest.raises(garside.PresentationError) as exc:
+        garside.fixture("M1").encode_word("a'")
+    assert str(exc.value) == "unknown symbol at position 1 in word \"a'\""
+    code, out, err = run(capsys, ["normalize", "--fixture", "M1", "a'"])
+    assert (code, out) == (1, "")
+    assert err == "error: unknown symbol at position 1 in word \"a'\"\n"
+
+
+def test_analyze_notes_a_structure_that_build_structure_refuses(capsys):
+    # bb = aa, baab = bbaa, ba = aa: the search finds aa, whose star map
+    # is not a bijection; the report is printed all the same
+    code, out, err = run(capsys, ["analyze", "--json", "--file",
+                                  str(DATA / "random3.txt")])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["minimal_garside"] == ["aa"]
+    assert report["garside_structures"] == []
+    assert "structure for aa refused: the star map is not a bijection; " \
+           "the monoid is probably not cancellative" in report["notes"]
+
+
 def test_analyze_radius_zero(capsys):
     code, out, _ = run(capsys, ["analyze", "--fixture", "M1", "--json",
                                 "--radius", "0"])
