@@ -25,7 +25,7 @@ import io
 from .congruence import MonoidContext, ResourceLimitExceeded
 from .reports import Record, VerificationReport
 from .structure import _coerce_set, _no_path, span_arithmetic
-from .normal import NormalSequence, left_mult_update, normalize_all
+from .normal import NormalSequence, left_mult_update
 from .delta import GarsideStructure
 
 __all__ = [
@@ -277,6 +277,9 @@ class _CayleyGraph:
     def __init__(self, gs, letters):
         self.gs = gs
         self.letters = letters
+        # the one-letter words folded onto a key, x then x^-1 per letter
+        self.steps = tuple(((letter, sign),) for letter in letters
+                           for sign in (1, -1))
         self.ids = {}           # fraction key -> int
         self.keys = []          # int -> fraction key
         self.adjacency = []     # int -> tuple of neighbour ints, or None
@@ -293,10 +296,10 @@ class _CayleyGraph:
         got = self.adjacency[node]
         if got is None:
             fold = self.gs.arithmetic.fold
+            intern = self.intern
             key = self.keys[node]
             got = self.adjacency[node] = tuple(
-                self.intern(fold(key, ((letter, sign),)))
-                for letter in self.letters for sign in (1, -1))
+                [intern(fold(key, step)) for step in self.steps])
         return got
 
 
@@ -338,8 +341,10 @@ def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
     got = cache.get(pair)
     if got is not None:
         dist, checked = got
-        # a fresh search checks the cap once per level below max_dist
-        if max(checked[:max(max_dist, 0)], default=0) > node_cap:
+        # a fresh search checks the cap once per level below max_dist;
+        # the counts never fall, so the last of those is their maximum
+        levels = min(max_dist, len(checked))
+        if levels > 0 and checked[levels - 1] > node_cap:
             raise _over_cap(node_cap)
         if dist > max_dist:
             raise _no_path(max_dist)
@@ -387,8 +392,10 @@ def cayley_distance(ctx: MonoidContext, gs: GarsideStructure, key1, key2,
 
 def synchronous_distance(ctx: MonoidContext, gs: GarsideStructure, u, v,
                          max_dist: int = 16) -> int:
-    """Supremum over positions i of the Cayley distance between the
-    i-th prefix products, clamping each word at its own length.
+    """Supremum over positions i = 1 .. max(len(u), len(v), 1) of the
+    Cayley distance between the i-th prefix products, clamping each
+    word at its own length; position 0, the identity on both sides,
+    is not measured.
 
     Each distance is the structure arithmetic's (``_chain_distance``),
     and one beyond ``max_dist`` raises ``ResourceLimitExceeded``; where
@@ -406,39 +413,60 @@ def synchronous_distance(ctx: MonoidContext, gs: GarsideStructure, u, v,
 def _chain(gs, start, word) -> list:
     """The internal keys of start * word[:i] for i = 0 .. len(word)."""
     fold = gs.arithmetic.fold
-    keys = [start]
+    inverse = ((gs.delta, -1),)
+    key = start
+    keys = [key]
     for letter in word:
-        keys.append(fold(keys[-1], ((gs.delta, -1) if letter is DELTA_INV
-                                    else (letter, 1),)))
+        key = fold(key, inverse if letter is DELTA_INV else ((letter, 1),))
+        keys.append(key)
     return keys
 
 
 def _chain_distance(gs, pk, qk, max_dist, node_cap, floor=None):
-    """Supremum over positions i of dist(pk[i], qk[i]) on two prefix-key
-    chains (see ``_chain``), clamping each chain at its own end.
+    """Supremum over positions i = 1 .. m of dist(pk[i], qk[i]) on the
+    prefix-key chains (see ``_chain``) of two words of lengths up to
+    m >= 1, the shorter chain padded with its last key once, which
+    clamps each word at its own end.  Position 0 is not measured.
 
     With a floor f the supremum is branch-and-bound: every letter is
     one Cayley edge, so the distance at position i exceeds the one at
-    i - 1 by at most the number of chains that moved.  A position whose
-    bound is <= f cannot lift the supremum above f and is not computed.
-    The result is exact when it exceeds f and is <= f otherwise.
+    i - 1 by at most the number of chains that moved, and position 0
+    seeds that bound with 0 or 1.  A position whose bound is <= f
+    cannot lift the supremum above f and is not computed.  The result
+    is exact when it exceeds f and is <= f otherwise.
 
     Each distance is the structure arithmetic's: on Garside tables a
     word length read off a Delta-normal form, where ``node_cap`` does
     not bind, else the ``cayley_distance`` search that it is passed."""
     distance = gs.arithmetic.distance
-    lp = len(pk) - 1
-    lq = len(qk) - 1
+    lp = len(pk)
+    lq = len(qk)
+    n = max(lp, lq, 2)
+    if lp < n:
+        pk = pk + [pk[-1]] * (n - lp)
+    if lq < n:
+        qk = qk + [qk[-1]] * (n - lq)
     best = 0
+    if floor is None:
+        for i in range(1, n):
+            d = distance(pk[i], qk[i], max_dist, node_cap, cayley_distance)
+            if d > best:
+                best = d
+        return best
     bound = int(pk[0] != qk[0])
-    for i in range(1, max(lp, lq, 1) + 1):
-        bound += (i <= lp) + (i <= lq)
-        if floor is not None and bound <= floor:
+    for i in range(1, n):
+        bound += (i < lp) + (i < lq)
+        if bound <= floor:
             continue
-        bound = distance(pk[min(i, lp)], qk[min(i, lq)], max_dist,
-                         node_cap, cayley_distance)
-        best = max(best, bound)
+        bound = distance(pk[i], qk[i], max_dist, node_cap, cayley_distance)
+        if bound > best:
+            best = bound
     return best
+
+
+def _words(form) -> tuple:
+    """The words of a form's factors: ``NormalSequence.sort_key``."""
+    return tuple(f.canon for f in form)
 
 
 def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
@@ -470,9 +498,12 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
     tables there is no search, no Cayley graph, and the node bound
     does not bind.
 
-    Each piece of work is done once per call: the normal forms of each
-    element, their prefix-key chains (in memos freed on return), and
-    each form's y-translated chain.  The slide is ``left_mult_update``'s
+    Each piece of work is done once per call: the key of each letter,
+    the normal forms of each element, as the span arithmetic's tuples
+    of simples in ``NormalSequence.sort_key`` order, their prefix-key
+    chains (in memos freed on return), and each form's y-translated
+    chain.  A ``NormalSequence`` is built only for a failure witness
+    and for ``left_mult_update``.  The slide is ``left_mult_update``'s
     unchecked: the targets are every normal form of y * x, so a slid
     form among them passes its checks and has that target's distance.
     Any other goes through ``left_mult_update`` and is measured.
@@ -500,7 +531,11 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
     multi_pairs = 0
     arith = gs.arithmetic
     one = (0, arith.one)
+    normal_forms = span_arithmetic(ctx, S).normal_forms
     slide = span_arithmetic(ctx, gs.div_delta).slid
+    # per letter y, the internal key of y (D' is delta^-1)
+    letter_keys = {y: arith.key((1, ctx.one) if y is DELTA_INV else (0, y))
+                   for y in auto.letters}
     # per x.canon, the normal forms of x in order and their prefix-key
     # chains from the identity: y * x and delta \ x recur across the ball
     forms_memo = {}
@@ -512,14 +547,14 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
     def forms_of(x):
         got = forms_memo.get(x.canon)
         if got is None:
-            got = forms_memo[x.canon] = sorted(normalize_all(ctx, S, x),
-                                               key=NormalSequence.sort_key)
+            got = forms_memo[x.canon] = sorted(normal_forms(x, 10_000),
+                                               key=_words)
         return got
 
     def chains_of(x):
         got = chains_memo.get(x.canon)
         if got is None:
-            got = chains_memo[x.canon] = [_chain(gs, one, f.factors)
+            got = chains_memo[x.canon] = [_chain(gs, one, f)
                                           for f in forms_of(x)]
         return got
 
@@ -530,7 +565,7 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
             for j in range(i + 1, len(forms)):
                 q = forms[j]
                 multi_pairs += 1
-                for letter in p.factors + q.factors:
+                for letter in p + q:
                     if letter not in letters:
                         _check_letter(gs, letter)
                         letters.add(letter)
@@ -542,29 +577,29 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
                     return VerificationReport(
                         "fellow-traveller", "fail", bound=radius,
                         witness={"element": ctx.show(x),
-                                 "forms": [p.to_json(ctx), q.to_json(ctx)],
+                                 "forms": [NormalSequence(f, S.label)
+                                           .to_json(ctx) for f in (p, q)],
                                  "distance": d,
                                  "allowed": bound_multi})
         if not delta_mode:
             continue
         for y in auto.letters:
+            y_key = letter_keys[y]
             if y is DELTA_INV:
-                y_key = arith.key((1, ctx.one))
                 rest = ctx.left_divides(gs.delta, x)
                 if rest is None:
-                    target_chains = [_chain(gs, one, (DELTA_INV,) + f.factors)
+                    target_chains = [_chain(gs, one, (DELTA_INV,) + f)
                                      for f in forms]
                 else:
                     target_chains = chains_of(rest)
             else:
-                y_key = arith.key((0, y))
                 yx = ctx.mul(y, x)
                 targets = forms_of(yx)
                 target_chains = chains_of(yx)
             for p, plain_chain in zip(forms, chains_of(x)):
                 # the y-translated chain of p, for every target and the
                 # sliding form
-                pk = _chain(gs, y_key, p.factors)
+                pk = _chain(gs, y_key, p)
                 dists = []
                 for qk in target_chains:
                     dists.append(_chain_distance(gs, pk, qk, max_dist,
@@ -590,11 +625,12 @@ def ftp_probe(ctx: MonoidContext, gs: GarsideStructure, radius: int,
                     # the targets are every normal form of y * x: a slid
                     # form among them passes left_mult_update's checks,
                     # and its distance was measured above
-                    slid = slide(y, p.factors)
+                    slid = slide(y, p)
                     d = next((dq for q, dq in zip(targets, dists)
-                              if q.factors == slid), None)
+                              if q == slid), None)
                     if d is None:
-                        slid = left_mult_update(ctx, S, y, p).factors
+                        slid = left_mult_update(
+                            ctx, S, y, NormalSequence(p, S.label)).factors
                         d = _chain_distance(gs, pk, _chain(gs, one, slid),
                                             max_dist, node_cap)
                     max_sliding_simple = max(max_sliding_simple, d)

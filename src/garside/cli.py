@@ -49,6 +49,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        # argparse fills prove's optional right with nothing where a
+        # flag follows left, so a word after --identity is left over:
+        # it is the right that --identity excludes
+        if (getattr(namespace, "identity", False) and namespace.right is None
+                and extras and not extras[0].startswith("-")):
+            self.error("argument right: not allowed with argument --identity")
+        return namespace, extras
+
 
 def _nonnegative_int(text) -> int:
     try:

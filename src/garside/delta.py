@@ -233,8 +233,11 @@ def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
     use (``GarsideStructure.simples``), and the fold reads none.
     Raises ValueError unless delta is a Garside element and phi is an
     automorphism with x delta = delta phi(x) for every x; then delta^e
-    is central.  The proof of phi uses the atoms and the relations
-    only, so no ball beyond the atoms is enumerated.  The structure is
+    is central.  On the kernel, past the star map, it also raises where
+    ``check_cancellative_bounded`` finds a cancellation failure up to
+    twice the longest relation, naming its witness.  The proof of phi
+    uses the atoms and the relations only, so no ball beyond the atoms
+    is enumerated.  The structure is
     memoised per delta on the context, so its arithmetic and that
     arithmetic's memos are kept."""
     delta = ctx.canonical(delta)
@@ -261,6 +264,16 @@ def build_structure(ctx: MonoidContext, delta) -> GarsideStructure:
     if len(set(star.values())) != len(star):
         raise ValueError("the star map is not a bijection; "
                          "the monoid is probably not cancellative")
+    if not tables:
+        # the kernel's fractions need a cancellative monoid, which the
+        # bijection does not prove: in <a, b | aa = bb, bbbb = baaa,
+        # aba = bbb> it holds, yet a.ab = a.ba, and the completions
+        # find that witness
+        cancel = ctx.check_cancellative_bounded(
+            2 * ctx.presentation.max_relation_length)
+        if not cancel.passed:
+            raise ValueError(f"the monoid is not cancellative: "
+                             f"{cancel.witness}")
 
     # phi on the atoms determines phi everywhere (letterwise).
     base = {}

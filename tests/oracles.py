@@ -14,10 +14,11 @@ searches every pair of ball levels by norm for a cancellation failure,
 and is the reference for the whole reports of
 ``check_cancellative_bounded``, witness included.
 
-``ftp_probe_per_call`` is the reference loop of ``ftp_probe``: it uses
-the package's distances, but recomputes every normal form, folds both
-prefix-key chains afresh for every distance and measures every sliding
-form, where ``ftp_probe`` does each of these once per call.
+``ftp_probe_per_call`` is the reference loop of ``ftp_probe``: it
+recomputes every normal form through ``normalize_all``, measures every
+sliding form, and takes every synchronous distance, parts (a) and (b),
+from ``chain_distance``, where ``ftp_probe`` does each of these once per
+call on the span arithmetic's own forms.
 
 ``_step`` is a per-letter step of a fraction key on the kernel that
 multiplies an inverse in through its complement in a power of delta and
@@ -28,8 +29,10 @@ which defers phi to the end of the word.
 the span's arithmetic, its ``key`` then its ``fold``, and returns the
 public key (k, x), x the product of the ``factors`` of the form
 (``public``).  ``chain_distance`` is ``synchronous_distance`` with the
-first chain translated by a key: the prefix-key chains folded by
-``automaton._chain`` and measured by ``automaton._chain_distance``.
+first word translated by a key, and shares no code with the package's
+chains: each prefix is folded afresh by ``step``, each word clamped at
+its own length, the floor applied here, and only each position's
+distance is the structure arithmetic's ``distance``.
 
 ``kernel_span`` registers a ``SpanKernel`` for a span by hand, where
 ``structure.span_arithmetic`` would choose the Garside tables, so that
@@ -43,8 +46,8 @@ from functools import lru_cache
 from garside import (DELTA_INV, Element, GarsideStructure, NormalSequence,
                      Presentation, ResourceLimitExceeded, VerificationReport,
                      build_automaton, left_mult_update, normalize_all,
-                     parse_presentation, synchronous_distance)
-from garside.automaton import _chain, _chain_distance
+                     parse_presentation)
+from garside.automaton import cayley_distance
 from garside.structure import SpanKernel, _coerce_set
 
 LENGTH_ONE = Presentation(["s1", "s2", "s3"],
@@ -317,8 +320,8 @@ def ftp_probe_per_call(ctx, gs, radius, span=None, plain_observations=True):
         for i, p in enumerate(forms):
             for q in forms[i + 1:]:
                 multi_pairs += 1
-                d = synchronous_distance(ctx, gs, p.factors, q.factors,
-                                         max_dist=max_dist)
+                d = chain_distance(gs, one, p.factors, q.factors, max_dist,
+                                   node_cap)
                 max_multi = max(max_multi, d)
                 if d > bound_multi:
                     return VerificationReport(
@@ -429,9 +432,28 @@ def step(gs, key, letter, sign=1):
 
 
 def chain_distance(gs, y_key, p, q, max_dist, node_cap, floor=None):
-    """Supremum over positions i of dist(y * p[:i], q[:i]), each word
-    clamped at its own length, for y_key a public or internal key."""
+    """Supremum over positions i = 1 .. max(len(p), len(q), 1) of
+    dist(y * p[:i], q[:i]), each word clamped at its own length, for
+    y_key a public or internal key.  With a floor f a position whose
+    bound (0 or 1 at position 0, plus one per word that moved since) is
+    <= f is skipped, and the bound becomes the distance where one is
+    measured."""
     arith = gs.arithmetic
-    return _chain_distance(gs, _chain(gs, arith.key(y_key), p),
-                           _chain(gs, (0, arith.one), q),
-                           max_dist, node_cap, floor)
+
+    def prefix(start, word, i):
+        key = start
+        for letter in word[:i]:
+            key = step(gs, key, letter)
+        return arith.key(key)
+
+    one = (0, gs.ctx.one)
+    best = 0
+    bound = int(prefix(y_key, p, 0) != prefix(one, q, 0))
+    for i in range(1, max(len(p), len(q), 1) + 1):
+        bound += (i <= len(p)) + (i <= len(q))
+        if floor is not None and bound <= floor:
+            continue
+        bound = arith.distance(prefix(y_key, p, i), prefix(one, q, i),
+                               max_dist, node_cap, cayley_distance)
+        best = max(best, bound)
+    return best

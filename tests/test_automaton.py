@@ -412,6 +412,25 @@ def test_ftp_probe_matches_the_per_call_loop(name, delta, radius, kwargs):
         assert got.details["multiform_pairs"] == 4
 
 
+# every distance forced to one value: the probe fails on its first
+# pair of forms, letter or slide, named in the witness
+@pytest.mark.parametrize("primitives,radius,value,witness", [
+    (True, 4, 99, {"element": "aaa", "forms": [["aa", "a"], ["ab", "b"]],
+                   "distance": 99, "allowed": 4}),
+    (False, 2, 99, {"element": "1", "letter": "a", "distance": 99,
+                    "allowed": 12}),
+    (False, 2, 2, {"element": "1", "letter": "a", "sliding_distance": 2,
+                   "allowed": 1})], ids=["multiform", "leftmult", "sliding"])
+def test_a_failing_probe_names_its_first_witness(monkeypatch, m1, primitives,
+                                                  radius, value, witness):
+    monkeypatch.setattr(automaton, "_chain_distance",
+                        lambda *args: value)
+    span = primitive_closure(m1) if primitives else None
+    rep = ftp_probe(m1, structure(m1, "aa"), radius, span=span)
+    assert rep.status == "fail"
+    assert rep.witness == witness
+
+
 def test_ftp_probe_rejects_a_negative_radius(m1):
     with pytest.raises(ValueError, match="radius"):
         ftp_probe(m1, structure(m1, "aa"), -1)
@@ -477,12 +496,17 @@ def test_floored_supremum_is_exact_above_the_floor(ctx_factory, name, delta):
     @given(factor_words(letters), factor_words(letters),
            st.sampled_from(y_keys), st.integers(0, 8))
     def check(u, v, y_key, floor):
+        exact = oracles.chain_distance(gs, y_key, u, v, 16, 200_000)
         if y_key == (0, ctx.one):
-            exact = synchronous_distance(ctx, gs, u, v)
-        else:
-            exact = oracles.chain_distance(gs, y_key, u, v, 16, 200_000)
+            assert synchronous_distance(ctx, gs, u, v) == exact
         got = oracles.chain_distance(gs, y_key, u, v, 16, 200_000,
                                      floor)
+        # the package's chains, against the oracle's own loop
+        arith = gs.arithmetic
+        pk = automaton._chain(gs, arith.key(y_key), u)
+        qk = automaton._chain(gs, (0, arith.one), v)
+        assert [automaton._chain_distance(gs, pk, qk, 16, 200_000, f)
+                for f in (None, floor)] == [exact, got]
         if exact > floor:
             assert got == exact
             outcomes.add("exact")
@@ -493,3 +517,18 @@ def test_floored_supremum_is_exact_above_the_floor(ctx_factory, name, delta):
     check()
     # both sides of the floor occur, and some pruning lowered the result
     assert outcomes == {"exact", "pruned", "at or below"}
+
+
+@pytest.mark.parametrize("name,delta", (("B3", "s1s2s1"), ("M2", "aa")))
+def test_position_zero_of_a_translated_chain_is_not_measured(ctx_factory,
+                                                             name, delta):
+    # y * 1 and y are one element at position 1, the clamped end of the
+    # empty word; position 0 compares y with 1 and only seeds the floor
+    ctx = ctx_factory(name)
+    gs = structure(ctx, delta)
+    one = (0, gs.arithmetic.one)
+    for y in build_automaton(ctx, gs).letters[:-1]:
+        assert oracles.chain_distance(gs, (0, y), (), (y,), 16, 200_000) == 0
+        pk = [gs.arithmetic.key((0, y))]
+        qk = automaton._chain(gs, one, (y,))
+        assert automaton._chain_distance(gs, pk, qk, 16, 200_000) == 0

@@ -229,10 +229,11 @@ def test_exit_code_usage_errors(capsys):
     (["distance", "--delta", "aa", "--garside-norm", "2", "a", "a"],
      ("--delta", "--garside-norm")),
     (["automaton", "--json", "--full"], ("--json", "--full")),
-    (["prove", "--identity", "a a'", "b b"], ("--identity", "right"))],
+    (["prove", "--identity", "a a'", "b b"], ("--identity", "right")),
+    (["prove", "a a", "--identity", "b b"], ("--identity", "right"))],
     ids=["normalize", "all-normal-forms", "graph", "prove", "word-problem",
          "automaton", "growth", "distance", "automaton-json-full",
-         "prove-identity"])
+         "prove-identity", "prove-left-identity-right"])
 def test_options_that_exclude_each_other_are_usage_errors(capsys, argv,
                                                           names):
     code, out, err = run(capsys, [argv[0], "--fixture", "M1", *argv[1:]])

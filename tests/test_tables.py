@@ -709,7 +709,8 @@ def test_the_left_sets_the_gate_reaches_on_random_presentations(
 # ab = ba; a and b have the common multiple aaaa = bbbb, which ab does
 # not divide, so ab is no Garside element, but is_garside's clean-level
 # certificate passes it; and oracles.random_presentation(51), committed
-# as a file for the CLI, is not cancellative
+# as a file for the CLI, is not cancellative, which build_structure's
+# check on the kernel route refutes
 LEFT_IS_NOT_RIGHT = parse_presentation("gens: a b\nrels: aaa = bbb; aab = bbb",
                                        name="left-is-not-right")
 LONG_RELATION = parse_presentation("gens: a b\nrels: aba = bab; aaa = bbb",
@@ -722,13 +723,15 @@ RANDOM_51_FILE = pathlib.Path(__file__).parent / "data" / "random51.txt"
 RANDOM_51 = parse_presentation(RANDOM_51_FILE.read_text(), name="random(51)")
 
 
-@pytest.mark.parametrize("presentation,delta,garside", [
-    (LEFT_IS_NOT_RIGHT, "aaa", False), (LONG_RELATION, "aba", False),
-    (REDUNDANT, "ab", True), (FOUR_POWERS, "ab", True),
-    (RANDOM_51, "aa", True)], ids=["left-is-not-right", "long-relation",
-                                   "redundant", "four-powers", "random51"])
+@pytest.mark.parametrize("presentation,delta,garside,refusal", [
+    (LEFT_IS_NOT_RIGHT, "aaa", False, "not a Garside element"),
+    (LONG_RELATION, "aba", False, "not a Garside element"),
+    (REDUNDANT, "ab", True, None), (FOUR_POWERS, "ab", True, None),
+    (RANDOM_51, "aa", True, "not cancellative")],
+    ids=["left-is-not-right", "long-relation", "redundant", "four-powers",
+         "random51"])
 def test_the_germ_proves_nothing_where_a_condition_fails(presentation, delta,
-                                                         garside):
+                                                         garside, refusal):
     ctx = MonoidContext(presentation)
     d = ctx.element(delta)
     div = divisors(ctx, d)
@@ -739,8 +742,8 @@ def test_the_germ_proves_nothing_where_a_condition_fails(presentation, delta,
     other = MonoidContext(presentation)
     got = span_arithmetic(other, divisors(other, other.element(delta)))
     assert got.__class__ is SpanKernel
-    if not garside:
-        with pytest.raises(ValueError, match="not a Garside element"):
+    if refusal:
+        with pytest.raises(ValueError, match=refusal):
             build_structure(ctx, d)
         return
     # is_garside, the simples on the kernel, and no tables
@@ -772,7 +775,9 @@ def test_random_51_normalises_as_its_kernel(pick):
     d = ctx.element("aa")
     div = divisors(ctx, d)
     if pick == "build_structure":
-        build_structure(ctx, d)
+        # refused, after the span got its arithmetic: a.ab = a.ba
+        with pytest.raises(ValueError, match="not cancellative"):
+            build_structure(ctx, d)
     else:
         span_arithmetic(ctx, div)
     ref = MonoidContext(RANDOM_51)
@@ -782,6 +787,22 @@ def test_random_51_normalises_as_its_kernel(pick):
     assert normalize(ctx, div, "aba") == want
     got = span_arithmetic(ctx, div).least_word("aba")
     assert got == span_arithmetic(ref, ref_div).least_word("aba") == "aab"
+
+
+def test_random_51_has_no_structure_and_no_group_answer(capsys):
+    # a.ab = a.ba, so ab = ba in the group; build_structure names that
+    # witness, and the word problem answers neither way
+    ctx = MonoidContext(RANDOM_51)
+    with pytest.raises(ValueError) as exc:
+        build_structure(ctx, ctx.element("aa"))
+    assert str(exc.value) == ("the monoid is not cancellative: {'x': 'a', "
+                              "'y': 'ab', 'y2': 'ba', 'side': 'left'}")
+    for left, right in (("a b", "b a"), ("a a b", "a b a")):
+        assert main(["word-problem", "--file", str(RANDOM_51_FILE),
+                     "--delta", "aa", left, right]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {exc.value}\n"
 
 
 def test_the_tables_answer_as_the_kernel_on_random_presentations():
@@ -892,6 +913,12 @@ def test_a_span_gets_one_arithmetic_on_a_fresh_context(presentation, delta,
     div = divisors(ctx, d)
     got = span_arithmetic(ctx, div)
     assert got.__class__ is (GarsideTables if tables else SpanKernel)
+    if presentation is RANDOM_51:
+        # not cancellative: no structure, and the span keeps its kernel
+        with pytest.raises(ValueError, match="not cancellative"):
+            build_structure(ctx, d)
+        assert span_arithmetic(ctx, div) is got
+        return
     gs = build_structure(ctx, d)
     assert span_arithmetic(ctx, div) is got
     if tables:
